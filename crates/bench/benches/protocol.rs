@@ -9,6 +9,7 @@ use zaatar_bench::harness::BenchGroup;
 use zaatar_core::commit::{decommit, CommitmentKey};
 use zaatar_core::pcp::{PcpParams, ZaatarPcp};
 use zaatar_core::qap::Qap;
+use zaatar_core::workspace::ProverWorkspace;
 use zaatar_crypto::ChaChaPrg;
 use zaatar_field::F61;
 
@@ -36,7 +37,9 @@ fn protocol_phases() {
         black_box(art.quad.extend_assignment(&a))
     });
 
-    group.bench("prover_compute_h", || black_box(pcp.qap().compute_h(&witness)));
+    group.bench("prover_compute_h", || {
+        black_box(pcp.qap().compute_h_policied(&witness, &mut ProverWorkspace::new()))
+    });
 
     let proof = pcp.prove(&witness).unwrap();
     let mut prg = ChaChaPrg::from_u64_seed(2);

@@ -98,10 +98,12 @@ use zaatar_cc::{ginger_to_quad, optimize, Builder};
 use zaatar_core::commit::CommitmentKey;
 use zaatar_core::pcp::{PcpParams, ZaatarPcp, ZaatarProof};
 use zaatar_core::qap::{Qap, QapWitness};
-use zaatar_core::runtime::{prove_batch, prove_batch_with, run_session_prover, run_session_verifier};
+use zaatar_core::runtime::{
+    prove_batch_with_policy, prove_instance_policied, run_session_prover, run_session_verifier,
+};
 use zaatar_core::workspace::ProverWorkspace;
 use zaatar_core::{
-    HostProfile, MemBudget, MicroParams, Proving, Scheduler, WorkloadShape,
+    ExecPolicy, HostProfile, MemBudget, MicroParams, Proving, Scheduler, WorkloadShape,
 };
 use zaatar_crypto::ChaChaPrg;
 use zaatar_field::{Field, F61};
@@ -224,6 +226,16 @@ fn build_workload(
         );
     }
     (pcp, witnesses, ios)
+}
+
+/// Monolithic batch proving at an explicit worker count.
+fn prove_at(
+    pcp: &ZaatarPcp<F61, zaatar_poly::Radix2Domain<F61>>,
+    witnesses: &[QapWitness<F61>],
+    workers: usize,
+) -> Vec<Option<ZaatarProof<F61>>> {
+    prove_batch_with_policy(pcp, witnesses, &ExecPolicy::with_workers(workers), MemBudget::unlimited())
+        .expect("unlimited budget never refuses a lease")
 }
 
 /// One row of the `ntt` section: per-size transform timings off the
@@ -406,8 +418,8 @@ struct MemSample {
 }
 
 /// Measures workspace reuse in the staged prover pipeline: for each β,
-/// proves β instances serially through `prove_batch_with` on one fresh
-/// [`ProverWorkspace`] and reads the `mem.scratch.{hit,miss}` counter
+/// proves β instances serially through `prove_instance_policied` on one
+/// fresh [`ProverWorkspace`] and reads the `mem.scratch.{hit,miss}` counter
 /// deltas around the run. At β = 1 every take is a cold miss; at β = 16
 /// instances 2..16 are served from the pool, so the hit rate must be
 /// non-zero and per-instance allocations (pool misses) must drop.
@@ -425,10 +437,12 @@ fn bench_mem_reuse(
             let miss0 = zaatar_obs::counter("mem.scratch.miss").get();
             let mut ws = ProverWorkspace::new();
             let start = Instant::now();
-            let proofs = prove_batch_with(pcp, &batch, &mut ws);
+            for w in &batch {
+                let proof = prove_instance_policied(pcp, w, &mut ws).expect("unlimited budget");
+                assert!(proof.is_some(), "honest witnesses");
+            }
             let prove_ns_per_instance =
                 (start.elapsed().as_nanos() as u64 / beta as u64).max(1);
-            assert!(proofs.iter().all(Option::is_some), "honest witnesses");
             let scratch_hit = zaatar_obs::counter("mem.scratch.hit").get() - hit0;
             let scratch_miss = zaatar_obs::counter("mem.scratch.miss").get() - miss0;
             MemSample {
@@ -458,8 +472,8 @@ struct StreamSample {
 }
 
 /// Measures the streaming pipeline's residency win: for each circuit
-/// size, one monolithic `prove_with` and one chunked `prove_streamed`
-/// on fresh workspaces, recording each workspace's own
+/// size, one monolithic and one chunked `prove_instance_policied` on
+/// fresh workspaces, recording each workspace's own
 /// `high_water_bytes` peak and whether the proofs came out
 /// byte-identical. When `ZAATAR_MEM_BUDGET` is set it is applied to
 /// the streaming workspace as a hard cap — a lease the budget refuses
@@ -476,14 +490,14 @@ fn bench_stream(smoke: bool) -> Vec<StreamSample> {
             let chunk_len = (domain / 8).max(16);
             let mut mono = ProverWorkspace::new();
             let start = Instant::now();
-            let mono_proof = pcp
-                .prove_with(&witnesses[0], &mut mono)
+            let mono_proof = prove_instance_policied(&pcp, &witnesses[0], &mut mono)
+                .expect("unlimited budget")
                 .expect("honest witness");
             let monolithic_prove_ns = start.elapsed().as_nanos() as u64;
-            let mut sws = ProverWorkspace::with_budget(budget);
+            let mut sws =
+                ProverWorkspace::with_budget(budget).with_policy(ExecPolicy::streamed(chunk_len));
             let start = Instant::now();
-            let stream_proof = pcp
-                .prove_streamed(&witnesses[0], chunk_len, &mut sws)
+            let stream_proof = prove_instance_policied(&pcp, &witnesses[0], &mut sws)
                 .unwrap_or_else(|e| {
                     panic!("ZAATAR_MEM_BUDGET refused a streaming lease at chain {chain}: {e}")
                 })
@@ -560,7 +574,7 @@ const SCHED_DECISION_NOISE_BAND: f64 = 0.20;
 
 /// Measures the scheduler's two live decisions against ground truth.
 ///
-/// Worker sweep: `prove_batch` wall clock (min of 3, after a warmup) at
+/// Worker sweep: `prove_batch_with_policy` wall clock (min of 3, after a warmup) at
 /// each swept worker count on the main workload, beside the count the
 /// [`Scheduler`] picks for the same shape. The chosen count's time is
 /// taken from its sweep row when present so "chosen vs best" compares
@@ -586,10 +600,10 @@ fn bench_sched(
     };
 
     let time_batch = |workers: usize| -> u64 {
-        let _warmup = prove_batch(pcp, witnesses, workers);
+        let _warmup = prove_at(pcp, witnesses, workers);
         min_of(SCHED_SWEEP_REPS, &mut || {
             let start = Instant::now();
-            let out = prove_batch(pcp, witnesses, workers);
+            let out = prove_at(pcp, witnesses, workers);
             let ns = start.elapsed().as_nanos() as u64;
             assert!(out.iter().all(Option::is_some), "honest witnesses");
             ns.max(1)
@@ -639,25 +653,19 @@ fn bench_sched(
             };
             // Warm both code paths (plan caches, scratch pools) before
             // any timed run, so neither pipeline pays cold costs.
-            let mut ws = ProverWorkspace::new();
-            pcp.prove_with(witness, &mut ws).expect("honest witness");
-            pcp.prove_streamed(witness, chunk_len, &mut ws)
-                .expect("unlimited budget")
-                .expect("honest witness");
-            let monolithic_ns = min_of(SCHED_DECISION_REPS, &mut || {
-                let mut ws = ProverWorkspace::new();
+            let time_under = |policy: ExecPolicy| -> u64 {
+                let mut ws = ProverWorkspace::new().with_policy(policy);
                 let start = Instant::now();
-                pcp.prove_with(witness, &mut ws).expect("honest witness");
-                start.elapsed().as_nanos() as u64
-            });
-            let streaming_ns = min_of(SCHED_DECISION_REPS, &mut || {
-                let mut ws = ProverWorkspace::new();
-                let start = Instant::now();
-                pcp.prove_streamed(witness, chunk_len, &mut ws)
+                prove_instance_policied(&pcp, witness, &mut ws)
                     .expect("unlimited budget")
                     .expect("honest witness");
                 start.elapsed().as_nanos() as u64
-            });
+            };
+            let (mono, streamed) = (ExecPolicy::serial(), ExecPolicy::streamed(chunk_len));
+            time_under(mono);
+            time_under(streamed);
+            let monolithic_ns = min_of(SCHED_DECISION_REPS, &mut || time_under(mono));
+            let streaming_ns = min_of(SCHED_DECISION_REPS, &mut || time_under(streamed));
             SchedDecision {
                 chain,
                 domain,
@@ -813,11 +821,11 @@ fn run_baseline(smoke: bool) -> String {
     // Serial vs parallel batch proving, timed directly (wall clock) so
     // the comparison is independent of the phase timers it populates.
     let start = Instant::now();
-    let serial = prove_batch(&pcp, &witnesses, 1);
+    let serial = prove_at(&pcp, &witnesses, 1);
     let serial_ns = start.elapsed().as_nanos() as u64;
     assert!(serial.iter().all(Option::is_some), "honest witnesses");
     let start = Instant::now();
-    let parallel = prove_batch(&pcp, &witnesses, workers);
+    let parallel = prove_at(&pcp, &witnesses, workers);
     let parallel_ns = start.elapsed().as_nanos() as u64;
     assert!(parallel.iter().all(Option::is_some), "honest witnesses");
     let speedup = serial_ns as f64 / parallel_ns.max(1) as f64;

@@ -16,7 +16,8 @@ use zaatar_bench::{print_table, Scale};
 use zaatar_core::parallel::HardwareConfig;
 use zaatar_core::pcp::{PcpParams, ZaatarPcp};
 use zaatar_core::qap::Qap;
-use zaatar_core::runtime::prove_batch;
+use zaatar_core::runtime::prove_batch_with_policy;
+use zaatar_core::{ExecPolicy, MemBudget};
 use zaatar_field::F128;
 
 fn main() {
@@ -107,7 +108,13 @@ fn time_batch(
     workers: usize,
 ) -> f64 {
     let start = Instant::now();
-    let proofs = prove_batch(pcp, witnesses, workers);
+    let proofs = prove_batch_with_policy(
+        pcp,
+        witnesses,
+        &ExecPolicy::with_workers(workers),
+        MemBudget::unlimited(),
+    )
+    .expect("unlimited budget never refuses a lease");
     assert!(proofs.iter().all(Option::is_some), "honest witnesses");
     std::hint::black_box(proofs);
     start.elapsed().as_secs_f64()

@@ -45,7 +45,7 @@ pub struct ProverTimings {
     pub construct_proof: Duration,
     /// Cryptographic work (homomorphic commitments).
     pub crypto: Duration,
-    /// Answering queries (decommitment inner products).
+    /// Query answering (decommitment inner products).
     pub answer_queries: Duration,
 }
 
@@ -238,9 +238,8 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> Prover<'p, F, D> {
     /// [`ZaatarPcp::prove_unchecked`] to model cheating provers.
     pub fn construct_proof(&mut self, witness: &QapWitness<F>) -> ZaatarProof<F> {
         let start = Instant::now();
-        let proof = self
-            .pcp
-            .prove_with(witness, &mut self.workspace)
+        let proof = crate::runtime::prove_instance_policied(self.pcp, witness, &mut self.workspace)
+            .expect("unlimited budget never refuses a lease")
             .expect("witness must satisfy the constraints");
         self.timings.construct_proof += start.elapsed();
         proof

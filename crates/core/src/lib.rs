@@ -54,10 +54,9 @@ pub use pcp::{BatchQuerySet, PcpParams, QuerySet, ZaatarPcp, ZaatarProof};
 pub use network::{queries_from_seed, zaatar_network_costs, NetworkCosts};
 pub use qap::{Qap, QapEvals, QapWitness, StagedWitness, StagedWitnessChunked};
 pub use runtime::{
-    answer_batch, answer_batch_with_policy, parse_instance_index, prove_batch,
-    prove_batch_streamed, prove_batch_with, prove_batch_with_policy, prove_instance_policied,
+    parse_instance_index, prove_batch_with_policy, prove_instance_policied,
     run_hetero_session_prover, run_hetero_session_verifier, run_session_prover,
-    run_session_verifier, ProverStats, SessionReport, VerifyOutcome,
+    run_session_verifier, ProverMachine, ProverStats, ProverStep, SessionReport, VerifyOutcome,
 };
 pub use session::{
     HeteroSessionProver, HeteroSessionVerifier, SessionError, SessionProver, SessionVerifier,
@@ -70,6 +69,4 @@ pub use workspace::ProverWorkspace;
 pub use zaatar_mem::{BudgetError, MemBudget};
 // Same for the scheduler types (`ProverWorkspace::with_policy`,
 // `prove_batch_with_policy`, the server's per-tenant policy stamp).
-pub use zaatar_sched::{
-    Answering, ExecPolicy, HostProfile, MicroCosts, Proving, Scheduler, WorkloadShape,
-};
+pub use zaatar_sched::{ExecPolicy, HostProfile, MicroCosts, Proving, Scheduler, WorkloadShape};

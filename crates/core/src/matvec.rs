@@ -3,7 +3,7 @@
 //! The prover's query-answering phase is a dense matrix–vector product:
 //! every one of the `ρ·(3ρ_lin+3)` z-oracle queries (and the h-oracle's
 //! `ρ·(3ρ_lin+1)`) is a length-`|Z|` (resp. `|C|+1`) dot product against
-//! the same proof vector. Answering them one `dot()` at a time re-reads
+//! the same proof vector. Taking them one `dot()` at a time re-reads
 //! the proof vector once per query and the scattered per-query `Vec`s
 //! defeat the cache entirely. [`QueryMatrix`] packs the queries into one
 //! contiguous row-major allocation so a single blocked pass over the

@@ -173,7 +173,7 @@ impl<F: Field> QuerySet<F> {
 /// [`QuerySet`], so [`ZaatarPcp::check`] works unchanged against batched
 /// answers).
 ///
-/// Answering through [`BatchQuerySet::answer`] runs the blocked
+/// [`BatchQuerySet::answer`] runs the blocked
 /// matrix–vector kernel: one pass over the proof vector serves all
 /// `ρ·(3ρ_lin+3)` z-queries (and all `ρ·(3ρ_lin+1)` h-queries), instead
 /// of one dense dot product per query. Answers are bit-identical to the
@@ -262,57 +262,13 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
         self.params
     }
 
-    /// Builds a correct proof from a satisfying witness. Returns `None`
-    /// if the witness does not satisfy the constraints.
+    /// Builds a correct proof from a satisfying witness over a throwaway
+    /// default-policy workspace — the single-instance convenience form
+    /// of [`crate::runtime::prove_instance_policied`]. Returns `None` if
+    /// the witness does not satisfy the constraints.
     pub fn prove(&self, witness: &QapWitness<F>) -> Option<ZaatarProof<F>> {
-        self.prove_with(witness, &mut ProverWorkspace::new())
-    }
-
-    /// [`ZaatarPcp::prove`] over a caller-owned workspace: the Witness
-    /// and Quotient pipeline stages lease their transform and
-    /// accumulator buffers from `ws` instead of allocating, so a batch
-    /// loop (or a `parallel_map_with` worker) reuses one set of buffers
-    /// across every instance. Field arithmetic is exact, so the proof is
-    /// bit-identical to the allocating path.
-    pub fn prove_with(
-        &self,
-        witness: &QapWitness<F>,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Option<ZaatarProof<F>> {
-        let _span = zaatar_obs::time("pcp.prove");
-        zaatar_obs::counter("pcp.prove.calls").inc();
-        let h = self.qap.compute_h_with(witness, ws)?;
-        Some(ZaatarProof {
-            z: witness.z.clone(),
-            h,
-        })
-    }
-
-    /// [`ZaatarPcp::prove_with`] through the streaming pipeline: the
-    /// Witness stage accumulates into chunked buffers of `chunk_len`
-    /// field elements and the Quotient stage drains them chunk-at-a-time
-    /// into the transform buffer, so peak residency stays bounded by the
-    /// workspace budget instead of the full `3n` staged vectors. Every
-    /// lease is a hard `try_take`; the first one the budget refuses
-    /// surfaces as `Err(BudgetError)` with all partial leases returned
-    /// to the pool. Field arithmetic is exact and the streaming stages
-    /// replay the monolithic per-slot operation order, so a produced
-    /// proof is byte-identical to [`ZaatarPcp::prove_with`].
-    pub fn prove_streamed(
-        &self,
-        witness: &QapWitness<F>,
-        chunk_len: usize,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<Option<ZaatarProof<F>>, zaatar_mem::BudgetError> {
-        let _span = zaatar_obs::time("pcp.prove");
-        zaatar_obs::counter("pcp.prove.calls").inc();
-        let Some(h) = self.qap.compute_h_streamed(witness, chunk_len, ws)? else {
-            return Ok(None);
-        };
-        Ok(Some(ZaatarProof {
-            z: witness.z.clone(),
-            h,
-        }))
+        crate::runtime::prove_instance_policied(self, witness, &mut ProverWorkspace::new())
+            .expect("unlimited budget never refuses a lease")
     }
 
     /// Builds the proof a *cheating* prover would ship for a
@@ -401,18 +357,6 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
                 .map(|q| proof.query_h(q))
                 .collect(),
         }
-    }
-
-    /// Batched answer path: one blocked pass over the proof vector per
-    /// oracle answers all `ρ·(ρ_lin·3+2)` queries of the repetition
-    /// structure. Identical output to [`ZaatarPcp::answer`].
-    pub fn answer_batched(
-        &self,
-        proof: &ZaatarProof<F>,
-        batch: &BatchQuerySet<F>,
-        workers: usize,
-    ) -> PcpResponses<F> {
-        batch.answer(proof, workers)
     }
 
     /// The verifier's decision procedure (Fig. 10) for one instance with
@@ -701,7 +645,7 @@ mod tests {
             let queries = pcp.generate_queries(&mut prg2);
             let serial = pcp.answer(&proof, &queries);
             for workers in [1usize, 4] {
-                let batched = pcp.answer_batched(&proof, &batch, workers);
+                let batched = batch.answer(&proof, workers);
                 assert_eq!(batched, serial, "seed={seed} workers={workers}");
             }
             assert!(pcp.check(batch.queries(), &batch.answer(&proof, 2), &io));

@@ -19,6 +19,7 @@ use zaatar_field::PrimeField;
 use zaatar_mem::{BudgetError, ChunkedVec};
 use zaatar_poly::domain::EvalDomain;
 use zaatar_poly::{Radix2Domain, SparsePoly};
+use zaatar_sched::Proving;
 
 use crate::workspace::ProverWorkspace;
 
@@ -352,30 +353,6 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
         h
     }
 
-    /// The prover's quotient computation (App. A.3) — the Witness and
-    /// Quotient stages back to back over a caller-owned workspace, so a
-    /// batch loop reuses one set of buffers across every instance.
-    ///
-    /// Returns the coefficients of `H(t)` (length `degree() + 1`), or
-    /// `None` if `D(t)` does not divide `P_w(t)` — i.e. `w` is not a
-    /// satisfying assignment.
-    pub fn compute_h_with(
-        &self,
-        witness: &QapWitness<F>,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Option<Vec<F>> {
-        let _span = zaatar_obs::time("qap.compute_h");
-        let staged = self.witness_stage(witness, ws);
-        self.quotient_stage(staged, ws)
-    }
-
-    /// [`Qap::compute_h_with`] over a throwaway workspace — the
-    /// single-instance convenience path. Exact field arithmetic makes
-    /// the output identical either way.
-    pub fn compute_h(&self, witness: &QapWitness<F>) -> Option<Vec<F>> {
-        self.compute_h_with(witness, &mut ProverWorkspace::new())
-    }
-
     /// Streaming stage 1 — **Witness**, chunked: walks the constraint
     /// rows variable-by-variable *without materializing the full `w`
     /// vector* (each `wᵢ` is read straight out of the witness: the
@@ -460,46 +437,39 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
         Ok(h)
     }
 
-    /// The streaming prover's quotient computation: both streaming
-    /// stages back to back under a (possibly budget-capped) workspace.
-    /// Coefficients are bit-identical to [`Qap::compute_h_with`]; peak
-    /// workspace residency is bounded by two coset buffers plus one
-    /// chunk instead of the monolithic path's full complement.
-    pub fn compute_h_streamed(
-        &self,
-        witness: &QapWitness<F>,
-        chunk_len: usize,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<Option<Vec<F>>, BudgetError> {
-        let _span = zaatar_obs::time("qap.compute_h");
-        let staged = self.witness_stage_streamed(witness, chunk_len, ws)?;
-        self.quotient_stage_streamed(staged, ws)
-    }
-
-    /// The quotient computation through whichever pipeline the
-    /// workspace's stamped [`zaatar_sched::ExecPolicy`] selects:
-    /// [`zaatar_sched::Proving::Monolithic`] runs
-    /// [`Qap::compute_h_with`] (the `Err` path is then unreachable),
-    /// [`zaatar_sched::Proving::Streamed`] runs
-    /// [`Qap::compute_h_streamed`] at the policy's chunk length.
-    /// Coefficients are bit-identical either way; `Ok(None)` means the
-    /// witness does not satisfy the QAP.
+    /// The prover's quotient computation (App. A.3): the Witness and
+    /// Quotient stages back to back, through whichever pipeline the
+    /// workspace's stamped [`zaatar_sched::ExecPolicy`] selects —
+    /// [`Proving::Monolithic`] runs [`Qap::witness_stage`] +
+    /// [`Qap::quotient_stage`] over full-length soft leases (the `Err`
+    /// path is then unreachable), [`Proving::Streamed`] runs the
+    /// `_streamed` stages over hard `chunk_len` leases, bounding peak
+    /// residency by two coset buffers plus one chunk.
+    ///
+    /// Returns the coefficients of `H(t)` (length `degree() + 1`),
+    /// bit-identical either way; `Ok(None)` means `D(t)` does not divide
+    /// `P_w(t)` — `w` is not a satisfying assignment.
     pub fn compute_h_policied(
         &self,
         witness: &QapWitness<F>,
         ws: &mut ProverWorkspace<F>,
     ) -> Result<Option<Vec<F>>, BudgetError> {
+        let _span = zaatar_obs::time("qap.compute_h");
         match ws.policy().proving {
-            zaatar_sched::Proving::Monolithic => Ok(self.compute_h_with(witness, ws)),
-            zaatar_sched::Proving::Streamed { chunk_len } => {
-                self.compute_h_streamed(witness, chunk_len, ws)
+            Proving::Monolithic => {
+                let staged = self.witness_stage(witness, ws);
+                Ok(self.quotient_stage(staged, ws))
+            }
+            Proving::Streamed { chunk_len } => {
+                let staged = self.witness_stage_streamed(witness, chunk_len, ws)?;
+                self.quotient_stage_streamed(staged, ws)
             }
         }
     }
 
-    /// Like [`Qap::compute_h`] but returns the (useless) quotient even
-    /// when the remainder is non-zero — what a *cheating* prover would
-    /// ship. Used by the soundness experiments. Deliberately kept on the
+    /// Like [`Qap::compute_h_policied`] but returns the (useless)
+    /// quotient even when the remainder is non-zero — what a *cheating*
+    /// prover would ship. Used by the soundness experiments. Deliberately kept on the
     /// explicit interpolate → multiply → divide route: the coset quotient
     /// kernel has no well-defined output for a non-divisible `P_w`, while
     /// this path's truncated Euclidean quotient is stable across kernel
@@ -577,6 +547,12 @@ mod tests {
         F61::from_i64(x)
     }
 
+    /// The quotient over a throwaway default-policy workspace.
+    fn quotient<D: EvalDomain<F61>>(qap: &Qap<F61, D>, w: &QapWitness<F61>) -> Option<Vec<F61>> {
+        qap.compute_h_policied(w, &mut ProverWorkspace::new())
+            .expect("unlimited budget never refuses a lease")
+    }
+
     /// A small computation: y = (a·b + 3)², via the full cc pipeline.
     fn small_system() -> (QuadSystem<F61>, Vec<Assignment<F61>>) {
         let mut b = Builder::<F61>::new();
@@ -603,7 +579,7 @@ mod tests {
         for asg in &asgs {
             assert!(sys.is_satisfied(asg));
             let w = qap.witness(asg);
-            assert!(qap.compute_h(&w).is_some());
+            assert!(quotient(&qap, &w).is_some());
         }
     }
 
@@ -613,7 +589,7 @@ mod tests {
         let qap = Qap::new(&sys);
         let mut w = qap.witness(&asgs[0]);
         w.z[0] += F61::ONE;
-        assert!(qap.compute_h(&w).is_none());
+        assert!(quotient(&qap, &w).is_none());
     }
 
     #[test]
@@ -623,7 +599,7 @@ mod tests {
         let mut w = qap.witness(&asgs[0]);
         let last = w.io.len() - 1;
         w.io[last] += F61::ONE;
-        assert!(qap.compute_h(&w).is_none());
+        assert!(quotient(&qap, &w).is_none());
     }
 
     #[test]
@@ -632,7 +608,7 @@ mod tests {
         let (sys, asgs) = small_system();
         let qap = Qap::new(&sys);
         let w = qap.witness(&asgs[0]);
-        let h = qap.compute_h(&w).unwrap();
+        let h = quotient(&qap, &w).unwrap();
         for tau_raw in [12345u64, 999, 0xabcdef01] {
             let tau = F61::from_u64(tau_raw);
             let evals = qap.evals_at(tau);
@@ -672,12 +648,12 @@ mod tests {
         let q2 = Qap::with_domain(&sys, ArithDomain::<F61>::new(sys.constraints.len()));
         let w1 = q1.witness(&asgs[0]);
         let w2 = q2.witness(&asgs[0]);
-        assert!(q1.compute_h(&w1).is_some());
-        assert!(q2.compute_h(&w2).is_some());
+        assert!(quotient(&q1, &w1).is_some());
+        assert!(quotient(&q2, &w2).is_some());
         // And both reject a broken witness.
         let mut wb = q2.witness(&asgs[0]);
         wb.z[0] += F61::ONE;
-        assert!(q2.compute_h(&wb).is_none());
+        assert!(quotient(&q2, &wb).is_none());
     }
 
     #[test]
@@ -701,7 +677,7 @@ mod tests {
         let (sys, asgs) = small_system();
         let qap = Qap::new(&sys);
         let w = qap.witness(&asgs[0]);
-        let h = qap.compute_h(&w).unwrap();
+        let h = quotient(&qap, &w).unwrap();
         assert_eq!(h.len(), qap.degree() + 1);
     }
 
@@ -711,9 +687,9 @@ mod tests {
         let (sys, asgs) = small_system();
         let qap = Qap::with_domain(&sys, Radix2Domain::new(sys.constraints.len() * 4));
         let w = qap.witness(&asgs[1]);
-        assert!(qap.compute_h(&w).is_some());
+        assert!(quotient(&qap, &w).is_some());
         let mut wb = w.clone();
         wb.z[1] += F61::ONE;
-        assert!(qap.compute_h(&wb).is_none());
+        assert!(quotient(&qap, &wb).is_none());
     }
 }

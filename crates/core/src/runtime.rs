@@ -12,6 +12,11 @@
 //! V → P   DONE                 best-effort session close
 //! ```
 //!
+//! Each side of that sequence is written once: [`ProverMachine`] is the
+//! prover's transport-free state machine (pumped by the blocking loops
+//! here and by the `zaatar-server` poll loop), and one private driver
+//! sits behind both `run_*_session_verifier` entries.
+//!
 //! Every exchange is idempotent — the setup is deterministic state, and
 //! each instance response is computed once and cached — so the retry
 //! layer may retransmit freely, and duplicates or reordered frames are
@@ -27,14 +32,14 @@ use zaatar_crypto::{ChaChaPrg, HasGroup};
 use zaatar_field::PrimeField;
 use zaatar_mem::MemBudget;
 use zaatar_poly::domain::EvalDomain;
-use zaatar_sched::{Answering, ExecPolicy, Proving};
+use zaatar_sched::ExecPolicy;
 use zaatar_transport::{exchange, Frame, RetryPolicy, Transport, TransportError};
 
-use crate::parallel::{parallel_map, parallel_map_with};
-use crate::pcp::{BatchQuerySet, PcpResponses, ZaatarPcp, ZaatarProof};
+use crate::parallel::parallel_map_with;
+use crate::pcp::{ZaatarPcp, ZaatarProof};
 use crate::qap::QapWitness;
 use crate::session::{
-    HeteroSessionProver, HeteroSessionVerifier, SessionError, SessionProver, SessionVerifier,
+    HeteroSessionProver, HeteroSessionVerifier, SessionError, SessionVerifier,
 };
 use crate::wire::WireError;
 use crate::workspace::ProverWorkspace;
@@ -75,10 +80,8 @@ pub mod errcode {
 /// Builds the proofs for a batch of witnesses under an explicit
 /// [`ExecPolicy`]: `policy.workers` threads (the paper's
 /// "embarrassingly parallel instances", §5.2), each with its own
-/// [`ProverWorkspace`] capped by `budget`, each instance proved through
-/// the pipeline `policy.proving` selects — [`Proving::Monolithic`] runs
-/// [`ZaatarPcp::prove_with`], [`Proving::Streamed`] runs
-/// [`ZaatarPcp::prove_streamed`] at the policy's chunk length. Output
+/// [`ProverWorkspace`] capped by `budget` and stamped with `policy`,
+/// each instance proved through [`prove_instance_policied`]. Output
 /// order matches `witnesses`, and proofs are byte-identical across
 /// every policy: the policy moves work across threads and chunks, never
 /// into the transcript.
@@ -90,9 +93,7 @@ pub mod errcode {
 /// the batch with `Err`: it is an environment problem every remaining
 /// instance would hit too.
 ///
-/// This is the policy-dispatched entry point the legacy
-/// [`prove_batch`] / [`prove_batch_streamed`] wrappers collapse into;
-/// derive the policy with [`zaatar_sched::Scheduler::policy`] or pin it
+/// Derive the policy with [`zaatar_sched::Scheduler::policy`] or pin it
 /// with the [`ExecPolicy`] constructors.
 pub fn prove_batch_with_policy<F, D>(
     pcp: &ZaatarPcp<F, D>,
@@ -117,10 +118,15 @@ where
     .collect()
 }
 
-/// Proves one instance through whichever pipeline the workspace's
-/// stamped [`ExecPolicy`] selects — the single dispatch point every
-/// batch entry point and the session server's serving path go through.
-/// `Ok(None)` is a non-satisfying witness; `Err` is a budget refusal.
+/// Proves one instance — the Witness and Quotient stages of the
+/// pipeline — over buffers leased from `ws`, through whichever stage
+/// implementations the workspace's stamped [`ExecPolicy`] selects
+/// ([`crate::qap::Qap::compute_h_policied`]). The one construction path
+/// every batch entry point, the session server and [`ZaatarPcp::prove`]
+/// go through; a long-lived prover calls it directly to keep one
+/// workspace across many sessions. `Ok(None)` is a non-satisfying
+/// witness; `Err` is a budget refusal, with all partial leases already
+/// returned to the pool.
 pub fn prove_instance_policied<F, D>(
     pcp: &ZaatarPcp<F, D>,
     witness: &QapWitness<F>,
@@ -130,124 +136,13 @@ where
     F: PrimeField,
     D: EvalDomain<F>,
 {
-    match ws.policy().proving {
-        Proving::Monolithic => Ok(pcp.prove_with(witness, ws)),
-        Proving::Streamed { chunk_len } => pcp.prove_streamed(witness, chunk_len, ws),
-    }
-}
-
-/// Builds the proofs for a batch of witnesses across `workers` threads,
-/// preserving batch order; a non-satisfying witness yields `None` for
-/// that instance only. Thin wrapper over [`prove_batch_with_policy`]
-/// pinning the legacy contract: monolithic pipeline, unlimited budget
-/// (so the `Err` path is unreachable).
-///
-/// This is the batch entry point [`run_session_prover`] callers should
-/// use instead of a serial `pcp.prove` loop.
-pub fn prove_batch<F, D>(
-    pcp: &ZaatarPcp<F, D>,
-    witnesses: &[QapWitness<F>],
-    workers: usize,
-) -> Vec<Option<ZaatarProof<F>>>
-where
-    F: PrimeField,
-    D: EvalDomain<F>,
-{
-    prove_batch_with_policy(
-        pcp,
-        witnesses,
-        &ExecPolicy::with_workers(workers),
-        MemBudget::unlimited(),
-    )
-    .expect("unlimited budget never refuses a lease")
-}
-
-/// Serial [`prove_batch`] over a caller-owned workspace: every instance
-/// runs on the calling thread and leases its stage buffers from `ws`.
-/// This is the entry point for a long-lived prover that keeps one
-/// workspace across many sessions — the leak-guard suite pins
-/// `ws.footprint_bytes()` across hundreds of calls — and for callers
-/// that want allocation behaviour independent of worker scheduling.
-pub fn prove_batch_with<F, D>(
-    pcp: &ZaatarPcp<F, D>,
-    witnesses: &[QapWitness<F>],
-    ws: &mut ProverWorkspace<F>,
-) -> Vec<Option<ZaatarProof<F>>>
-where
-    F: PrimeField,
-    D: EvalDomain<F>,
-{
-    let _span = zaatar_obs::time("runtime.prove_batch");
-    zaatar_obs::counter("runtime.prove_batch.instances").add(witnesses.len() as u64);
-    witnesses.iter().map(|w| pcp.prove_with(w, ws)).collect()
-}
-
-/// [`prove_batch_with`] through the streaming pipeline: each instance
-/// runs [`ZaatarPcp::prove_streamed`] with chunks of `chunk_len` field
-/// elements, so the whole batch proves under the workspace's memory
-/// budget. The first lease the budget refuses aborts the batch with
-/// `Err` — unlike a non-satisfying witness (which yields `None` for
-/// that instance only), a budget refusal is an environment problem
-/// every remaining instance would hit too. Proofs are byte-identical
-/// to [`prove_batch_with`].
-///
-/// Thin wrapper over the policied dispatch: stamps
-/// [`ExecPolicy::streamed`]`(chunk_len)` on `ws` (the stamp persists,
-/// as a server's would) and runs every instance through
-/// [`prove_instance_policied`] on the caller's workspace.
-pub fn prove_batch_streamed<F, D>(
-    pcp: &ZaatarPcp<F, D>,
-    witnesses: &[QapWitness<F>],
-    chunk_len: usize,
-    ws: &mut ProverWorkspace<F>,
-) -> Result<Vec<Option<ZaatarProof<F>>>, zaatar_mem::BudgetError>
-where
-    F: PrimeField,
-    D: EvalDomain<F>,
-{
-    let _span = zaatar_obs::time("runtime.prove_batch");
-    zaatar_obs::counter("runtime.prove_batch.instances").add(witnesses.len() as u64);
-    ws.set_policy(ExecPolicy::streamed(chunk_len));
-    witnesses
-        .iter()
-        .map(|w| prove_instance_policied(pcp, w, ws))
-        .collect()
-}
-
-/// Answers every instance of a batch off one amortized
-/// [`BatchQuerySet`], with instances sharded across `workers` threads
-/// (each instance is one blocked-kernel pass per oracle). The companion
-/// to [`prove_batch`] for the decommitment phase; output order matches
-/// `proofs`, and each entry is identical to the serial
-/// [`ZaatarPcp::answer`] on the same queries.
-pub fn answer_batch<F: zaatar_field::Field>(
-    batch: &BatchQuerySet<F>,
-    proofs: &[ZaatarProof<F>],
-    workers: usize,
-) -> Vec<PcpResponses<F>> {
-    let _span = zaatar_obs::time("runtime.answer_batch");
-    zaatar_obs::counter("runtime.answer_batch.instances").add(proofs.len() as u64);
-    parallel_map(proofs.iter().collect(), workers, |p| batch.answer(p, 1))
-}
-
-/// [`answer_batch`] under an explicit [`ExecPolicy`]:
-/// [`Answering::Serial`] answers every instance on the calling thread
-/// (no spawn overhead — what the scheduler picks for β=1 or 1-core
-/// hosts), [`Answering::Packed`] shards instances across
-/// `policy.workers` threads. Responses are identical either way.
-pub fn answer_batch_with_policy<F: zaatar_field::Field>(
-    batch: &BatchQuerySet<F>,
-    proofs: &[ZaatarProof<F>],
-    policy: &ExecPolicy,
-) -> Vec<PcpResponses<F>> {
-    match policy.answering {
-        Answering::Serial => {
-            let _span = zaatar_obs::time("runtime.answer_batch");
-            zaatar_obs::counter("runtime.answer_batch.instances").add(proofs.len() as u64);
-            proofs.iter().map(|p| batch.answer(p, 1)).collect()
-        }
-        Answering::Packed => answer_batch(batch, proofs, policy.workers),
-    }
+    let _span = zaatar_obs::time("pcp.prove");
+    zaatar_obs::counter("pcp.prove.calls").inc();
+    let h = pcp.qap().compute_h_policied(witness, ws)?;
+    Ok(h.map(|h| ZaatarProof {
+        z: witness.z.clone(),
+        h,
+    }))
 }
 
 /// The verifier's verdict on one instance of the batch.
@@ -291,39 +186,28 @@ impl SessionReport {
     }
 }
 
-/// Runs the verifier's side of a batched argument session over
-/// `transport`, claiming the io vectors in `ios`.
+/// The verifier's message sequence, shared by both session families:
+/// one fatal exchange of the `setup` frame ([`msg::SETUP`] or
+/// [`msg::HSETUP`], seq 0), then one `INSTANCE_REQ` exchange per claimed
+/// io, each response judged by `verify(i, payload, io)`, then a
+/// best-effort `DONE`.
 ///
 /// Setup failure (the one message the whole batch depends on) is the
 /// only fatal path. After setup, per-instance failures degrade to their
 /// [`VerifyOutcome`] and the loop continues — except a closed channel,
 /// which times out the current and all remaining instances.
-pub fn run_session_verifier<F, D, T>(
+fn drive_verifier<F, T: Transport>(
     transport: &mut T,
-    pcp: &ZaatarPcp<F, D>,
+    setup: Frame,
     ios: &[Vec<F>],
     policy: &RetryPolicy,
-    prg: &mut ChaChaPrg,
-) -> Result<SessionReport, SessionError>
-where
-    F: HasGroup + PrimeField,
-    D: EvalDomain<F>,
-    T: Transport,
-{
-    // Instance indexes travel as LE32 and frame seqs reserve 0 for the
-    // setup, so a batch the u32 space cannot address is refused up
-    // front instead of silently aliasing instances.
-    if ios.len() >= u32::MAX as usize {
-        return Err(SessionError::Wire(WireError::TooLong { len: ios.len() }));
-    }
-    let _span = zaatar_obs::time("runtime.session");
-    let started = Instant::now();
-    let mut verifier = SessionVerifier::new(pcp, prg);
-    let mut retry_prg = prg.fork(1);
+    retry_prg: &mut ChaChaPrg,
+    started: Instant,
+    mut verify: impl FnMut(usize, &[u8], &[F]) -> Result<bool, WireError>,
+) -> Result<SessionReport, SessionError> {
     let mut retransmits = 0u64;
 
-    let setup = Frame::new(msg::SETUP, 0, verifier.setup_message()?);
-    let ack = exchange(transport, &setup, &[msg::SETUP_ACK, msg::ERROR], policy, &mut retry_prg)?;
+    let ack = exchange(transport, &setup, &[msg::SETUP_ACK, msg::ERROR], policy, retry_prg)?;
     retransmits += ack.retransmits as u64;
     if ack.response.msg_type == msg::ERROR {
         return Err(SessionError::Peer(
@@ -348,14 +232,14 @@ where
             &req,
             &[msg::INSTANCE_RESP, msg::ERROR],
             policy,
-            &mut retry_prg,
+            retry_prg,
         ) {
             Ok(out) => {
                 retransmits += out.retransmits as u64;
                 if out.response.msg_type == msg::ERROR {
                     VerifyOutcome::Malformed(WireError::Invalid)
                 } else {
-                    match verifier.verify_instance(&out.response.payload, io) {
+                    match verify(i, &out.response.payload, io) {
                         Ok(true) => VerifyOutcome::Accepted,
                         Ok(false) => VerifyOutcome::Rejected,
                         Err(e) => VerifyOutcome::Malformed(e),
@@ -392,103 +276,47 @@ where
     })
 }
 
-/// Counters from one prover serving session.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProverStats {
-    /// Instance responses served, retransmissions included.
-    pub responses_served: u64,
-    /// ERROR frames sent back (malformed setup, bad index, …).
-    pub errors_reported: u64,
+/// Instance indexes travel as LE32 and frame seqs reserve 0 for the
+/// setup, so a batch the u32 space cannot address is refused up front
+/// instead of silently aliasing instances.
+fn check_batch_addressable(batch: usize) -> Result<(), SessionError> {
+    if batch >= u32::MAX as usize {
+        return Err(SessionError::Wire(WireError::TooLong { len: batch }));
+    }
+    Ok(())
 }
 
-/// Serves proofs over `transport` until the verifier sends DONE, the
-/// channel closes, or `idle_timeout` passes without any valid frame.
-///
-/// The loop never panics on channel input: malformed setups and
-/// out-of-range instance requests are answered with typed ERROR frames,
-/// and the cached responses make every reply idempotent under
-/// retransmission.
-pub fn run_session_prover<F, D, T>(
+/// Runs the verifier's side of a batched argument session over
+/// `transport`, claiming the io vectors in `ios`: a [`SessionVerifier`]
+/// behind [`msg::SETUP`]. Failure handling and per-instance degradation
+/// are the shared driver's — setup failure is the only fatal path.
+pub fn run_session_verifier<F, D, T>(
     transport: &mut T,
     pcp: &ZaatarPcp<F, D>,
-    proofs: &[ZaatarProof<F>],
-    idle_timeout: Duration,
-) -> Result<ProverStats, SessionError>
+    ios: &[Vec<F>],
+    policy: &RetryPolicy,
+    prg: &mut ChaChaPrg,
+) -> Result<SessionReport, SessionError>
 where
     F: HasGroup + PrimeField,
     D: EvalDomain<F>,
     T: Transport,
 {
-    let mut prover = SessionProver::new(pcp);
-    let mut cache: Vec<Option<Vec<u8>>> = vec![None; proofs.len()];
-    let mut stats = ProverStats::default();
-    // One workspace for the whole serving loop: every instance response
-    // leases its Answer-stage buffers from the same pool.
-    let mut ws = ProverWorkspace::new();
-
-    loop {
-        let frame = match transport.recv(Instant::now() + idle_timeout) {
-            Ok(frame) => frame,
-            // An idle or closed channel ends the serving loop normally:
-            // the verifier is done or gone, and either way there is
-            // nobody left to serve.
-            Err(TransportError::TimedOut) | Err(TransportError::Closed) => return Ok(stats),
-            Err(e) => return Err(e.into()),
-        };
-        match frame.msg_type {
-            msg::SETUP => {
-                let reply = match prover.receive_setup(&frame.payload) {
-                    Ok(()) => {
-                        // A (possibly retransmitted) setup invalidates
-                        // any responses cached under the previous one.
-                        cache.iter_mut().for_each(|slot| *slot = None);
-                        Frame::new(msg::SETUP_ACK, frame.seq, Vec::new())
-                    }
-                    Err(_) => {
-                        stats.errors_reported += 1;
-                        zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                        Frame::new(msg::ERROR, frame.seq, vec![errcode::MALFORMED])
-                    }
-                };
-                transport.send(&reply)?;
-            }
-            msg::INSTANCE_REQ => {
-                let reply = match parse_index(&frame.payload, proofs.len()) {
-                    Err(code) => {
-                        stats.errors_reported += 1;
-                        zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                        Frame::new(msg::ERROR, frame.seq, vec![code])
-                    }
-                    Ok(idx) => {
-                        let cached = match &cache[idx] {
-                            Some(bytes) => Ok(bytes.clone()),
-                            None => prover
-                                .instance_message_with(&proofs[idx], &mut ws)
-                                .inspect(|bytes| cache[idx] = Some(bytes.clone())),
-                        };
-                        match cached {
-                            Ok(bytes) => {
-                                stats.responses_served += 1;
-                                zaatar_obs::counter("runtime.prover.responses_served").inc();
-                                Frame::new(msg::INSTANCE_RESP, frame.seq, bytes)
-                            }
-                            Err(SessionError::SetupNotReceived) => {
-                                stats.errors_reported += 1;
-                        zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                                Frame::new(msg::ERROR, frame.seq, vec![errcode::NO_SETUP])
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                };
-                transport.send(&reply)?;
-            }
-            msg::DONE => return Ok(stats),
-            // Unknown frame types from this or a future protocol
-            // version: ignore rather than abort.
-            _ => {}
-        }
-    }
+    check_batch_addressable(ios.len())?;
+    let _span = zaatar_obs::time("runtime.session");
+    let started = Instant::now();
+    let mut verifier = SessionVerifier::new(pcp, prg);
+    let mut retry_prg = prg.fork(1);
+    let setup = Frame::new(msg::SETUP, 0, verifier.setup_message()?);
+    drive_verifier(
+        transport,
+        setup,
+        ios,
+        policy,
+        &mut retry_prg,
+        started,
+        |_, payload, io| verifier.verify_instance(payload, io),
+    )
 }
 
 /// Runs the verifier's side of a *heterogeneous* batched session:
@@ -510,9 +338,7 @@ where
     D: EvalDomain<F>,
     T: Transport,
 {
-    if ios.len() >= u32::MAX as usize {
-        return Err(SessionError::Wire(WireError::TooLong { len: ios.len() }));
-    }
+    check_batch_addressable(ios.len())?;
     if ios.len() != circuit_ids.len() {
         return Err(SessionError::Protocol("one circuit id per claimed io"));
     }
@@ -520,81 +346,183 @@ where
     let started = Instant::now();
     let mut verifier = HeteroSessionVerifier::new(pcps, circuit_ids, prg);
     let mut retry_prg = prg.fork(1);
-    let mut retransmits = 0u64;
-
     let setup = Frame::new(msg::HSETUP, 0, verifier.setup_message()?);
-    let ack = exchange(transport, &setup, &[msg::SETUP_ACK, msg::ERROR], policy, &mut retry_prg)?;
-    retransmits += ack.retransmits as u64;
-    if ack.response.msg_type == msg::ERROR {
-        return Err(SessionError::Peer(
-            ack.response.payload.first().copied().unwrap_or(0),
-        ));
+    drive_verifier(
+        transport,
+        setup,
+        ios,
+        policy,
+        &mut retry_prg,
+        started,
+        |i, payload, io| verifier.verify_instance(i, payload, io),
+    )
+}
+
+/// Counters from one prover serving session.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ProverStats {
+    /// Instance responses served, retransmissions included.
+    pub responses_served: u64,
+    /// ERROR frames sent back (malformed setup, bad index, …).
+    pub errors_reported: u64,
+}
+
+/// What [`ProverMachine::step`] concluded about one frame.
+#[derive(Debug, PartialEq, Eq)]
+pub enum ProverStep {
+    /// Send this frame back to the verifier.
+    Reply(Frame),
+    /// An unknown frame type from this or a future protocol version:
+    /// ignore rather than abort.
+    Ignore,
+    /// The verifier closed the session ([`msg::DONE`]).
+    Done,
+    /// Serving hit a non-recoverable local failure (e.g. a budget
+    /// refusal); the session is over.
+    Fatal(SessionError),
+}
+
+/// The prover's side of the session protocol as a transport-free state
+/// machine: frame in, [`ProverStep`] out. It owns everything the
+/// protocol itself needs — the [`HeteroSessionProver`] endpoint (a
+/// homogeneous session is the one-circuit case, for which the legacy
+/// [`msg::SETUP`] blob is still accepted), the per-instance response
+/// cache that makes every reply idempotent under retransmission, and
+/// the serving counters — and nothing a driver decides: the blocking
+/// [`run_hetero_session_prover`] loop and the `zaatar-server` poll loop
+/// both pump it, adding only their own receive/deadline policy.
+///
+/// The machine never panics on channel input: malformed setups and
+/// out-of-range instance requests are answered with typed ERROR frames.
+pub struct ProverMachine<'p, F: HasGroup, D> {
+    prover: HeteroSessionProver<'p, F, D>,
+    proofs: &'p [ZaatarProof<F>],
+    cache: Vec<Option<Vec<u8>>>,
+    stats: ProverStats,
+}
+
+impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> ProverMachine<'p, F, D> {
+    /// A machine awaiting its setup; `proofs[i]` belongs to circuit
+    /// `circuit_ids[i]` of `pcps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `circuit_ids` and `proofs` disagree in length or any
+    /// id is out of range — the prover's own batch layout, not wire
+    /// input.
+    pub fn new(
+        pcps: &[&'p ZaatarPcp<F, D>],
+        circuit_ids: &[u32],
+        proofs: &'p [ZaatarProof<F>],
+    ) -> Self {
+        assert_eq!(circuit_ids.len(), proofs.len(), "one circuit id per proof");
+        ProverMachine {
+            prover: HeteroSessionProver::new(pcps, circuit_ids),
+            proofs,
+            cache: vec![None; proofs.len()],
+            stats: ProverStats::default(),
+        }
     }
 
-    let mut outcomes = Vec::with_capacity(ios.len());
-    let mut channel_gone = false;
-    for (i, io) in ios.iter().enumerate() {
-        if channel_gone {
-            outcomes.push(VerifyOutcome::TimedOut);
-            continue;
-        }
-        let req = Frame::new(
-            msg::INSTANCE_REQ,
-            (i + 1) as u32,
-            (i as u32).to_le_bytes().to_vec(),
-        );
-        let outcome = match exchange(
-            transport,
-            &req,
-            &[msg::INSTANCE_RESP, msg::ERROR],
-            policy,
-            &mut retry_prg,
-        ) {
-            Ok(out) => {
-                retransmits += out.retransmits as u64;
-                if out.response.msg_type == msg::ERROR {
-                    VerifyOutcome::Malformed(WireError::Invalid)
+    /// True while a valid setup is in force (instance requests are
+    /// served rather than answered `ERROR(NO_SETUP)`).
+    pub fn is_ready(&self) -> bool {
+        self.prover.is_ready()
+    }
+
+    /// Counters so far.
+    pub fn stats(&self) -> ProverStats {
+        self.stats
+    }
+
+    /// Advances the protocol by one received frame. Instance responses
+    /// are computed once through
+    /// [`HeteroSessionProver::instance_message_policied`] over buffers
+    /// leased from `ws` (whose stamped policy selects the commitment
+    /// engine) and served from the cache on retransmission.
+    pub fn step(&mut self, frame: &Frame, ws: &mut ProverWorkspace<F>) -> ProverStep {
+        // Ok((msg_type, payload)) or Err(errcode).
+        let reply = match frame.msg_type {
+            msg::SETUP | msg::HSETUP => {
+                let received = if frame.msg_type == msg::HSETUP {
+                    self.prover.receive_setup(&frame.payload)
                 } else {
-                    match verifier.verify_instance(i, &out.response.payload, io) {
-                        Ok(true) => VerifyOutcome::Accepted,
-                        Ok(false) => VerifyOutcome::Rejected,
-                        Err(e) => VerifyOutcome::Malformed(e),
-                    }
+                    self.prover.receive_legacy_setup(&frame.payload)
+                };
+                // Cached responses are valid only under the setup they
+                // were computed for: an accepted (possibly
+                // retransmitted) setup supersedes it, and a refused one
+                // either left the endpoint untouched (still ready) or
+                // reset every circuit to unready.
+                if received.is_ok() || !self.prover.is_ready() {
+                    self.cache.iter_mut().for_each(|slot| *slot = None);
+                }
+                match received {
+                    Ok(()) => Ok((msg::SETUP_ACK, Vec::new())),
+                    Err(_) => Err(errcode::MALFORMED),
                 }
             }
-            Err(TransportError::TimedOut) => VerifyOutcome::TimedOut,
-            Err(_) => {
-                channel_gone = true;
-                VerifyOutcome::TimedOut
-            }
+            msg::INSTANCE_REQ => match parse_instance_index(&frame.payload, self.proofs.len()) {
+                Err(code) => Err(code),
+                Ok(idx) => {
+                    let cached = match &self.cache[idx] {
+                        Some(bytes) => Ok(bytes.clone()),
+                        None => self
+                            .prover
+                            .instance_message_policied(idx, &self.proofs[idx], ws)
+                            .inspect(|bytes| self.cache[idx] = Some(bytes.clone())),
+                    };
+                    match cached {
+                        Ok(bytes) => {
+                            self.stats.responses_served += 1;
+                            zaatar_obs::counter("runtime.prover.responses_served").inc();
+                            Ok((msg::INSTANCE_RESP, bytes))
+                        }
+                        Err(SessionError::SetupNotReceived) => Err(errcode::NO_SETUP),
+                        Err(e) => return ProverStep::Fatal(e),
+                    }
+                }
+            },
+            msg::DONE => return ProverStep::Done,
+            _ => return ProverStep::Ignore,
         };
-        match outcome {
-            VerifyOutcome::Accepted => zaatar_obs::counter("runtime.verifier.accepted").inc(),
-            VerifyOutcome::Rejected => zaatar_obs::counter("runtime.verifier.rejected").inc(),
-            VerifyOutcome::Malformed(_) => {
-                zaatar_obs::counter("runtime.verifier.malformed").inc()
+        ProverStep::Reply(match reply {
+            Ok((msg_type, payload)) => Frame::new(msg_type, frame.seq, payload),
+            Err(code) => {
+                self.stats.errors_reported += 1;
+                zaatar_obs::counter("runtime.prover.errors_reported").inc();
+                Frame::new(msg::ERROR, frame.seq, vec![code])
             }
-            VerifyOutcome::TimedOut => zaatar_obs::counter("runtime.verifier.timed_out").inc(),
-        }
-        outcomes.push(outcome);
+        })
     }
+}
 
-    let _ = transport.send(&Frame::new(msg::DONE, u32::MAX, Vec::new()));
-
-    zaatar_obs::counter("runtime.verifier.retransmits").add(retransmits);
-    Ok(SessionReport {
-        outcomes,
-        retransmits,
-        elapsed: started.elapsed(),
-    })
+/// Serves proofs for one circuit over `transport` until the verifier
+/// sends DONE, the channel closes, or `idle_timeout` passes without any
+/// valid frame: [`run_hetero_session_prover`] with a single circuit,
+/// so the legacy [`msg::SETUP`] blob is accepted.
+pub fn run_session_prover<F, D, T>(
+    transport: &mut T,
+    pcp: &ZaatarPcp<F, D>,
+    proofs: &[ZaatarProof<F>],
+    idle_timeout: Duration,
+) -> Result<ProverStats, SessionError>
+where
+    F: HasGroup + PrimeField,
+    D: EvalDomain<F>,
+    T: Transport,
+{
+    run_hetero_session_prover(transport, &[pcp], &vec![0; proofs.len()], proofs, idle_timeout)
 }
 
 /// Serves a heterogeneous proof batch over `transport` until the
-/// verifier sends DONE, the channel closes, or `idle_timeout` passes.
-/// `proofs[i]` belongs to circuit `circuit_ids[i]`. Accepts
-/// [`msg::HSETUP`]; a legacy [`msg::SETUP`] is accepted only when the
-/// batch carries exactly one circuit (so this loop is a strict superset
-/// of [`run_session_prover`] behaviour in that case).
+/// verifier sends DONE, the channel closes, or `idle_timeout` passes
+/// without any valid frame — the blocking pump of a [`ProverMachine`]
+/// over one workspace, every instance response leasing its Commit- and
+/// Answer-stage buffers from the same pool. `proofs[i]` belongs to
+/// circuit `circuit_ids[i]`. Accepts [`msg::HSETUP`]; a legacy
+/// [`msg::SETUP`] is accepted only when the batch carries exactly one
+/// circuit.
 pub fn run_hetero_session_prover<F, D, T>(
     transport: &mut T,
     pcps: &[&ZaatarPcp<F, D>],
@@ -610,83 +538,31 @@ where
     if proofs.len() != circuit_ids.len() {
         return Err(SessionError::Protocol("one circuit id per proof"));
     }
-    let mut prover = HeteroSessionProver::new(pcps, circuit_ids);
-    let mut cache: Vec<Option<Vec<u8>>> = vec![None; proofs.len()];
-    let mut stats = ProverStats::default();
+    let mut machine = ProverMachine::new(pcps, circuit_ids, proofs);
     let mut ws = ProverWorkspace::new();
-
     loop {
         let frame = match transport.recv(Instant::now() + idle_timeout) {
             Ok(frame) => frame,
-            Err(TransportError::TimedOut) | Err(TransportError::Closed) => return Ok(stats),
+            // An idle or closed channel ends the serving loop normally:
+            // the verifier is done or gone, and either way there is
+            // nobody left to serve.
+            Err(TransportError::TimedOut) | Err(TransportError::Closed) => {
+                return Ok(machine.stats())
+            }
             Err(e) => return Err(e.into()),
         };
-        match frame.msg_type {
-            msg::HSETUP | msg::SETUP => {
-                let received = if frame.msg_type == msg::HSETUP {
-                    prover.receive_setup(&frame.payload)
-                } else {
-                    prover.receive_legacy_setup(&frame.payload)
-                };
-                let reply = match received {
-                    Ok(()) => {
-                        cache.iter_mut().for_each(|slot| *slot = None);
-                        Frame::new(msg::SETUP_ACK, frame.seq, Vec::new())
-                    }
-                    Err(_) => {
-                        stats.errors_reported += 1;
-                        zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                        Frame::new(msg::ERROR, frame.seq, vec![errcode::MALFORMED])
-                    }
-                };
-                transport.send(&reply)?;
-            }
-            msg::INSTANCE_REQ => {
-                let reply = match parse_index(&frame.payload, proofs.len()) {
-                    Err(code) => {
-                        stats.errors_reported += 1;
-                        zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                        Frame::new(msg::ERROR, frame.seq, vec![code])
-                    }
-                    Ok(idx) => {
-                        let cached = match &cache[idx] {
-                            Some(bytes) => Ok(bytes.clone()),
-                            None => prover
-                                .instance_message_with(idx, &proofs[idx], &mut ws)
-                                .inspect(|bytes| cache[idx] = Some(bytes.clone())),
-                        };
-                        match cached {
-                            Ok(bytes) => {
-                                stats.responses_served += 1;
-                                zaatar_obs::counter("runtime.prover.responses_served").inc();
-                                Frame::new(msg::INSTANCE_RESP, frame.seq, bytes)
-                            }
-                            Err(SessionError::SetupNotReceived) => {
-                                stats.errors_reported += 1;
-                                zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                                Frame::new(msg::ERROR, frame.seq, vec![errcode::NO_SETUP])
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                };
-                transport.send(&reply)?;
-            }
-            msg::DONE => return Ok(stats),
-            _ => {}
+        match machine.step(&frame, &mut ws) {
+            ProverStep::Reply(reply) => transport.send(&reply)?,
+            ProverStep::Ignore => {}
+            ProverStep::Done => return Ok(machine.stats()),
+            ProverStep::Fatal(e) => return Err(e),
         }
     }
 }
 
-fn parse_index(payload: &[u8], batch: usize) -> Result<usize, u8> {
-    parse_instance_index(payload, batch)
-}
-
 /// Decodes an [`msg::INSTANCE_REQ`] payload (LE32 index) against a
 /// batch of `batch` instances, returning the [`errcode`] a prover
-/// should report on failure. Shared by [`run_session_prover`] and the
-/// poll-loop server in `zaatar-server`, so both reply byte-identically
-/// to malformed or out-of-range requests.
+/// should report on failure.
 pub fn parse_instance_index(payload: &[u8], batch: usize) -> Result<usize, u8> {
     let bytes: [u8; 4] = payload.try_into().map_err(|_| errcode::MALFORMED)?;
     let idx = u32::from_le_bytes(bytes) as usize;
@@ -699,76 +575,24 @@ pub fn parse_instance_index(payload: &[u8], batch: usize) -> Result<usize, u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pcp::PcpParams;
-    use crate::qap::Qap;
-    use zaatar_cc::{ginger_to_quad, Builder};
+    use crate::testutil::{mul_eq_fixture, mul_fixture, CircuitFixture};
+    use zaatar_field::testutil::SplitMix64;
     use zaatar_field::{Field, F61};
     use zaatar_transport::loopback_transport_pair;
 
-    #[allow(clippy::type_complexity)]
-    fn fixture(
-        inputs: &[[i64; 2]],
-    ) -> (
-        ZaatarPcp<F61, zaatar_poly::Radix2Domain<F61>>,
-        Vec<ZaatarProof<F61>>,
-        Vec<Vec<F61>>,
-    ) {
-        let mut b = Builder::<F61>::new();
-        let x = b.alloc_input();
-        let y = b.alloc_input();
-        let p = b.mul(&x, &y);
-        b.bind_output(&p);
-        let (sys, solver) = b.finish();
-        let t = ginger_to_quad(&sys);
-        let qap = Qap::new(&t.system);
-        let pcp = ZaatarPcp::new(qap, PcpParams::light());
-        let mut witnesses = Vec::new();
-        let mut ios = Vec::new();
-        for pair in inputs {
-            let asg = solver
-                .solve(&[F61::from_i64(pair[0]), F61::from_i64(pair[1])])
-                .unwrap();
-            let ext = t.extend_assignment(&asg);
-            witnesses.push(pcp.qap().witness(&ext));
-            ios.push(
-                pcp.qap()
-                    .var_map()
-                    .inputs()
-                    .iter()
-                    .chain(pcp.qap().var_map().outputs())
-                    .map(|v| ext.get(*v))
-                    .collect(),
-            );
-        }
-        let proofs = prove_batch(&pcp, &witnesses, 4)
-            .into_iter()
-            .map(|p| p.expect("satisfying witness"))
-            .collect();
-        (pcp, proofs, ios)
-    }
-
     #[test]
     fn prove_batch_matches_serial_and_isolates_bad_witnesses() {
-        let (pcp, _, _) = fixture(&[[2, 3]]);
-        // Rebuild a couple of witnesses directly, one of them corrupted.
-        let mut b = Builder::<F61>::new();
-        let x = b.alloc_input();
-        let y = b.alloc_input();
-        let p = b.mul(&x, &y);
-        b.bind_output(&p);
-        let (sys, solver) = b.finish();
-        let t = ginger_to_quad(&sys);
-        let mut witnesses = Vec::new();
-        for pair in [[2i64, 3], [4, 5], [6, 7]] {
-            let asg = solver
-                .solve(&[F61::from_i64(pair[0]), F61::from_i64(pair[1])])
-                .unwrap();
-            witnesses.push(pcp.qap().witness(&t.extend_assignment(&asg)));
-        }
+        let mut fx = mul_fixture(&[[2, 3], [4, 5], [6, 7]]);
         // Corrupt the middle witness: it alone must yield None.
-        witnesses[1].z[0] += F61::ONE;
-        let parallel = prove_batch(&pcp, &witnesses, 4);
-        let serial: Vec<_> = witnesses.iter().map(|w| pcp.prove(w)).collect();
+        fx.witnesses[1].z[0] += F61::ONE;
+        let parallel = prove_batch_with_policy(
+            &fx.pcp,
+            &fx.witnesses,
+            &ExecPolicy::with_workers(4),
+            MemBudget::unlimited(),
+        )
+        .unwrap();
+        let serial: Vec<_> = fx.witnesses.iter().map(|w| fx.pcp.prove(w)).collect();
         assert_eq!(parallel.len(), 3);
         assert!(parallel[0].is_some());
         assert!(parallel[1].is_none(), "bad witness must not prove");
@@ -782,123 +606,246 @@ mod tests {
         }
     }
 
+    fn req(seq: u32, idx: u32) -> Frame {
+        Frame::new(msg::INSTANCE_REQ, seq, idx.to_le_bytes().to_vec())
+    }
+
+    fn error(seq: u32, code: u8) -> ProverStep {
+        ProverStep::Reply(Frame::new(msg::ERROR, seq, vec![code]))
+    }
+
+    /// Two circuits interleaved a0, b0, a1: the layout the multi-circuit
+    /// machine tests share.
+    fn hetero_fixture() -> (CircuitFixture, CircuitFixture, Vec<u32>, Vec<ZaatarProof<F61>>) {
+        let a = mul_fixture(&[[2, 3], [4, 5]]);
+        let b = mul_eq_fixture(&[[3, 3]]);
+        let proofs = vec![a.proofs[0].clone(), b.proofs[0].clone(), a.proofs[1].clone()];
+        (a, b, vec![0, 1, 0], proofs)
+    }
+
+    /// The whole prover protocol as a frame script against the machine
+    /// directly — no threads, no transport — asserting the exact reply
+    /// to every frame.
     #[test]
-    fn hetero_loopback_session_mixes_circuits() {
-        // Circuit 0: y = a·b (the fixture). Circuit 1: y = (a+b)·a.
-        let (pcp_a, proofs_a, ios_a) = fixture(&[[2, 3], [4, 5]]);
-        let mut b = Builder::<F61>::new();
-        let x = b.alloc_input();
-        let y = b.alloc_input();
-        let s = x.add(&y);
-        let p = b.mul(&s, &x);
-        b.bind_output(&p);
-        let (sys, solver) = b.finish();
-        let t = ginger_to_quad(&sys);
-        let pcp_b = ZaatarPcp::new(Qap::new(&t.system), PcpParams::light());
-        let mut proofs_b = Vec::new();
-        let mut ios_b = Vec::new();
-        for pair in [[3i64, 1], [7, 2]] {
-            let asg = solver
-                .solve(&[F61::from_i64(pair[0]), F61::from_i64(pair[1])])
-                .unwrap();
-            let ext = t.extend_assignment(&asg);
-            proofs_b.push(pcp_b.prove(&pcp_b.qap().witness(&ext)).unwrap());
-            ios_b.push(
-                pcp_b
-                    .qap()
-                    .var_map()
-                    .inputs()
-                    .iter()
-                    .chain(pcp_b.qap().var_map().outputs())
-                    .map(|v| ext.get(*v))
-                    .collect::<Vec<_>>(),
-            );
+    fn machine_replies_exactly_to_a_frame_script() {
+        let fx = mul_fixture(&[[2, 3], [4, 5]]);
+        let mut prg = ChaChaPrg::from_u64_seed(0xA11D1);
+        let mut verifier = SessionVerifier::new(&fx.pcp, &mut prg);
+        let setup = verifier.setup_message().unwrap();
+        // The bytes an isolated endpoint emits under the same setup.
+        let mut reference = HeteroSessionProver::new(&[&fx.pcp], &[0, 0]);
+        reference.receive_legacy_setup(&setup).unwrap();
+        let mut ws = ProverWorkspace::new();
+        let want: Vec<Vec<u8>> = (0..2)
+            .map(|i| reference.instance_message_policied(i, &fx.proofs[i], &mut ws).unwrap())
+            .collect();
+        assert!(verifier.verify_instance(&want[0], &fx.ios[0]).unwrap());
+        let resp = |seq, i: usize| ProverStep::Reply(Frame::new(msg::INSTANCE_RESP, seq, want[i].clone()));
+        let ack = |seq| ProverStep::Reply(Frame::new(msg::SETUP_ACK, seq, Vec::new()));
+
+        let script = [
+            // A request before any setup.
+            (req(9, 0), error(9, errcode::NO_SETUP)),
+            (Frame::new(msg::SETUP, 0, setup.clone()), ack(0)),
+            // A retransmitted setup is acknowledged again.
+            (Frame::new(msg::SETUP, 0, setup.clone()), ack(0)),
+            (req(1, 0), resp(1, 0)),
+            (req(2, 7), error(2, errcode::BAD_INDEX)),
+            (Frame::new(msg::INSTANCE_REQ, 3, vec![1, 2, 3]), error(3, errcode::MALFORMED)),
+            (Frame::new(msg::INSTANCE_REQ, 4, vec![0; 5]), error(4, errcode::MALFORMED)),
+            (Frame::new(msg::SETUP, 5, setup[..setup.len() - 3].to_vec()), error(5, errcode::MALFORMED)),
+            // A refused legacy setup leaves the accepted one in force.
+            (req(6, 1), resp(6, 1)),
+            (Frame::new(0x7f, 7, vec![0xde, 0xad]), ProverStep::Ignore),
+            (Frame::new(msg::SETUP_ACK, 8, Vec::new()), ProverStep::Ignore),
+            (Frame::new(msg::DONE, u32::MAX, Vec::new()), ProverStep::Done),
+        ];
+        let mut machine = ProverMachine::new(&[&fx.pcp], &[0, 0], &fx.proofs);
+        assert!(!machine.is_ready());
+        for (i, (frame, expected)) in script.iter().enumerate() {
+            assert_eq!(&machine.step(frame, &mut ws), expected, "script step {i}");
         }
-        let circuit_ids = vec![0u32, 1, 0, 1];
-        let proofs = vec![
-            proofs_a[0].clone(),
-            proofs_b[0].clone(),
-            proofs_a[1].clone(),
-            proofs_b[1].clone(),
-        ];
-        let mut ios = vec![
-            ios_a[0].clone(),
-            ios_b[0].clone(),
-            ios_a[1].clone(),
-            ios_b[1].clone(),
-        ];
-        // Lie about one instance's output: that instance alone rejects.
-        let last = ios[3].len() - 1;
-        ios[3][last] += F61::ONE;
-        let (mut vt, mut pt) = loopback_transport_pair();
-        let (pcp_a2, pcp_b2) = (pcp_a.clone(), pcp_b.clone());
-        let ids2 = circuit_ids.clone();
-        let server = std::thread::spawn(move || {
-            let pcps = [&pcp_a2, &pcp_b2];
-            run_hetero_session_prover(&mut pt, &pcps, &ids2, &proofs, Duration::from_secs(5))
-                .unwrap()
-        });
-        let mut prg = ChaChaPrg::from_u64_seed(0xA11D7);
-        let pcps = [&pcp_a, &pcp_b];
-        let report = run_hetero_session_verifier(
-            &mut vt,
-            &pcps,
-            &circuit_ids,
-            &ios,
-            &RetryPolicy::fast(),
-            &mut prg,
-        )
-        .unwrap();
-        assert_eq!(report.outcomes[0], VerifyOutcome::Accepted);
-        assert_eq!(report.outcomes[1], VerifyOutcome::Accepted);
-        assert_eq!(report.outcomes[2], VerifyOutcome::Accepted);
-        assert_eq!(report.outcomes[3], VerifyOutcome::Rejected);
-        let stats = server.join().unwrap();
-        assert_eq!(stats.responses_served, 4);
-        assert_eq!(stats.errors_reported, 0);
+        assert!(machine.is_ready());
+        assert_eq!(machine.stats().responses_served, 2);
+        assert_eq!(machine.stats().errors_reported, 5);
+
+        // A retransmitted request is served from the cache, not
+        // recomputed: a workspace that can lease nothing still answers
+        // it, while an index never served before hits the budget.
+        let mut starved = ProverWorkspace::with_budget(MemBudget::bytes(1));
+        let mut machine = ProverMachine::new(&[&fx.pcp], &[0, 0], &fx.proofs);
+        assert_eq!(machine.step(&Frame::new(msg::SETUP, 0, setup), &mut ws), ack(0));
+        assert_eq!(machine.step(&req(1, 0), &mut ws), resp(1, 0));
+        assert_eq!(machine.step(&req(1, 0), &mut starved), resp(1, 0));
+        assert!(matches!(
+            machine.step(&req(2, 1), &mut starved),
+            ProverStep::Fatal(SessionError::BudgetExceeded { .. })
+        ));
     }
 
     #[test]
-    fn clean_loopback_session_accepts_all() {
-        let (pcp, proofs, ios) = fixture(&[[2, 3], [4, 5], [6, 7]]);
+    fn multi_circuit_machine_takes_hsetup_and_refuses_legacy_setup() {
+        let (a, b, circuit_ids, proofs) = hetero_fixture();
+        let pcps = [&a.pcp, &b.pcp];
+        let prg = ChaChaPrg::from_u64_seed(0xA11D2);
+        let mut verifier = HeteroSessionVerifier::new(&pcps, &circuit_ids, &prg);
+        let hsetup = verifier.setup_message().unwrap();
+        let legacy = SessionVerifier::new(&a.pcp, &mut prg.fork(9)).setup_message().unwrap();
+        let mut ws = ProverWorkspace::new();
+        let mut machine = ProverMachine::new(&pcps, &circuit_ids, &proofs);
+        assert_eq!(
+            machine.step(&Frame::new(msg::SETUP, 0, legacy), &mut ws),
+            error(0, errcode::MALFORMED)
+        );
+        assert!(!machine.is_ready());
+        assert_eq!(
+            machine.step(&Frame::new(msg::HSETUP, 0, hsetup), &mut ws),
+            ProverStep::Reply(Frame::new(msg::SETUP_ACK, 0, Vec::new()))
+        );
+        let ios = [&a.ios[0], &b.ios[0], &a.ios[1]];
+        for (i, io) in ios.iter().enumerate() {
+            let ProverStep::Reply(resp) = machine.step(&req(i as u32 + 1, i as u32), &mut ws) else {
+                panic!("instance {i} not served");
+            };
+            assert_eq!((resp.msg_type, resp.seq), (msg::INSTANCE_RESP, i as u32 + 1));
+            assert!(verifier.verify_instance(i, &resp.payload, io).unwrap());
+        }
+    }
+
+    /// No frame a peer can send — any type, any seq, any payload,
+    /// including mangled and well-formed setups in any order — panics
+    /// the machine or gets an untyped reply.
+    #[test]
+    fn machine_survives_random_frames_with_typed_replies_only() {
+        let (a, b, circuit_ids, proofs) = hetero_fixture();
+        let pcps = [&a.pcp, &b.pcp];
+        let prg = ChaChaPrg::from_u64_seed(0xA11D3);
+        let hsetup = HeteroSessionVerifier::new(&pcps, &circuit_ids, &prg)
+            .setup_message()
+            .unwrap();
+        let mut ws = ProverWorkspace::new();
+        let mut machine = ProverMachine::new(&pcps, &circuit_ids, &proofs);
+        let mut g = SplitMix64::new(0x5eed_f4a3);
+        let (mut served, mut acked) = (0u32, 0u32);
+        for round in 0..10_000 {
+            let msg_type = g.range_u64(0, 10) as u8;
+            let seq = g.next_u64() as u32;
+            let payload = match g.range_u64(0, 64) {
+                0 => hsetup.clone(),
+                1 => {
+                    let mut bad = hsetup.clone();
+                    let at = g.range_u64(0, bad.len() as u64) as usize;
+                    bad[at] ^= 1 << g.range_u64(0, 8);
+                    bad
+                }
+                2 => hsetup[..g.range_u64(0, hsetup.len() as u64) as usize].to_vec(),
+                3..=31 => (g.range_u64(0, 5) as u32).to_le_bytes().to_vec(),
+                _ => (0..g.range_u64(0, 12)).map(|_| g.next_u64() as u8).collect(),
+            };
+            match machine.step(&Frame::new(msg_type, seq, payload), &mut ws) {
+                ProverStep::Reply(reply) => {
+                    assert!(
+                        matches!(msg_type, msg::SETUP | msg::HSETUP | msg::INSTANCE_REQ),
+                        "round {round}: reply to frame type {msg_type}"
+                    );
+                    assert_eq!(reply.seq, seq, "round {round}");
+                    match reply.msg_type {
+                        msg::SETUP_ACK => {
+                            assert!(reply.payload.is_empty());
+                            acked += 1;
+                        }
+                        msg::INSTANCE_RESP => served += 1,
+                        msg::ERROR => assert!(
+                            matches!(
+                                reply.payload[..],
+                                [errcode::MALFORMED | errcode::NO_SETUP | errcode::BAD_INDEX]
+                            ),
+                            "round {round}: untyped error {:?}",
+                            reply.payload
+                        ),
+                        other => panic!("round {round}: untyped reply {other}"),
+                    }
+                }
+                ProverStep::Ignore => {
+                    assert!(!matches!(
+                        msg_type,
+                        msg::SETUP | msg::HSETUP | msg::INSTANCE_REQ | msg::DONE
+                    ))
+                }
+                ProverStep::Done => assert_eq!(msg_type, msg::DONE),
+                ProverStep::Fatal(e) => panic!("round {round}: unlimited workspace failed: {e}"),
+            }
+        }
+        assert!(acked > 0 && served > 0, "the walk must reach the serving state");
+        assert_eq!(machine.stats().responses_served, u64::from(served));
+    }
+
+    #[test]
+    fn hetero_loopback_session_mixes_circuits() {
+        let (a, b, circuit_ids, proofs) = hetero_fixture();
+        let mut ios = vec![a.ios[0].clone(), b.ios[0].clone(), a.ios[1].clone()];
+        // Lie about one instance's output: that instance alone rejects.
+        let last = ios[2].len() - 1;
+        ios[2][last] += F61::ONE;
         let (mut vt, mut pt) = loopback_transport_pair();
-        let pcp2 = pcp.clone();
-        let server = std::thread::spawn(move || {
-            run_session_prover(&mut pt, &pcp2, &proofs, Duration::from_secs(5)).unwrap()
+        let pcps = [&a.pcp, &b.pcp];
+        let report = std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                run_hetero_session_prover(&mut pt, &pcps, &circuit_ids, &proofs, Duration::from_secs(5))
+                    .unwrap()
+            });
+            let mut prg = ChaChaPrg::from_u64_seed(0xA11D7);
+            let report = run_hetero_session_verifier(
+                &mut vt,
+                &pcps,
+                &circuit_ids,
+                &ios,
+                &RetryPolicy::fast(),
+                &mut prg,
+            )
+            .unwrap();
+            let stats = server.join().unwrap();
+            assert_eq!(stats.responses_served, 3);
+            assert_eq!(stats.errors_reported, 0);
+            report
         });
-        let mut prg = ChaChaPrg::from_u64_seed(0xA11CE);
-        let report =
-            run_session_verifier(&mut vt, &pcp, &ios, &RetryPolicy::fast(), &mut prg).unwrap();
-        assert!(report.all_accepted(), "{:?}", report.outcomes);
-        assert_eq!(report.retransmits, 0);
-        let stats = server.join().unwrap();
-        assert_eq!(stats.responses_served, 3);
-        assert_eq!(stats.errors_reported, 0);
+        assert_eq!(
+            report.outcomes,
+            [VerifyOutcome::Accepted, VerifyOutcome::Accepted, VerifyOutcome::Rejected]
+        );
     }
 
     #[test]
     fn lying_instance_degrades_not_aborts() {
-        let (pcp, proofs, mut ios) = fixture(&[[2, 3], [4, 5], [6, 7]]);
+        let fx = mul_fixture(&[[2, 3], [4, 5], [6, 7]]);
+        let mut ios = fx.ios.clone();
         // Claim a wrong output for the middle instance only.
         let last = ios[1].len() - 1;
         ios[1][last] += F61::ONE;
         let (mut vt, mut pt) = loopback_transport_pair();
-        let pcp2 = pcp.clone();
-        let server = std::thread::spawn(move || {
-            run_session_prover(&mut pt, &pcp2, &proofs, Duration::from_secs(5)).unwrap()
+        let report = std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                run_session_prover(&mut pt, &fx.pcp, &fx.proofs, Duration::from_secs(5)).unwrap()
+            });
+            let mut prg = ChaChaPrg::from_u64_seed(0xA11CF);
+            let report =
+                run_session_verifier(&mut vt, &fx.pcp, &ios, &RetryPolicy::fast(), &mut prg)
+                    .unwrap();
+            let stats = server.join().unwrap();
+            assert_eq!(stats.responses_served, 3);
+            assert_eq!(stats.errors_reported, 0);
+            report
         });
-        let mut prg = ChaChaPrg::from_u64_seed(0xA11CF);
-        let report =
-            run_session_verifier(&mut vt, &pcp, &ios, &RetryPolicy::fast(), &mut prg).unwrap();
-        assert_eq!(report.outcomes[0], VerifyOutcome::Accepted);
-        assert_eq!(report.outcomes[1], VerifyOutcome::Rejected);
-        assert_eq!(report.outcomes[2], VerifyOutcome::Accepted);
-        server.join().unwrap();
+        assert_eq!(
+            report.outcomes,
+            [VerifyOutcome::Accepted, VerifyOutcome::Rejected, VerifyOutcome::Accepted]
+        );
+        assert_eq!(report.retransmits, 0);
     }
 
     #[test]
     fn verifier_without_prover_times_out_with_verdicts() {
-        let (pcp, _, ios) = fixture(&[[1, 2], [3, 4]]);
+        let fx = mul_fixture(&[[1, 2], [3, 4]]);
         let (mut vt, _pt) = loopback_transport_pair();
         let policy = RetryPolicy {
             deadline: Duration::from_millis(150),
@@ -908,46 +855,8 @@ mod tests {
             max_retransmits: 2,
         };
         let mut prg = ChaChaPrg::from_u64_seed(0xA11D0);
-        let err = run_session_verifier(&mut vt, &pcp, &ios, &policy, &mut prg).unwrap_err();
+        let err = run_session_verifier(&mut vt, &fx.pcp, &fx.ios, &policy, &mut prg).unwrap_err();
         // Setup is the one fatal exchange: no prover, typed error out.
         assert_eq!(err, SessionError::Transport(TransportError::TimedOut));
-    }
-
-    #[test]
-    fn out_of_range_instance_request_gets_typed_error() {
-        let (pcp, proofs, ios) = fixture(&[[5, 5]]);
-        let (mut vt, mut pt) = loopback_transport_pair();
-        let pcp2 = pcp.clone();
-        let server = std::thread::spawn(move || {
-            run_session_prover(&mut pt, &pcp2, &proofs, Duration::from_secs(5)).unwrap()
-        });
-        // Drive the protocol by hand: valid setup, then a request for
-        // instance 7 of a 1-instance batch.
-        let mut prg = ChaChaPrg::from_u64_seed(0xA11D1);
-        let mut verifier = SessionVerifier::new(&pcp, &mut prg);
-        let mut retry_prg = prg.fork(1);
-        let policy = RetryPolicy::fast();
-        let setup = Frame::new(msg::SETUP, 0, verifier.setup_message().unwrap());
-        let ack = exchange(&mut vt, &setup, &[msg::SETUP_ACK], &policy, &mut retry_prg).unwrap();
-        assert_eq!(ack.response.msg_type, msg::SETUP_ACK);
-        let req = Frame::new(msg::INSTANCE_REQ, 1, 7u32.to_le_bytes().to_vec());
-        let resp = exchange(&mut vt, &req, &[msg::INSTANCE_RESP, msg::ERROR], &policy, &mut retry_prg)
-            .unwrap();
-        assert_eq!(resp.response.msg_type, msg::ERROR);
-        assert_eq!(resp.response.payload, vec![errcode::BAD_INDEX]);
-        // A garbage-length index payload is MALFORMED, not a crash.
-        let req = Frame::new(msg::INSTANCE_REQ, 2, vec![1, 2, 3]);
-        let resp = exchange(&mut vt, &req, &[msg::INSTANCE_RESP, msg::ERROR], &policy, &mut retry_prg)
-            .unwrap();
-        assert_eq!(resp.response.payload, vec![errcode::MALFORMED]);
-        // And the real instance still verifies afterwards.
-        let req = Frame::new(msg::INSTANCE_REQ, 3, 0u32.to_le_bytes().to_vec());
-        let resp = exchange(&mut vt, &req, &[msg::INSTANCE_RESP, msg::ERROR], &policy, &mut retry_prg)
-            .unwrap();
-        assert_eq!(resp.response.msg_type, msg::INSTANCE_RESP);
-        assert!(verifier.verify_instance(&resp.response.payload, &ios[0]).unwrap());
-        vt.send(&Frame::new(msg::DONE, u32::MAX, Vec::new())).unwrap();
-        let stats = server.join().unwrap();
-        assert_eq!(stats.errors_reported, 2);
     }
 }

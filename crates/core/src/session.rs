@@ -11,6 +11,7 @@
 use zaatar_crypto::{ChaChaPrg, Ciphertext, HasGroup};
 use zaatar_field::PrimeField;
 use zaatar_poly::domain::EvalDomain;
+use zaatar_sched::Proving;
 
 use zaatar_transport::TransportError;
 
@@ -25,7 +26,7 @@ use crate::workspace::ProverWorkspace;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionError {
     /// An operation that needs the setup message ran before it arrived
-    /// (e.g. [`SessionProver::instance_message`]).
+    /// (e.g. [`SessionProver::instance_message_policied`]).
     SetupNotReceived,
     /// The channel failed: timeout after all retransmits, peer gone,
     /// or an OS-level error.
@@ -281,65 +282,42 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
         self.queries.is_some()
     }
 
-    /// Produces one instance's message 2: commitments + decommitments
-    /// for a proof. Fails with [`SessionError::SetupNotReceived`] when
-    /// called before [`SessionProver::receive_setup`] has succeeded.
-    pub fn instance_message(&self, proof: &ZaatarProof<F>) -> Result<Vec<u8>, SessionError> {
-        self.instance_message_with(proof, &mut ProverWorkspace::new())
-    }
-
-    /// [`SessionProver::instance_message`] over a caller-owned
-    /// workspace: the Answer-stage decommitment vectors are leased from
-    /// `ws` and returned once encoded, so a session loop serving many
-    /// instances reuses the same two answer buffers throughout. Bytes on
-    /// the wire are identical to [`SessionProver::instance_message`].
-    pub fn instance_message_with(
+    /// Produces one instance's message 2 — commitments + decommitments
+    /// for a proof — the Commit and Answer stages of the pipeline, over
+    /// buffers leased from `ws`. Fails with
+    /// [`SessionError::SetupNotReceived`] when called before
+    /// [`SessionProver::receive_setup`] has succeeded.
+    ///
+    /// The workspace's stamped [`zaatar_sched::ExecPolicy`] selects the
+    /// commitment engine: [`Proving::Monolithic`] runs one Pippenger MSM
+    /// per oracle, [`Proving::Streamed`] feeds the MSM `chunk_len`
+    /// scalars at a time so bucket storage tracks the chunk instead of
+    /// the oracle length. The Answer-stage buffers are always hard
+    /// `try_take` leases — identical to `take` under an unlimited
+    /// budget, a typed [`SessionError::BudgetExceeded`] instead of an
+    /// allocation past the cap under a finite one. Bytes on the wire are
+    /// identical under every policy.
+    pub fn instance_message_policied(
         &self,
         proof: &ZaatarProof<F>,
         ws: &mut ProverWorkspace<F>,
     ) -> Result<Vec<u8>, SessionError> {
         let queries = self.queries.as_ref().ok_or(SessionError::SetupNotReceived)?;
+        let commit = |enc_r: &[Ciphertext], u: &[F], ws: &mut ProverWorkspace<F>| {
+            match ws.policy().proving {
+                Proving::Monolithic => CommitmentKey::<F>::commit_with(enc_r, u, ws),
+                Proving::Streamed { chunk_len } => {
+                    CommitmentKey::<F>::commit_chunked(enc_r, u, chunk_len, ws)
+                }
+            }
+        };
         let commitments = (
-            CommitmentKey::<F>::commit_with(&self.enc_r_z, &proof.z, ws),
-            CommitmentKey::<F>::commit_with(&self.enc_r_h, &proof.h, ws),
+            commit(&self.enc_r_z, &proof.z, ws),
+            commit(&self.enc_r_h, &proof.h, ws),
         );
         // Query answering — the same phase argument::Prover::respond
         // times as `answer_queries`, through the blocked kernel off the
         // batch-packed matrices.
-        let answer_span = zaatar_obs::time("pcp.answer");
-        zaatar_obs::counter("pcp.batch.query_reuse").inc();
-        let buf_z = ws.scratch().take(queries.z_matrix().num_rows(), F::ZERO);
-        let buf_h = ws.scratch().take(queries.h_matrix().num_rows(), F::ZERO);
-        let dz: Decommitment<F> =
-            decommit_packed_into(&proof.z, queries.z_matrix(), &self.t_z, 1, buf_z);
-        let dh: Decommitment<F> =
-            decommit_packed_into(&proof.h, queries.h_matrix(), &self.t_h, 1, buf_h);
-        drop(answer_span);
-        let bytes = crate::wire::encode_prover_message(&commitments, &dz, &dh)?;
-        ws.scratch().put(dh.answers);
-        ws.scratch().put(dz.answers);
-        Ok(bytes)
-    }
-
-    /// [`SessionProver::instance_message_with`] through the streaming
-    /// commitment engine: the two oracle commitments feed the Pippenger
-    /// MSM `chunk_len` scalars at a time, so bucket storage tracks the
-    /// chunk instead of the oracle length, and the Answer-stage buffers
-    /// are hard `try_take` leases against the workspace budget
-    /// (surfacing [`SessionError::BudgetExceeded`] instead of
-    /// allocating past the cap). Bytes on the wire are identical to
-    /// the monolithic path.
-    pub fn instance_message_streamed(
-        &self,
-        proof: &ZaatarProof<F>,
-        chunk_len: usize,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<Vec<u8>, SessionError> {
-        let queries = self.queries.as_ref().ok_or(SessionError::SetupNotReceived)?;
-        let commitments = (
-            CommitmentKey::<F>::commit_chunked(&self.enc_r_z, &proof.z, chunk_len, ws),
-            CommitmentKey::<F>::commit_chunked(&self.enc_r_h, &proof.h, chunk_len, ws),
-        );
         let answer_span = zaatar_obs::time("pcp.answer");
         zaatar_obs::counter("pcp.batch.query_reuse").inc();
         let buf_z = ws.scratch().try_take(queries.z_matrix().num_rows(), F::ZERO)?;
@@ -359,27 +337,6 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
         ws.scratch().put(dh.answers);
         ws.scratch().put(dz.answers);
         Ok(bytes)
-    }
-
-    /// Dispatches on the workspace's stamped
-    /// [`zaatar_sched::ExecPolicy`]: [`zaatar_sched::Proving::Monolithic`]
-    /// runs [`SessionProver::instance_message_with`],
-    /// [`zaatar_sched::Proving::Streamed`] runs
-    /// [`SessionProver::instance_message_streamed`] at the policy's
-    /// chunk length. This is the serving path a multi-tenant server
-    /// uses after stamping each leased workspace with its scheduler's
-    /// per-tenant policy; bytes on the wire are identical either way.
-    pub fn instance_message_policied(
-        &self,
-        proof: &ZaatarProof<F>,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<Vec<u8>, SessionError> {
-        match ws.policy().proving {
-            zaatar_sched::Proving::Monolithic => self.instance_message_with(proof, ws),
-            zaatar_sched::Proving::Streamed { chunk_len } => {
-                self.instance_message_streamed(proof, chunk_len, ws)
-            }
-        }
     }
 }
 
@@ -450,11 +407,6 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> HeteroSessionVerifier<'p, F
         }
     }
 
-    /// Instances in the batch.
-    pub fn batch_len(&self) -> usize {
-        self.circuit_ids.len()
-    }
-
     /// Message 1 (V → P): the heterogeneous setup. Layout:
     ///
     /// ```text
@@ -521,11 +473,6 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> HeteroSessionProver<'p, F, 
         }
     }
 
-    /// Instances in the batch.
-    pub fn batch_len(&self) -> usize {
-        self.circuit_ids.len()
-    }
-
     /// Processes the heterogeneous setup message. The framing (circuit
     /// count, batch size, per-instance assignment) is validated against
     /// the prover's own layout before any per-circuit state changes; a
@@ -572,7 +519,7 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> HeteroSessionProver<'p, F, 
     /// when this endpoint carries exactly one circuit; keeps the wire
     /// bytes of the single-circuit protocol unchanged so a legacy
     /// verifier can talk to a hetero-capable server.
-    pub fn receive_legacy_setup(&mut self, message: &[u8]) -> Result<(), WireError> {
+    pub(crate) fn receive_legacy_setup(&mut self, message: &[u8]) -> Result<(), WireError> {
         if self.provers.len() != 1 {
             return Err(WireError::Invalid);
         }
@@ -585,31 +532,9 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> HeteroSessionProver<'p, F, 
     }
 
     /// Produces instance `i`'s message 2 through that instance's
-    /// circuit. Bytes are identical to what an isolated
-    /// [`SessionProver`] for the same circuit and setup would emit.
-    pub fn instance_message(
-        &self,
-        i: usize,
-        proof: &ZaatarProof<F>,
-    ) -> Result<Vec<u8>, SessionError> {
-        self.instance_message_with(i, proof, &mut ProverWorkspace::new())
-    }
-
-    /// [`HeteroSessionProver::instance_message`] over a caller-owned
-    /// workspace.
-    pub fn instance_message_with(
-        &self,
-        i: usize,
-        proof: &ZaatarProof<F>,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<Vec<u8>, SessionError> {
-        let c = self.circuit_ids[i] as usize;
-        self.provers[c].instance_message_with(proof, ws)
-    }
-
-    /// Policy-dispatched counterpart of
-    /// [`HeteroSessionProver::instance_message_with`]; see
-    /// [`SessionProver::instance_message_policied`].
+    /// circuit; see [`SessionProver::instance_message_policied`]. Bytes
+    /// are identical to what an isolated [`SessionProver`] for the same
+    /// circuit and setup would emit.
     pub fn instance_message_policied(
         &self,
         i: usize,
@@ -675,11 +600,12 @@ mod tests {
         let mut prg = ChaChaPrg::from_u64_seed(0x5e55);
         let mut verifier = SessionVerifier::new(&pcp, &mut prg);
         let mut prover = SessionProver::new(&pcp);
+        let mut ws = ProverWorkspace::new();
         // Everything crosses the boundary as bytes.
         let setup = verifier.setup_message().unwrap();
         prover.receive_setup(&setup).unwrap();
         for (proof, io) in proofs.iter().zip(&ios) {
-            let msg = prover.instance_message(proof).unwrap();
+            let msg = prover.instance_message_policied(proof, &mut ws).unwrap();
             assert!(verifier.verify_instance(&msg, io).unwrap());
         }
         assert!(verifier.bytes_sent > 0);
@@ -693,7 +619,8 @@ mod tests {
         let mut verifier = SessionVerifier::new(&pcp, &mut prg);
         let mut prover = SessionProver::new(&pcp);
         prover.receive_setup(&verifier.setup_message().unwrap()).unwrap();
-        let mut msg = prover.instance_message(&proofs[0]).unwrap();
+        let mut ws = ProverWorkspace::new();
+        let mut msg = prover.instance_message_policied(&proofs[0], &mut ws).unwrap();
         // Flip a byte in the middle (inside an answer).
         let mid = msg.len() / 2;
         msg[mid] ^= 0x01;
@@ -710,7 +637,8 @@ mod tests {
         let mut verifier = SessionVerifier::new(&pcp, &mut prg);
         let mut prover = SessionProver::new(&pcp);
         prover.receive_setup(&verifier.setup_message().unwrap()).unwrap();
-        let msg = prover.instance_message(&proofs[0]).unwrap();
+        let mut ws = ProverWorkspace::new();
+        let msg = prover.instance_message_policied(&proofs[0], &mut ws).unwrap();
         let last = ios[0].len() - 1;
         ios[0][last] += F61::ONE;
         assert!(!verifier.verify_instance(&msg, &ios[0]).unwrap());
@@ -735,7 +663,9 @@ mod tests {
         let (pcp, proofs, _) = fixture(&[[2, 3]]);
         let prover = SessionProver::new(&pcp);
         assert_eq!(
-            prover.instance_message(&proofs[0]).unwrap_err(),
+            prover
+                .instance_message_policied(&proofs[0], &mut ProverWorkspace::new())
+                .unwrap_err(),
             SessionError::SetupNotReceived
         );
     }
@@ -809,10 +739,11 @@ mod tests {
             iso_p.receive_setup(&iso_v.setup_message().unwrap()).unwrap();
             iso_provers.push(iso_p);
         }
+        let mut ws = ProverWorkspace::new();
         for (i, (proof, io)) in proofs.iter().zip(ios).enumerate() {
-            let msg = prover.instance_message(i, proof).unwrap();
+            let msg = prover.instance_message_policied(i, proof, &mut ws).unwrap();
             let iso = iso_provers[circuit_ids[i] as usize]
-                .instance_message(proof)
+                .instance_message_policied(proof, &mut ws)
                 .unwrap();
             assert_eq!(msg, iso, "instance {i} transcript diverged from isolated session");
             assert!(verifier.verify_instance(i, &msg, io).unwrap());

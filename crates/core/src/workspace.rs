@@ -10,8 +10,8 @@
 //! [`Scratch`] pool those stages lease from, so a worker thread pays
 //! for its transform and accumulator buffers once and reuses them for
 //! every instance it processes
-//! ([`prove_batch`](crate::runtime::prove_batch) builds one workspace
-//! per worker via `parallel_map_with`).
+//! ([`prove_batch_with_policy`](crate::runtime::prove_batch_with_policy)
+//! builds one workspace per worker via `parallel_map_with`).
 //!
 //! Reuse is observable: `mem.scratch.hit` / `mem.scratch.miss` count
 //! pool traffic and the `mem.scratch.high_water` gauge bounds retained
@@ -42,8 +42,7 @@ pub struct ProverWorkspace<F> {
     /// bucket allocation across every commitment in a batch.
     group_scratch: Scratch<u64>,
     /// Execution decisions for work run against this workspace; defaults
-    /// to [`ExecPolicy::serial`], the exact behaviour of the
-    /// pre-scheduler entry points.
+    /// to [`ExecPolicy::serial`].
     policy: ExecPolicy,
 }
 

@@ -101,7 +101,7 @@ fn honest_witnesses_divide() {
         let b = g.range_i64(-20, 20);
         let inputs: Vec<i64> = (0..c.n_in).map(|i| if i % 2 == 0 { a } else { b }).collect();
         let (pcp, w, _) = build(&c, &inputs);
-        assert!(pcp.qap().compute_h(&w).is_some());
+        assert!(pcp.prove(&w).is_some());
     }
 }
 
@@ -123,7 +123,7 @@ fn perturbed_witnesses_do_not_divide() {
         let i = (g.next_u64() as usize) % w.z.len();
         let delta = 1 + g.next_u64() % 999;
         w.z[i] += F61::from_u64(delta);
-        assert!(pcp.qap().compute_h(&w).is_none());
+        assert!(pcp.prove(&w).is_none());
     }
 }
 
@@ -177,7 +177,7 @@ fn divisibility_identity() {
         let tau = F61::from_u64(g.next_u64());
         let inputs: Vec<i64> = (0..c.n_in).map(|i| i as i64 + 1).collect();
         let (pcp, w, _) = build(&c, &inputs);
-        let h = pcp.qap().compute_h(&w).expect("honest");
+        let h = pcp.prove(&w).expect("honest").h;
         let evals = pcp.qap().evals_at(tau);
         let h_tau: F61 = h.iter().rev().fold(F61::ZERO, |acc, coeff| acc * tau + *coeff);
         assert_eq!(evals.d_tau * h_tau, pcp.qap().p_at(&evals, &w));

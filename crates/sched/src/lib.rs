@@ -6,16 +6,15 @@
 //! consumed it at runtime — worker counts came from a process-global env
 //! cache, the parallel-NTT cutoff was a hardcoded constant, and callers
 //! hand-picked streaming vs monolithic proving. This crate turns those
-//! five choices into one explicit seam:
+//! choices into one explicit seam:
 //!
 //! * [`HostProfile`] — what the machine can do: parallelism, a one-time
 //!   measured thread spawn/join overhead, and the operator's
 //!   `ZAATAR_WORKERS` override (parsed here, once, with a
 //!   `sched.env.bad_override` counter on garbage instead of silence).
 //! * [`ExecPolicy`] — what one prover run will do: worker count, the
-//!   NTT parallel cutoff, packed vs serial answering, monolithic vs
-//!   streamed proving (with a derived chunk length), and an optional
-//!   MSM window override.
+//!   NTT parallel cutoff, and monolithic vs streamed proving (with a
+//!   derived chunk length).
 //! * [`Scheduler`] — derives an [`ExecPolicy`] from the workload shape
 //!   (circuit size, batch size β, element width), a
 //!   [`zaatar_mem::MemBudget`], the host profile, and §5.1 micro costs.
@@ -197,18 +196,6 @@ fn measure_spawn_overhead_ns() -> f64 {
     }
 }
 
-/// How a batch's query answers are produced: one serial pass per
-/// instance, or the packed matrix kernel sharded across the policy's
-/// workers. Both produce identical field values (the packed kernel's
-/// re-association is exact), so the choice is cost-only.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Answering {
-    /// One serial answer pass per instance.
-    Serial,
-    /// The packed `BatchQuerySet` kernel across the policy's workers.
-    Packed,
-}
-
 /// How an instance's proof is constructed: the monolithic staged
 /// pipeline (fastest while its working set stays cache-resident, peak
 /// residency ~10 elements per domain point) or the chunked streaming
@@ -216,7 +203,8 @@ pub enum Answering {
 /// Both produce byte-identical proofs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Proving {
-    /// Full-length stage buffers, soft (`take`) leases.
+    /// Full-length stage buffers; the Witness and Quotient stages take
+    /// soft (`take`) leases.
     Monolithic,
     /// Chunked stages with hard (`try_take`) leases of `chunk_len`
     /// field elements at a time.
@@ -231,45 +219,34 @@ pub enum Proving {
 /// workspace never changes the bytes any prover path produces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecPolicy {
-    /// Worker threads for batch-level parallelism (`prove_batch`,
-    /// `answer_batch`). Call sites still clamp to the item count.
+    /// Worker threads for batch-level parallelism
+    /// (`prove_batch_with_policy`). Call sites still clamp to the item
+    /// count.
     pub workers: usize,
     /// Transforms at `log n` at or above this shard their butterfly
     /// passes; below it they stay serial.
     pub ntt_parallel_min_log2: u32,
-    /// Serial vs packed query answering.
-    pub answering: Answering,
     /// Monolithic vs streamed proof construction.
     pub proving: Proving,
-    /// When set, forces the Pippenger MSM window width instead of the
-    /// length-derived heuristic — the seam for hosts whose bucket
-    /// scratch must be capped below the default. `None` keeps the
-    /// self-tuned width.
-    pub msm_window_bits_override: Option<usize>,
 }
 
 impl ExecPolicy {
-    /// The do-nothing-clever policy: one worker, serial answering,
-    /// monolithic proving, default NTT cutoff. Matches the behaviour
-    /// of every pre-policy serial entry point.
+    /// The do-nothing-clever policy: one worker, monolithic proving,
+    /// default NTT cutoff.
     pub fn serial() -> ExecPolicy {
         ExecPolicy::with_workers(1)
     }
 
-    /// A monolithic policy pinning `workers` (the legacy `prove_batch`
-    /// contract: explicit worker count, everything else default).
+    /// A monolithic policy pinning `workers`, everything else default.
     pub fn with_workers(workers: usize) -> ExecPolicy {
         ExecPolicy {
             workers: workers.max(1),
             ntt_parallel_min_log2: DEFAULT_NTT_PARALLEL_MIN_LOG2,
-            answering: if workers > 1 { Answering::Packed } else { Answering::Serial },
             proving: Proving::Monolithic,
-            msm_window_bits_override: None,
         }
     }
 
-    /// A serial streamed policy pinning `chunk_len` (the legacy
-    /// `prove_batch_streamed` contract).
+    /// A serial streamed policy pinning `chunk_len`.
     pub fn streamed(chunk_len: usize) -> ExecPolicy {
         ExecPolicy {
             proving: Proving::Streamed { chunk_len: chunk_len.max(1) },
@@ -380,9 +357,7 @@ impl Scheduler {
         ExecPolicy {
             workers: self.workers_for(shape),
             ntt_parallel_min_log2: self.ntt_parallel_min_log2(),
-            answering: if shape.batch > 1 { Answering::Packed } else { Answering::Serial },
             proving: self.proving_for(shape, budget),
-            msm_window_bits_override: None,
         }
     }
 
@@ -636,24 +611,20 @@ mod tests {
         let s = Scheduler::new(HostProfile::synthetic(8, 20_000.0), MicroCosts::paper_128());
         let p = s.policy(shape(1024, 16), MemBudget::unlimited());
         assert!(p.workers > 1);
-        assert_eq!(p.answering, Answering::Packed);
         assert_eq!(p.proving, Proving::Monolithic);
-        assert_eq!(p.msm_window_bits_override, None);
         let p1 = s.policy(shape(1024, 1), MemBudget::unlimited());
         assert_eq!(p1.workers, 1);
-        assert_eq!(p1.answering, Answering::Serial);
     }
 
     #[test]
-    fn legacy_policy_constructors_pin_the_old_contracts() {
+    fn policy_constructors_pin_their_contracts() {
         let serial = ExecPolicy::serial();
         assert_eq!(serial.workers, 1);
         assert_eq!(serial.proving, Proving::Monolithic);
-        assert_eq!(serial.answering, Answering::Serial);
         assert_eq!(serial.ntt_parallel_min_log2, DEFAULT_NTT_PARALLEL_MIN_LOG2);
         let par = ExecPolicy::with_workers(8);
         assert_eq!(par.workers, 8);
-        assert_eq!(par.answering, Answering::Packed);
+        assert_eq!(par.proving, Proving::Monolithic);
         let st = ExecPolicy::streamed(64);
         assert_eq!(st.proving, Proving::Streamed { chunk_len: 64 });
         assert_eq!(st.workers, 1);

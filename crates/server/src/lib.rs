@@ -4,8 +4,10 @@
 //! `zaatar_core::run_session_prover` drives exactly one verifier over
 //! one transport and returns when that verifier goes away — fine for a
 //! benchmark, useless for the ROADMAP's "millions of users" north star.
-//! This crate lifts the same protocol (and the same graceful-degradation
-//! philosophy) from one connection to a fleet of them:
+//! This crate lifts the same protocol — literally: every session pumps
+//! the same [`zaatar_core::ProverMachine`] the blocking loop does — and
+//! the same graceful-degradation philosophy from one connection to a
+//! fleet of them:
 //!
 //! * [`SessionServer`] — a single-threaded poll loop multiplexing any
 //!   number of framed connections. Each sweep gives every session at
@@ -37,8 +39,8 @@ use std::time::{Duration, Instant};
 
 use zaatar_core::runtime::{errcode, msg};
 use zaatar_core::{
-    parse_instance_index, ExecPolicy, HeteroSessionProver, HostProfile, MemBudget, MicroParams,
-    ProverWorkspace, Scheduler, SessionError, WorkloadShape, ZaatarProof,
+    ExecPolicy, HostProfile, MemBudget, MicroParams, ProverMachine, ProverStep, ProverWorkspace,
+    Scheduler, SessionError, WorkloadShape, ZaatarProof,
 };
 use zaatar_core::pcp::ZaatarPcp;
 use zaatar_crypto::HasGroup;
@@ -207,20 +209,11 @@ pub struct ServerStats {
     pub per_tenant: BTreeMap<String, TenantStats>,
 }
 
-/// Per-session protocol position.
-enum SessionPhase {
-    /// No valid setup yet; instance requests get `ERROR(NO_SETUP)`.
-    AwaitingSetup,
-    /// Setup accepted; serving instance responses.
-    Serving,
-}
-
 struct Session<'p, F: PrimeField + HasGroup, D: EvalDomain<F>> {
     transport: FramedTransport<BoxedLink>,
-    prover: HeteroSessionProver<'p, F, D>,
-    cache: Vec<Option<Vec<u8>>>,
+    /// The protocol itself: setup state, response cache, reply frames.
+    machine: ProverMachine<'p, F, D>,
     ws: Option<ProverWorkspace<F>>,
-    phase: SessionPhase,
     budget: DeadlineBudget,
     last_activity: Instant,
     started: Instant,
@@ -228,6 +221,19 @@ struct Session<'p, F: PrimeField + HasGroup, D: EvalDomain<F>> {
     /// Seq of the most recent valid frame, for best-effort typed
     /// error notices on expiry.
     last_seq: u32,
+}
+
+impl<F: PrimeField + HasGroup, D: EvalDomain<F>> Session<'_, F, D> {
+    /// How a session whose peer hung up ends: after a setup that is
+    /// the protocol's "done" for verifiers that skip the DONE frame;
+    /// before one it is a failure.
+    fn hangup_outcome(&self) -> SessionOutcome {
+        if self.machine.is_ready() {
+            SessionOutcome::Served
+        } else {
+            SessionOutcome::Failed(SessionError::Transport(TransportError::Closed))
+        }
+    }
 }
 
 /// What one sweep of one session concluded.
@@ -409,10 +415,8 @@ where
             id,
             Session {
                 transport,
-                prover: HeteroSessionProver::new(&self.pcps, &self.circuit_ids),
-                cache: vec![None; self.proofs.len()],
+                machine: ProverMachine::new(&self.pcps, &self.circuit_ids, self.proofs),
                 ws: Some(ws),
-                phase: SessionPhase::AwaitingSetup,
                 budget: DeadlineBudget::new(self.config.session_budget),
                 last_activity: now,
                 started: now,
@@ -433,7 +437,7 @@ where
         let ids: Vec<SessionId> = self.sessions.keys().copied().collect();
         for id in ids {
             let session = self.sessions.get_mut(&id).expect("live session");
-            let (sweep, frames) = Self::sweep_session(session, self.proofs, &self.config);
+            let (sweep, frames) = Self::sweep_session(session, &self.config);
             self.stats.frames_processed += frames;
             if let Sweep::Done(outcome) = sweep {
                 // Measure pressure while the dying session's workspace
@@ -496,12 +500,11 @@ where
     }
 
     /// Drives one session for up to `frames_per_sweep` frames; returns
-    /// the sweep verdict and how many valid frames were consumed.
-    fn sweep_session(
-        session: &mut Session<'p, F, D>,
-        proofs: &'p [ZaatarProof<F>],
-        config: &ServerConfig,
-    ) -> (Sweep, u64) {
+    /// the sweep verdict and how many valid frames were consumed. The
+    /// protocol is the session's [`ProverMachine`]; this loop adds what
+    /// is the server's own — the deadline, the idle-out, and the mapping
+    /// from how a session stopped to its [`SessionOutcome`].
+    fn sweep_session(session: &mut Session<'p, F, D>, config: &ServerConfig) -> (Sweep, u64) {
         let mut frames = 0u64;
         for _ in 0..config.frames_per_sweep.max(1) {
             // Deadlines are enforced at frame boundaries: an expired
@@ -517,26 +520,19 @@ where
                 Ok(Some(frame)) => frame,
                 Ok(None) => {
                     // Nothing ready. Idle-out if quiet too long; the
-                    // outcome depends on whether a setup ever landed.
+                    // outcome depends on whether a setup is in force.
                     if session.last_activity.elapsed() >= config.idle_timeout {
-                        let outcome = match session.phase {
-                            SessionPhase::Serving => SessionOutcome::Served,
-                            SessionPhase::AwaitingSetup => SessionOutcome::Expired,
+                        let outcome = if session.machine.is_ready() {
+                            SessionOutcome::Served
+                        } else {
+                            SessionOutcome::Expired
                         };
                         return (Sweep::Done(outcome), frames);
                     }
                     return (Sweep::Continue, frames);
                 }
-                // The peer hanging up after a setup is the protocol's
-                // "done" for verifiers that skip the DONE frame.
                 Err(TransportError::Closed) => {
-                    let outcome = match session.phase {
-                        SessionPhase::Serving => SessionOutcome::Served,
-                        SessionPhase::AwaitingSetup => {
-                            SessionOutcome::Failed(SessionError::Transport(TransportError::Closed))
-                        }
-                    };
-                    return (Sweep::Done(outcome), frames);
+                    return (Sweep::Done(session.hangup_outcome()), frames)
                 }
                 Err(e) => {
                     return (Sweep::Done(SessionOutcome::Failed(SessionError::Transport(e))), frames)
@@ -545,65 +541,19 @@ where
             frames += 1;
             session.last_activity = Instant::now();
             session.last_seq = frame.seq;
-            let reply = match frame.msg_type {
-                msg::SETUP | msg::HSETUP => {
-                    // Legacy SETUP keeps its single-circuit byte path;
-                    // HSETUP carries the multi-circuit layout.
-                    let received = if frame.msg_type == msg::HSETUP {
-                        session.prover.receive_setup(&frame.payload)
-                    } else {
-                        session.prover.receive_legacy_setup(&frame.payload)
-                    };
-                    match received {
-                        Ok(()) => {
-                            // A (re)setup invalidates responses cached
-                            // under the previous one.
-                            session.cache.iter_mut().for_each(|slot| *slot = None);
-                            session.phase = SessionPhase::Serving;
-                            Frame::new(msg::SETUP_ACK, frame.seq, Vec::new())
-                        }
-                        Err(_) => Frame::new(msg::ERROR, frame.seq, vec![errcode::MALFORMED]),
-                    }
-                }
-                msg::INSTANCE_REQ => match parse_instance_index(&frame.payload, proofs.len()) {
-                    Err(code) => Frame::new(msg::ERROR, frame.seq, vec![code]),
-                    Ok(idx) => {
-                        let ws = session.ws.as_mut().expect("live session owns a workspace");
-                        let cached = match &session.cache[idx] {
-                            Some(bytes) => Ok(bytes.clone()),
-                            // Policy-dispatched: the workspace's stamp
-                            // decides monolithic vs streamed commitments;
-                            // bytes on the wire are identical either way.
-                            None => session
-                                .prover
-                                .instance_message_policied(idx, &proofs[idx], ws)
-                                .inspect(|bytes| session.cache[idx] = Some(bytes.clone())),
-                        };
-                        match cached {
-                            Ok(bytes) => Frame::new(msg::INSTANCE_RESP, frame.seq, bytes),
-                            Err(SessionError::SetupNotReceived) => {
-                                Frame::new(msg::ERROR, frame.seq, vec![errcode::NO_SETUP])
-                            }
-                            Err(e) => return (Sweep::Done(SessionOutcome::Failed(e)), frames),
-                        }
-                    }
-                },
-                msg::DONE => return (Sweep::Done(SessionOutcome::Served), frames),
-                // Unknown frame types: ignore, per the runtime loop.
-                _ => continue,
+            let ws = session.ws.as_mut().expect("live session owns a workspace");
+            let reply = match session.machine.step(&frame, ws) {
+                ProverStep::Reply(reply) => reply,
+                ProverStep::Ignore => continue,
+                ProverStep::Done => return (Sweep::Done(SessionOutcome::Served), frames),
+                ProverStep::Fatal(e) => return (Sweep::Done(SessionOutcome::Failed(e)), frames),
             };
             match session.transport.send(&reply) {
                 Ok(()) => {}
                 // A response the peer will never read is the Closed
                 // path with extra steps.
                 Err(TransportError::Closed) => {
-                    let outcome = match session.phase {
-                        SessionPhase::Serving => SessionOutcome::Served,
-                        SessionPhase::AwaitingSetup => {
-                            SessionOutcome::Failed(SessionError::Transport(TransportError::Closed))
-                        }
-                    };
-                    return (Sweep::Done(outcome), frames);
+                    return (Sweep::Done(session.hangup_outcome()), frames)
                 }
                 Err(e) => {
                     return (Sweep::Done(SessionOutcome::Failed(SessionError::Transport(e))), frames)

@@ -67,6 +67,10 @@ fn main() {
         .map(|v| extended.get(*v))
         .collect();
     let pcp = ZaatarPcp::new(qap, PcpParams::default());
+    // `prove` is the one prover pipeline (witness → quotient) run on a
+    // throwaway workspace; batches and long-lived provers run the same
+    // pipeline through `runtime::prove_batch_with_policy` /
+    // `prove_instance_policied` over reused, policy-stamped workspaces.
     let proof = pcp.prove(&witness).expect("honest prover");
     println!(
         "proof vector: |z| = {}, |h| = {} (vs Ginger's |z| + |z|^2 = {})",

@@ -21,9 +21,9 @@ use zaatar::cc::ginger_to_quad;
 use zaatar::cc::lang::{compile, CompileOptions};
 use zaatar::core::pcp::{PcpParams, ZaatarPcp};
 use zaatar::core::qap::Qap;
-use zaatar::core::runtime::{errcode, prove_batch};
+use zaatar::core::runtime::{errcode, prove_batch_with_policy};
 use zaatar::core::runtime::run_session_verifier;
-use zaatar::core::SessionError;
+use zaatar::core::{ExecPolicy, MemBudget, SessionError};
 use zaatar::crypto::ChaChaPrg;
 use zaatar::field::{Field, F61};
 use zaatar::server::{ServerConfig, SessionServer, TcpAcceptor};
@@ -67,7 +67,9 @@ fn main() {
         );
     }
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let proofs: Vec<_> = prove_batch(&pcp, &witnesses, workers)
+    let policy = ExecPolicy::with_workers(workers);
+    let proofs: Vec<_> = prove_batch_with_policy(&pcp, &witnesses, &policy, MemBudget::unlimited())
+        .expect("unlimited budget never refuses a lease")
         .into_iter()
         .map(|p| p.expect("honest prover"))
         .collect();

@@ -18,7 +18,8 @@ use zaatar::cc::lang::{compile, CompileOptions};
 use zaatar::cc::ginger_to_quad;
 use zaatar::core::pcp::{PcpParams, ZaatarPcp};
 use zaatar::core::qap::Qap;
-use zaatar::core::runtime::{prove_batch, run_session_prover, run_session_verifier};
+use zaatar::core::runtime::{prove_batch_with_policy, run_session_prover, run_session_verifier};
+use zaatar::core::{ExecPolicy, MemBudget};
 use zaatar::crypto::ChaChaPrg;
 use zaatar::field::{Field, F61};
 use zaatar::transport::{RetryPolicy, TcpTransport, Transport};
@@ -58,7 +59,9 @@ fn main() {
         );
     }
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let proofs: Vec<_> = prove_batch(&pcp, &witnesses, workers)
+    let policy = ExecPolicy::with_workers(workers);
+    let proofs: Vec<_> = prove_batch_with_policy(&pcp, &witnesses, &policy, MemBudget::unlimited())
+        .expect("unlimited budget never refuses a lease")
         .into_iter()
         .map(|p| p.expect("honest prover"))
         .collect();

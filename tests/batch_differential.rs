@@ -9,11 +9,12 @@
 
 use zaatar::cc::Builder;
 use zaatar::core::commit::{decommit, decommit_packed};
-use zaatar::core::pcp::{BatchQuerySet, PcpResponses, ZaatarPcp, ZaatarProof};
+use zaatar::core::pcp::{PcpResponses, ZaatarPcp, ZaatarProof};
 use zaatar::core::qap::QapWitness;
-use zaatar::core::runtime::{answer_batch, prove_batch, prove_batch_streamed, prove_batch_with};
+use zaatar::core::runtime::{prove_batch_with_policy, prove_instance_policied};
 use zaatar::core::session::{SessionProver, SessionVerifier};
 use zaatar::core::workspace::ProverWorkspace;
+use zaatar::core::{ExecPolicy, MemBudget};
 use zaatar::crypto::ChaChaPrg;
 use zaatar::field::{Field, PrimeField, F61};
 use zaatar::poly::Radix2Domain;
@@ -76,32 +77,13 @@ fn batched_answers_byte_identical_to_serial() {
             let mut prg = ChaChaPrg::from_u64_seed(seed);
             let batch = pcp.generate_batch_queries(&mut prg);
             for (p, reference) in proofs.iter().zip(&serial) {
-                let batched = pcp.answer_batched(p, &batch, workers);
+                let batched = batch.answer(p, workers);
                 assert_eq!(
                     response_bytes(&batched),
                     response_bytes(reference),
                     "seed {seed}, workers {workers}"
                 );
             }
-        }
-    }
-}
-
-/// The runtime's parallel batch answering agrees with the serial path
-/// instance-for-instance.
-#[test]
-fn runtime_answer_batch_matches_serial() {
-    let (pcp, proofs, _) = fixture(&[[1, 9], [6, 6], [2, 3]]);
-    let seed = 0xbabe;
-    let mut prg = ChaChaPrg::from_u64_seed(seed);
-    let queries = pcp.generate_queries(&mut prg);
-    let serial: Vec<_> = proofs.iter().map(|p| pcp.answer(p, &queries)).collect();
-    let batch = BatchQuerySet::new(queries);
-    for workers in [1usize, 4] {
-        let batched = answer_batch(&batch, &proofs, workers);
-        assert_eq!(batched.len(), serial.len());
-        for (b, s) in batched.iter().zip(&serial) {
-            assert_eq!(response_bytes(b), response_bytes(s), "workers {workers}");
         }
     }
 }
@@ -169,7 +151,9 @@ fn session_prover_packed_path_round_trips() {
         let mut verdicts = Vec::new();
         let mut messages = Vec::new();
         for (p, io) in proofs.iter().zip(&ios) {
-            let msg = prover.instance_message(p).unwrap();
+            let msg = prover
+                .instance_message_policied(p, &mut ProverWorkspace::new())
+                .unwrap();
             verdicts.push(verifier.verify_instance(&msg, io).unwrap());
             messages.push(msg);
         }
@@ -183,9 +167,25 @@ fn session_prover_packed_path_round_trips() {
     assert_eq!(messages, messages2);
 }
 
+/// Proves every witness serially over one caller-owned workspace,
+/// through the pipeline `policy` selects. The stamp persists on `ws`,
+/// as a server's would, so a following [`session_transcript`] serves
+/// under the same policy.
+fn prove_all(
+    pcp: &Pcp,
+    witnesses: &[QapWitness<F61>],
+    policy: ExecPolicy,
+    ws: &mut ProverWorkspace<F61>,
+) -> Result<Vec<Option<ZaatarProof<F61>>>, zaatar::core::BudgetError> {
+    ws.set_policy(policy);
+    witnesses.iter().map(|w| prove_instance_policied(pcp, w, ws)).collect()
+}
+
 /// The full session wire transcript (setup message + every instance
-/// message) under workspace reuse. Returns the concatenated frames so
-/// differential tests compare at the byte level.
+/// message) under workspace reuse, served under the policy stamped on
+/// `ws` — monolithic commitments by default, chunk-fed MSMs under a
+/// streamed stamp. Returns the concatenated frames so differential
+/// tests compare at the byte level.
 fn session_transcript(
     pcp: &Pcp,
     proofs: &[Option<ZaatarProof<F61>>],
@@ -201,7 +201,7 @@ fn session_transcript(
     let mut transcript = vec![setup];
     for (p, io) in proofs.iter().zip(ios) {
         let p = p.as_ref().expect("fixture witnesses satisfy the system");
-        let msg = prover.instance_message_with(p, ws).unwrap();
+        let msg = prover.instance_message_policied(p, ws).unwrap();
         assert!(verifier.verify_instance(&msg, io).unwrap());
         transcript.push(msg);
     }
@@ -209,8 +209,8 @@ fn session_transcript(
 }
 
 /// Tentpole lockdown: proving through reused workspaces — per-worker
-/// pools in `prove_batch`, one serial pool in `prove_batch_with`, and a
-/// session-long Answer-stage pool — produces session wire transcripts
+/// pools in `prove_batch_with_policy`, one serial pool under
+/// `prove_instance_policied`, and a session-long Answer-stage pool — produces session wire transcripts
 /// **byte-identical** to the fresh-allocation path, across seeds, batch
 /// sizes β ∈ {1, 4, 16}, and worker counts. Field arithmetic is exact
 /// and buffer identity never reaches the wire, so any divergence here
@@ -228,7 +228,13 @@ fn workspace_reuse_transcripts_byte_identical_to_fresh() {
             let reference =
                 session_transcript(&pcp, &fresh, &ios, seed, &mut ProverWorkspace::new());
             for workers in [1usize, 2, 8] {
-                let proofs = prove_batch(&pcp, &witnesses, workers);
+                let proofs = prove_batch_with_policy(
+                    &pcp,
+                    &witnesses,
+                    &ExecPolicy::with_workers(workers),
+                    MemBudget::unlimited(),
+                )
+                .expect("unlimited budget never refuses");
                 let mut ws = ProverWorkspace::new();
                 let transcript = session_transcript(&pcp, &proofs, &ios, seed, &mut ws);
                 assert_eq!(
@@ -239,7 +245,7 @@ fn workspace_reuse_transcripts_byte_identical_to_fresh() {
             // Serial path over one long-lived workspace, reused for
             // both proving and answering.
             let mut ws = ProverWorkspace::new();
-            let proofs = prove_batch_with(&pcp, &witnesses, &mut ws);
+            let proofs = prove_all(&pcp, &witnesses, ExecPolicy::serial(), &mut ws).unwrap();
             let transcript = session_transcript(&pcp, &proofs, &ios, seed, &mut ws);
             assert_eq!(transcript, reference, "β={beta}, seed={seed}, serial ws");
         }
@@ -256,7 +262,7 @@ fn workspace_footprint_bounded_across_sessions() {
     let (pcp, witnesses, ios) = fixture_witnesses(&inputs);
     let mut ws = ProverWorkspace::new();
     let run = |ws: &mut ProverWorkspace<F61>| {
-        let proofs = prove_batch_with(&pcp, &witnesses, ws);
+        let proofs = prove_all(&pcp, &witnesses, ExecPolicy::serial(), ws).unwrap();
         session_transcript(&pcp, &proofs, &ios, 0xcafe, ws)
     };
     let first = run(&mut ws);
@@ -288,32 +294,6 @@ fn workspace_footprint_bounded_across_sessions() {
     assert_eq!(run(&mut ws), first);
 }
 
-/// [`session_transcript`] through the streaming prover path:
-/// commitments feed the MSM `chunk_len` scalars at a time and the
-/// Answer-stage buffers are budget-checked leases.
-fn session_transcript_streamed(
-    pcp: &Pcp,
-    proofs: &[Option<ZaatarProof<F61>>],
-    ios: &[Vec<F61>],
-    seed: u64,
-    chunk_len: usize,
-    ws: &mut ProverWorkspace<F61>,
-) -> Vec<Vec<u8>> {
-    let mut prg = ChaChaPrg::from_u64_seed(seed);
-    let mut verifier = SessionVerifier::new(pcp, &mut prg);
-    let mut prover = SessionProver::new(pcp);
-    let setup = verifier.setup_message().unwrap();
-    prover.receive_setup(&setup).unwrap();
-    let mut transcript = vec![setup];
-    for (p, io) in proofs.iter().zip(ios) {
-        let p = p.as_ref().expect("fixture witnesses satisfy the system");
-        let msg = prover.instance_message_streamed(p, chunk_len, ws).unwrap();
-        assert!(verifier.verify_instance(&msg, io).unwrap());
-        transcript.push(msg);
-    }
-    transcript
-}
-
 /// PR 9 tentpole lockdown: the streaming chunked pipeline — chunked
 /// Witness accumulators, the drained coset quotient kernel, and
 /// chunk-fed MSM commitments — produces session wire transcripts
@@ -336,10 +316,9 @@ fn streaming_prove_transcripts_byte_identical_across_chunk_sizes() {
             // One covering chunk, an even split, and a ragged tail.
             for chunk_len in [n, n.div_ceil(2), 7] {
                 let mut ws = ProverWorkspace::new();
-                let proofs = prove_batch_streamed(&pcp, &witnesses, chunk_len, &mut ws)
+                let proofs = prove_all(&pcp, &witnesses, ExecPolicy::streamed(chunk_len), &mut ws)
                     .expect("an unbudgeted workspace admits every lease");
-                let transcript =
-                    session_transcript_streamed(&pcp, &proofs, &ios, seed, chunk_len, &mut ws);
+                let transcript = session_transcript(&pcp, &proofs, &ios, seed, &mut ws);
                 assert_eq!(
                     transcript, reference,
                     "β={beta}, seed={seed}, chunk_len={chunk_len}"
@@ -394,9 +373,9 @@ fn streaming_leak_guard_high_water_under_budget_at_16x_bench() {
 
     // Yardstick: the monolithic path's peak residency on this circuit.
     let mut mono = ProverWorkspace::new();
-    let mono_proofs = prove_batch_with(&pcp, &witnesses, &mut mono);
+    let mono_proofs = prove_all(&pcp, &witnesses, ExecPolicy::serial(), &mut mono).unwrap();
     let mono_proof = mono_proofs[0].as_ref().expect("honest witness");
-    let reference = prover.instance_message_with(mono_proof, &mut mono).unwrap();
+    let reference = prover.instance_message_policied(mono_proof, &mut mono).unwrap();
     assert!(verifier.verify_instance(&reference, &ios[0]).unwrap());
     let mono_peak = mono.high_water_bytes();
     assert!(mono_peak > 0);
@@ -405,13 +384,13 @@ fn streaming_leak_guard_high_water_under_budget_at_16x_bench() {
     // passing under it is evidence of an actual residency reduction,
     // not just of a generous cap.
     let budget = mono_peak * 3 / 4;
-    let mut ws = ProverWorkspace::with_budget(zaatar::core::MemBudget::bytes(budget));
+    let mut ws = ProverWorkspace::with_budget(MemBudget::bytes(budget));
     for session in 0..100 {
-        let proofs = prove_batch_streamed(&pcp, &witnesses, chunk_len, &mut ws)
+        let proofs = prove_all(&pcp, &witnesses, ExecPolicy::streamed(chunk_len), &mut ws)
             .unwrap_or_else(|e| panic!("session {session}: budget refused a lease: {e}"));
         let proof = proofs[0].as_ref().expect("honest witness");
         let msg = prover
-            .instance_message_streamed(proof, chunk_len, &mut ws)
+            .instance_message_policied(proof, &mut ws)
             .unwrap_or_else(|e| panic!("session {session}: {e}"));
         assert_eq!(msg, reference, "session {session}: wire bytes diverged");
     }

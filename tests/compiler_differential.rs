@@ -27,6 +27,7 @@ use zaatar::core::session::{
     HeteroSessionVerifier, SessionProver, SessionVerifier, HETERO_PRG_STREAM_BASE,
 };
 use zaatar::core::testutil::TestPcp;
+use zaatar::core::workspace::ProverWorkspace;
 use zaatar::crypto::ChaChaPrg;
 use zaatar::field::F61;
 use zaatar::server::{Admission, ServerConfig, SessionOutcome, SessionServer};
@@ -271,7 +272,9 @@ fn hetero_batch_through_session_server_matches_isolated_sessions() {
             if cid as usize != c {
                 continue;
             }
-            let reference = ref_prover.instance_message(&proofs[i]).unwrap();
+            let reference = ref_prover
+                .instance_message_policied(&proofs[i], &mut ProverWorkspace::new())
+                .unwrap();
             assert_eq!(
                 reference, responses[i],
                 "instance {i} (circuit {c}): transcript differs from isolated session"

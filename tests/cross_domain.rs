@@ -7,6 +7,7 @@ use zaatar::cc::lang::{compile, CompileOptions};
 use zaatar::cc::ginger_to_quad;
 use zaatar::core::pcp::{PcpParams, ZaatarPcp};
 use zaatar::core::qap::Qap;
+use zaatar::core::workspace::ProverWorkspace;
 use zaatar::crypto::ChaChaPrg;
 use zaatar::field::{Field, F61};
 use zaatar::poly::{ArithDomain, Radix2Domain};
@@ -91,8 +92,9 @@ fn quotients_agree_as_polynomials() {
     let q_a = Qap::with_domain(&sys, ArithDomain::<F61>::new(sys.constraints.len()));
     let w_r = q_r.witness(&ext);
     let w_a = q_a.witness(&ext);
-    let h_r = q_r.compute_h(&w_r).expect("radix2 divides");
-    let h_a = q_a.compute_h(&w_a).expect("arith divides");
+    let mut ws = ProverWorkspace::new();
+    let h_r = q_r.compute_h_policied(&w_r, &mut ws).unwrap().expect("radix2 divides");
+    let h_a = q_a.compute_h_policied(&w_a, &mut ws).unwrap().expect("arith divides");
     for tau_raw in [5u64, 1234, 987654] {
         let tau = F61::from_u64(tau_raw);
         let horner = |h: &[F61]| h.iter().rev().fold(F61::ZERO, |acc, c| acc * tau + *c);

@@ -23,7 +23,8 @@ use zaatar_core::runtime::{
 };
 use zaatar_core::testutil::{mul_eq_fixture, mul_fixture, CircuitFixture};
 use zaatar_core::{
-    HeteroSessionVerifier, SessionProver, SessionVerifier, HETERO_PRG_STREAM_BASE,
+    HeteroSessionVerifier, ProverWorkspace, SessionProver, SessionVerifier,
+    HETERO_PRG_STREAM_BASE,
 };
 use zaatar_crypto::ChaChaPrg;
 use zaatar_field::{Field, F61};
@@ -497,7 +498,7 @@ fn hetero_responses_byte_identical_to_isolated_reference() {
                 continue;
             }
             let expected = ref_prover
-                .instance_message(&fx.proofs[idx])
+                .instance_message_policied(&fx.proofs[idx], &mut ProverWorkspace::new())
                 .expect("reference prover answers");
             assert_eq!(
                 responses[idx], expected,

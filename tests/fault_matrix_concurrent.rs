@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use zaatar_core::runtime::{msg, run_session_verifier, VerifyOutcome};
 use zaatar_core::testutil::{mul_fixture, CircuitFixture};
-use zaatar_core::{SessionProver, SessionVerifier};
+use zaatar_core::{ProverWorkspace, SessionProver, SessionVerifier};
 use zaatar_crypto::ChaChaPrg;
 use zaatar_field::{Field, F61};
 use zaatar_server::{Admission, ServerConfig, ServerStats, SessionServer};
@@ -392,7 +392,7 @@ fn concurrent_responses_are_byte_identical_to_isolated_reference() {
         reference.receive_setup(setup_bytes).expect("recorded setup replays");
         for (idx, served) in responses.iter().enumerate() {
             let expected = reference
-                .instance_message(&fx.proofs[idx])
+                .instance_message_policied(&fx.proofs[idx], &mut ProverWorkspace::new())
                 .expect("reference prover answers");
             assert_eq!(
                 served, &expected,

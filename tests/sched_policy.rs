@@ -1,20 +1,18 @@
 //! Scheduler policy lockdown: (1) the monolithic-vs-streaming decision
 //! is the policy's to make, with the boundary pinned where the bench
 //! measured it; (2) policy dispatch is **byte-transparent** — every
-//! combination of workers, answering mode, and proving pipeline
-//! produces transcripts identical to the serial monolithic reference.
+//! combination of workers and proving pipeline produces transcripts
+//! identical to the serial monolithic reference.
 //! A policy changes where and when work happens (threads, chunks),
 //! never the field/group values that reach the wire.
 
-use zaatar::core::runtime::{answer_batch, answer_batch_with_policy, prove_batch_with_policy};
+use zaatar::core::runtime::prove_batch_with_policy;
 use zaatar::core::session::{SessionProver, SessionVerifier};
 use zaatar::core::testutil::mul_fixture;
 use zaatar::core::workspace::ProverWorkspace;
 use zaatar::crypto::ChaChaPrg;
 use zaatar::mem::MemBudget;
-use zaatar::sched::{
-    Answering, ExecPolicy, HostProfile, MicroCosts, Proving, Scheduler, WorkloadShape,
-};
+use zaatar::sched::{ExecPolicy, HostProfile, MicroCosts, Proving, Scheduler, WorkloadShape};
 
 fn shape(domain_size: usize) -> WorkloadShape {
     WorkloadShape { domain_size, batch: 1, elem_bytes: 8 }
@@ -71,16 +69,11 @@ fn scheduled_workers_never_exceed_batch_or_host() {
             MemBudget::unlimited(),
         );
         assert!(p.workers <= 8.min(beta.max(1)));
-        assert_eq!(
-            p.answering,
-            if beta > 1 { Answering::Packed } else { Answering::Serial }
-        );
     }
 }
 
-/// The differential: proofs, batched answers, and session wire bytes
-/// must be identical across every policy — workers x answering x
-/// proving — for several seeds and batch sizes.
+/// The differential: proofs and session wire bytes must be identical
+/// across every policy — workers x proving — for several batch sizes.
 #[test]
 fn transcripts_byte_identical_across_policies() {
     for beta in [1usize, 4, 16] {
@@ -91,22 +84,17 @@ fn transcripts_byte_identical_across_policies() {
         // Reference: the serial monolithic pipeline over one workspace.
         let reference = &fx.proofs;
 
-        let mut policies = vec![
+        // Both pipelines (streamed at a ragged and at a covering chunk),
+        // each serial and at four workers.
+        let covering = domain.next_power_of_two();
+        let policies = [
             ExecPolicy::serial(),
             ExecPolicy::with_workers(4),
             ExecPolicy::streamed(16),
-            ExecPolicy::streamed(domain.next_power_of_two()),
+            ExecPolicy::streamed(covering),
+            ExecPolicy { workers: 4, ..ExecPolicy::streamed(16) },
+            ExecPolicy { workers: 4, ..ExecPolicy::streamed(covering) },
         ];
-        // Cross answering modes into the matrix explicitly.
-        let mut crossed = Vec::new();
-        for p in &policies {
-            for answering in [Answering::Serial, Answering::Packed] {
-                for workers in [1usize, 4] {
-                    crossed.push(ExecPolicy { answering, workers, ..*p });
-                }
-            }
-        }
-        policies.append(&mut crossed);
 
         for policy in &policies {
             // Proving: same z and h coefficients, every policy.
@@ -124,15 +112,6 @@ fn transcripts_byte_identical_across_policies() {
                 assert_eq!(got.h, want.h, "policy {policy:?} changed proof h");
             }
 
-            // Answering: identical responses off the same query seed.
-            for seed in [0u64, 0x5eed] {
-                let mut prg = ChaChaPrg::from_u64_seed(seed);
-                let batch = fx.pcp.generate_batch_queries(&mut prg);
-                let serial = answer_batch(&batch, reference, 1);
-                let policied = answer_batch_with_policy(&batch, reference, policy);
-                assert_eq!(serial, policied, "policy {policy:?} changed answers");
-            }
-
             // Session wire bytes: the policied serving path emits the
             // same bytes a plain monolithic serve would.
             let mut prg = ChaChaPrg::from_u64_seed(0xA11CE);
@@ -144,7 +123,7 @@ fn transcripts_byte_identical_across_policies() {
             let mut policied_ws = ProverWorkspace::new().with_policy(*policy);
             for proof in reference {
                 let plain = prover
-                    .instance_message_with(proof, &mut plain_ws)
+                    .instance_message_policied(proof, &mut plain_ws)
                     .expect("serve");
                 let policied = prover
                     .instance_message_policied(proof, &mut policied_ws)

@@ -7,9 +7,9 @@
 
 use std::time::{Duration, Instant};
 
-use zaatar_core::runtime::{errcode, msg, run_session_verifier};
-use zaatar_core::testutil::{mul_fixture, CircuitFixture};
-use zaatar_core::{SessionError, SessionVerifier};
+use zaatar_core::runtime::{errcode, msg, run_hetero_session_prover, run_session_verifier};
+use zaatar_core::testutil::{mul_eq_fixture, mul_fixture, CircuitFixture};
+use zaatar_core::{HeteroSessionVerifier, SessionError, SessionVerifier};
 use zaatar_crypto::ChaChaPrg;
 use zaatar_field::F61;
 use zaatar_server::{Admission, RejectReason, ServerConfig, SessionOutcome, SessionServer};
@@ -266,4 +266,84 @@ fn memory_pressure_engages_backpressure_and_trim() {
     run_full_session(&fx, &mut server, 0x3B);
     assert_eq!(server.stats().served, 2);
     assert_eq!(server.stats().rejected, 0);
+}
+
+/// Regression: a re-setup whose *second* embedded blob is corrupt resets
+/// every circuit to unready, so responses cached under the superseded
+/// setup must die with it — a previously served index answers
+/// `ERROR(NO_SETUP)` exactly like a never-served one, instead of
+/// replaying stale bytes. The same frame script runs through the
+/// blocking loop and through the server: both pump one state machine.
+#[test]
+fn failed_resetup_invalidates_cached_responses() {
+    let a = mul_fixture(&[[3, 7]]);
+    let b = mul_eq_fixture(&[[5, 5]]);
+    let pcps = [&a.pcp, &b.pcp];
+    let circuit_ids = [0u32, 1];
+    let proofs = vec![a.proofs[0].clone(), b.proofs[0].clone()];
+    let setup_from = |seed: u64| {
+        HeteroSessionVerifier::new(&pcps, &circuit_ids, &ChaChaPrg::from_u64_seed(seed))
+            .setup_message()
+            .unwrap()
+    };
+    let good = setup_from(0x5E7);
+    // A fresh setup (valid framing, valid first blob) whose second
+    // blob announces an absurd ciphertext count.
+    let mut corrupt = setup_from(0x5E8);
+    let len0 = u32::from_le_bytes(corrupt[4..8].try_into().unwrap()) as usize;
+    let blob1 = 4 + 4 + len0 + 4;
+    corrupt[blob1..blob1 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+
+    let req = |seq: u32, idx: u32| Frame::new(msg::INSTANCE_REQ, seq, idx.to_le_bytes().to_vec());
+    let script = [
+        Frame::new(msg::HSETUP, 0, good),
+        req(1, 0),
+        Frame::new(msg::HSETUP, 2, corrupt),
+        req(3, 0),
+        req(4, 1),
+    ];
+    let check = |replies: &[Frame], path: &str| {
+        let summary: Vec<_> = replies.iter().map(|r| (r.msg_type, r.seq)).collect();
+        assert_eq!(
+            summary,
+            [
+                (msg::SETUP_ACK, 0),
+                (msg::INSTANCE_RESP, 1),
+                (msg::ERROR, 2),
+                (msg::ERROR, 3),
+                (msg::ERROR, 4),
+            ],
+            "{path}"
+        );
+        assert_eq!(replies[2].payload, [errcode::MALFORMED], "{path}");
+        assert_eq!(replies[3].payload, [errcode::NO_SETUP], "{path}: stale cached response");
+        assert_eq!(replies[4].payload, [errcode::NO_SETUP], "{path}");
+    };
+
+    // Blocking loop: loopback sends never block, so queue the whole
+    // script plus DONE, let the loop drain it, then read the replies.
+    let (mut client, mut pt) = loopback_transport_pair();
+    for frame in &script {
+        client.send(frame).unwrap();
+    }
+    client.send(&Frame::new(msg::DONE, u32::MAX, Vec::new())).unwrap();
+    let stats =
+        run_hetero_session_prover(&mut pt, &pcps, &circuit_ids, &proofs, Duration::from_secs(5))
+            .unwrap();
+    assert_eq!((stats.responses_served, stats.errors_reported), (1, 3));
+    let replies: Vec<Frame> = script
+        .iter()
+        .map(|_| client.poll_recv().unwrap().expect("one reply per scripted frame"))
+        .collect();
+    check(&replies, "blocking loop");
+
+    // Server: the same script, one frame at a time.
+    let errors_before = zaatar_obs::counter("runtime.prover.errors_reported").get();
+    let mut server = SessionServer::new_hetero(&pcps, &circuit_ids, &proofs, config());
+    let (mut client, pt) = loopback_transport_pair();
+    assert!(matches!(server.admit(pt, "resetup"), Admission::Admitted(_)));
+    let replies: Vec<Frame> = script.iter().map(|f| ask(&mut client, &mut server, f)).collect();
+    check(&replies, "session server");
+    // The server path reports through the shared machine's counters.
+    assert!(zaatar_obs::counter("runtime.prover.errors_reported").get() >= errors_before + 3);
 }

@@ -108,7 +108,7 @@ fn scaled_proof_rejected() {
 
 #[test]
 fn affine_shift_attack_rejected() {
-    // Answering π(q) + c is not linear (it is affine); linearity tests
+    // Returning π(q) + c is not linear (it is affine); linearity tests
     // catch it: (π(q5)+c) + (π(q6)+c) ≠ π(q5+q6)+c unless c = 0.
     let (pcp, w, io) = fixture([2, 9]);
     let proof = pcp.prove(&w).unwrap();
@@ -172,13 +172,13 @@ fn nonzero_remainder_quotient_rejected() {
     // radix-4 NTTs) must never silently weaken either side.
     let (pcp, w, io) = fixture([11, 6]);
     // Sanity: the honest witness passes the divisibility check.
-    assert!(pcp.qap().compute_h(&w).is_some(), "honest witness divides");
+    assert!(pcp.prove(&w).is_some(), "honest witness divides");
     for idx in 0..w.z.len().min(4) {
         let mut bad = w.clone();
         bad.z[idx] += f(5);
         assert!(
-            pcp.qap().compute_h(&bad).is_none(),
-            "non-divisible P_w (z[{idx}] corrupted) must fail compute_h"
+            pcp.prove(&bad).is_none(),
+            "non-divisible P_w (z[{idx}] corrupted) must fail the divisibility gate"
         );
         // The cheater ships the remainder-truncated quotient anyway.
         let proof = pcp.prove_unchecked(&bad);

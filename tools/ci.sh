@@ -10,12 +10,36 @@
 #    polynomial harness must agree with the naive references with
 #    optimizations on, not just under the checked dev profile;
 # 4. clippy over every target (libs, tests, benches, examples) with
-#    warnings promoted to errors.
+#    warnings promoted to errors;
+# 5. named smoke steps re-running the slices whose failure should name
+#    a subsystem, the out-of-workspace `zbench` package, and the bench
+#    baseline's schema validator.
 #
 # CI and pre-commit hooks should run exactly this script; anything it
 # accepts is mergeable by the repo's own standard.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Runs `cargo test ... -- name...` with each name matched exactly and
+# fails unless every name ran: a renamed or deleted test must break its
+# smoke step, not silently turn it into "0 tests, ok".
+filtered_test() {
+    local expected=0 past_separator=0 arg out ran
+    for arg in "$@"; do
+        if [[ "$past_separator" == 1 ]]; then
+            expected=$((expected + 1))
+        elif [[ "$arg" == "--" ]]; then
+            past_separator=1
+        fi
+    done
+    out="$("$@" --exact 2>&1)" || { echo "$out"; return 1; }
+    echo "$out"
+    ran="$(awk '/^test result:/ { n += $4 } END { print n + 0 }' <<<"$out")"
+    if [[ "$ran" != "$expected" ]]; then
+        echo "error: $expected test name(s) given, $ran ran: a filter matched nothing" >&2
+        return 1
+    fi
+}
 
 echo "==> cargo build --release"
 cargo build --release --workspace --locked
@@ -52,7 +76,7 @@ ZAATAR_SOAK_SCENARIOS=96 cargo test -q -p zaatar --test fault_matrix_concurrent 
 # — these run in step 3 too, but a failure here names the commitment
 # engine directly.
 echo "==> msm differential smoke (crypto proptests, release)"
-cargo test -q -p zaatar-crypto --test proptests --locked --release -- \
+filtered_test cargo test -q -p zaatar-crypto --test proptests --locked --release -- \
     mont_sqr_matches_mont_mul_self_across_widths \
     msm_matches_reference_across_widths_and_lengths \
     elgamal_inner_product_matches_naive
@@ -75,15 +99,15 @@ cargo test -q -p zaatar --test compiler_differential --locked --release
 # step 3 too, but a failure here names the streaming pipeline
 # directly.
 echo "==> streaming differential smoke (chunked prover, release)"
-cargo test -q -p zaatar --test batch_differential --locked --release -- \
+filtered_test cargo test -q -p zaatar --test batch_differential --locked --release -- \
     streaming_prove_transcripts_byte_identical_across_chunk_sizes \
     streaming_leak_guard_high_water_under_budget_at_16x_bench
 
 # Scheduler smoke: the zero-dep policy crate's deterministic unit
 # suite (injected MicroCosts, synthetic host profiles, no wall clock)
 # plus the root policy differential — transcripts must stay
-# byte-identical across every workers × answering × proving policy,
-# and the mono/streamed boundary must sit where the bench measured it.
+# byte-identical across every workers × proving policy, and the
+# mono/streamed boundary must sit where the bench measured it.
 echo "==> sched smoke (policy units + transcript differential, release)"
 cargo test -q -p zaatar-sched --locked --release
 cargo test -q -p zaatar --test sched_policy --locked --release
@@ -99,6 +123,13 @@ ZAATAR_WORKERS=1 cargo test -q -p zaatar --test batch_differential --locked --re
 ZAATAR_WORKERS=1 cargo test -q -p zaatar --test sched_policy --locked --release
 ZAATAR_WORKERS=4 cargo test -q -p zaatar --test batch_differential --locked --release
 ZAATAR_WORKERS=4 cargo test -q -p zaatar --test sched_policy --locked --release
+
+# zbench is a package of its own outside the workspace, so none of the
+# steps above compiles it: build it against the crates as they are now
+# and run every workload once, timed and traced, at tiny sizes — a
+# public-API change that breaks the benchmark fails here.
+echo "==> zbench smoke (out-of-workspace benchmark builds and runs)"
+bash zbench/run.sh --smoke
 
 # The validator enforces the full v9 schema, including the `ntt` and
 # `pcp` sections (batch amortization must strictly reduce per-instance
