@@ -13,7 +13,7 @@
 //!
 //! `--smoke` shrinks the workload to seconds for CI; `--validate`
 //! parses an existing baseline with [`zaatar_obs::json`] and checks the
-//! `zaatar-bench-baseline/v7` schema, exiting non-zero on any mismatch.
+//! `zaatar-bench-baseline/v10` schema, exiting non-zero on any mismatch.
 //! All timings are honest measurements on the current host; the
 //! `host.parallelism` field records how many cores produced them.
 //!
@@ -67,29 +67,12 @@
 //! never grow a circuit — and that it strictly shrinks at least three
 //! of them.
 //!
-//! Schema v8 (PR 9) adds a `stream` section: peak workspace residency
-//! (`ProverWorkspace::high_water_bytes`) of the monolithic prover next
-//! to the chunked streaming prover on the same witness, at two circuit
-//! sizes, with a byte-identity check on the produced proofs. The
-//! validator requires the sizes to be strictly increasing, every
-//! `identical` flag to be true, and the streaming peak to sit
-//! **strictly below** the monolithic peak at the larger size — the
-//! whole point of the streaming pipeline. The streaming run honors the
-//! `ZAATAR_MEM_BUDGET` environment knob (e.g. `256k`, `1m`): when set,
-//! it becomes a hard cap on the streaming workspace and the run aborts
-//! if any lease would exceed it.
-//!
-//! Schema v9 (PR 10) adds a `sched` section holding the scheduler's
-//! decisions next to ground truth: a worker sweep (workers ∈ {1,2,4,8},
-//! min-of-5 wall clock per count on the main batch workload) with the
-//! `Scheduler`-chosen worker count and its measured time beside the
-//! best swept time, and a monolithic-vs-streaming decision record at
-//! both `stream` circuit sizes (min-of-7 each way, unlimited budget)
-//! with the policy's choice. The validator enforces that the chosen
-//! worker count is within 5% of the best swept time and never slower
-//! than serial, and that each mono/streamed choice matches the faster
-//! measured path (a ±20% band tolerates statistical ties — see
-//! `SCHED_DECISION_NOISE_BAND` for the calibration).
+//! Schema v10 removes the v8 `stream` and v9 `sched` sections: both
+//! adjudicated a monolithic-vs-streaming fork that no longer exists
+//! (one pipeline, one chunk length), and `zbench` is the instrument of
+//! record for residency (`prover_workspace_peak_bytes`) and for the
+//! scheduler's choices (`sched.*`). Frozen `BENCH_pr9.json` /
+//! `BENCH_pr10.json` keep their sections under their own schema ids.
 
 use std::time::{Duration, Instant};
 
@@ -102,9 +85,7 @@ use zaatar_core::runtime::{
     prove_batch_with_policy, prove_instance_policied, run_session_prover, run_session_verifier,
 };
 use zaatar_core::workspace::ProverWorkspace;
-use zaatar_core::{
-    ExecPolicy, HostProfile, MemBudget, MicroParams, Proving, Scheduler, WorkloadShape,
-};
+use zaatar_core::{ExecPolicy, MemBudget};
 use zaatar_crypto::ChaChaPrg;
 use zaatar_field::{Field, F61};
 use zaatar_obs::json::{self, Value};
@@ -112,7 +93,7 @@ use zaatar_server::{Admission, ServerConfig, SessionServer};
 use zaatar_transport::{loopback_transport_pair, RetryPolicy};
 
 /// Schema identifier written into (and required from) every baseline.
-const SCHEMA: &str = "zaatar-bench-baseline/v9";
+const SCHEMA: &str = "zaatar-bench-baseline/v10";
 
 /// How many zoo apps the optimizer must strictly shrink for a baseline
 /// to validate (the PR 8 acceptance gate).
@@ -228,7 +209,7 @@ fn build_workload(
     (pcp, witnesses, ios)
 }
 
-/// Monolithic batch proving at an explicit worker count.
+/// Batch proving at an explicit worker count (covering chunk).
 fn prove_at(
     pcp: &ZaatarPcp<F61, zaatar_poly::Radix2Domain<F61>>,
     witnesses: &[QapWitness<F61>],
@@ -458,237 +439,6 @@ fn bench_mem_reuse(
         .collect()
 }
 
-/// One row of the `stream` section: monolithic vs streaming peak
-/// workspace residency for one circuit size.
-struct StreamSample {
-    chain: usize,
-    domain: usize,
-    chunk_len: usize,
-    monolithic_high_water_bytes: usize,
-    streaming_high_water_bytes: usize,
-    monolithic_prove_ns: u64,
-    streaming_prove_ns: u64,
-    identical: bool,
-}
-
-/// Measures the streaming pipeline's residency win: for each circuit
-/// size, one monolithic and one chunked `prove_instance_policied` on
-/// fresh workspaces, recording each workspace's own
-/// `high_water_bytes` peak and whether the proofs came out
-/// byte-identical. When `ZAATAR_MEM_BUDGET` is set it is applied to
-/// the streaming workspace as a hard cap — a lease the budget refuses
-/// aborts the baseline run loudly rather than recording a number that
-/// silently overshot the operator's ceiling.
-fn bench_stream(smoke: bool) -> Vec<StreamSample> {
-    let chains: [usize; 2] = if smoke { [8, 64] } else { [160, 640] };
-    let budget = MemBudget::from_env();
-    chains
-        .iter()
-        .map(|&chain| {
-            let (pcp, witnesses, _ios) = build_workload(chain, 1);
-            let domain = pcp.qap().degree() + 1;
-            let chunk_len = (domain / 8).max(16);
-            let mut mono = ProverWorkspace::new();
-            let start = Instant::now();
-            let mono_proof = prove_instance_policied(&pcp, &witnesses[0], &mut mono)
-                .expect("unlimited budget")
-                .expect("honest witness");
-            let monolithic_prove_ns = start.elapsed().as_nanos() as u64;
-            let mut sws =
-                ProverWorkspace::with_budget(budget).with_policy(ExecPolicy::streamed(chunk_len));
-            let start = Instant::now();
-            let stream_proof = prove_instance_policied(&pcp, &witnesses[0], &mut sws)
-                .unwrap_or_else(|e| {
-                    panic!("ZAATAR_MEM_BUDGET refused a streaming lease at chain {chain}: {e}")
-                })
-                .expect("honest witness");
-            let streaming_prove_ns = start.elapsed().as_nanos() as u64;
-            StreamSample {
-                chain,
-                domain,
-                chunk_len,
-                monolithic_high_water_bytes: mono.high_water_bytes(),
-                streaming_high_water_bytes: sws.high_water_bytes(),
-                monolithic_prove_ns,
-                streaming_prove_ns,
-                identical: mono_proof.z == stream_proof.z && mono_proof.h == stream_proof.h,
-            }
-        })
-        .collect()
-}
-
-/// One row of the `sched` worker sweep: a measured batch prove at a
-/// fixed requested worker count.
-struct SchedSweepRow {
-    workers: usize,
-    ns: u64,
-}
-
-/// One monolithic-vs-streaming decision record: what the scheduler
-/// chose for this circuit size under an unlimited budget, next to the
-/// measured time of both paths.
-struct SchedDecision {
-    chain: usize,
-    domain: usize,
-    predicted_peak_bytes: usize,
-    policy_streamed: bool,
-    chunk_len: usize,
-    monolithic_ns: u64,
-    streaming_ns: u64,
-}
-
-/// The `sched` section: the scheduler's worker choice and its
-/// mono/streamed pipeline choice, each beside ground-truth sweeps.
-struct SchedSample {
-    sweep_batch: usize,
-    rows: Vec<SchedSweepRow>,
-    chosen_workers: usize,
-    chosen_ns: u64,
-    best_workers: usize,
-    best_ns: u64,
-    decisions: Vec<SchedDecision>,
-}
-
-/// Worker counts swept for the `sched` section. Counts above the host's
-/// parallelism (or the batch) still run — they just clamp, and the
-/// sweep records what that actually costs.
-const SCHED_SWEEP_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// Repetitions per swept worker count (min-of-N after a warmup run).
-const SCHED_SWEEP_REPS: usize = 5;
-
-/// Repetitions per pipeline in the mono/streamed decision measurement.
-/// Higher than the sweep because the 20% validator band (see
-/// [`SCHED_DECISION_NOISE_BAND`]) must hold across *re-runs*, and
-/// single-instance proves are noisier than β-instance batches.
-const SCHED_DECISION_REPS: usize = 7;
-
-/// Relative band within which the two pipelines count as a statistical
-/// tie and either mono/streamed choice validates. Measured min-of-3
-/// times on a shared single-core host swung ±11% between full runs;
-/// the policy's decision margins (BENCH_pr9: 11% at chain 160, 6% at
-/// chain 640) sit inside that noise, so a narrow band would make
-/// validation a coin flip. 20% accepts ties honestly while still
-/// rejecting a decision that backs a clearly slower pipeline.
-const SCHED_DECISION_NOISE_BAND: f64 = 0.20;
-
-/// Measures the scheduler's two live decisions against ground truth.
-///
-/// Worker sweep: `prove_batch_with_policy` wall clock (min of 3, after a warmup) at
-/// each swept worker count on the main workload, beside the count the
-/// [`Scheduler`] picks for the same shape. The chosen count's time is
-/// taken from its sweep row when present so "chosen vs best" compares
-/// like with like rather than two noisy re-measurements.
-///
-/// Mono/streamed: at both `stream` section circuit sizes, the policy's
-/// pipeline choice under an **unlimited** budget (the interesting case:
-/// nothing forces streaming, the scheduler streams only when it expects
-/// it to be faster) beside min-of-3 measurements of both pipelines.
-fn bench_sched(
-    pcp: &ZaatarPcp<F61, zaatar_poly::Radix2Domain<F61>>,
-    witnesses: &[QapWitness<F61>],
-    smoke: bool,
-) -> SchedSample {
-    let scheduler = Scheduler::new(HostProfile::from_env(), MicroParams::paper_128().into());
-
-    let min_of = |reps: usize, run: &mut dyn FnMut() -> u64| -> u64 {
-        let mut best = u64::MAX;
-        for _ in 0..reps {
-            best = best.min(run());
-        }
-        best
-    };
-
-    let time_batch = |workers: usize| -> u64 {
-        let _warmup = prove_at(pcp, witnesses, workers);
-        min_of(SCHED_SWEEP_REPS, &mut || {
-            let start = Instant::now();
-            let out = prove_at(pcp, witnesses, workers);
-            let ns = start.elapsed().as_nanos() as u64;
-            assert!(out.iter().all(Option::is_some), "honest witnesses");
-            ns.max(1)
-        })
-    };
-
-    let rows: Vec<SchedSweepRow> = SCHED_SWEEP_WORKERS
-        .iter()
-        .map(|&workers| SchedSweepRow { workers, ns: time_batch(workers) })
-        .collect();
-
-    let shape = WorkloadShape {
-        domain_size: pcp.qap().degree() + 1,
-        batch: witnesses.len(),
-        elem_bytes: std::mem::size_of::<F61>(),
-    };
-    let chosen_workers = scheduler.policy(shape, MemBudget::unlimited()).workers;
-    let chosen_ns = rows
-        .iter()
-        .find(|r| r.workers == chosen_workers)
-        .map(|r| r.ns)
-        .unwrap_or_else(|| time_batch(chosen_workers));
-    let best = rows
-        .iter()
-        .min_by_key(|r| r.ns)
-        .expect("sweep is non-empty");
-    let (best_workers, best_ns) = (best.workers, best.ns);
-
-    let chains: [usize; 2] = if smoke { [8, 64] } else { [160, 640] };
-    let decisions = chains
-        .iter()
-        .map(|&chain| {
-            let (pcp, witnesses, _ios) = build_workload(chain, 1);
-            let witness = &witnesses[0];
-            let domain = pcp.qap().degree() + 1;
-            let shape = WorkloadShape {
-                domain_size: domain,
-                batch: 1,
-                elem_bytes: std::mem::size_of::<F61>(),
-            };
-            let policy = scheduler.policy(shape, MemBudget::unlimited());
-            let (policy_streamed, chunk_len) = match policy.proving {
-                Proving::Streamed { chunk_len } => (true, chunk_len),
-                // Time the streamed alternative at the chunk the
-                // scheduler *would* use if it had streamed.
-                Proving::Monolithic => (false, scheduler.chunk_len(shape, MemBudget::unlimited())),
-            };
-            // Warm both code paths (plan caches, scratch pools) before
-            // any timed run, so neither pipeline pays cold costs.
-            let time_under = |policy: ExecPolicy| -> u64 {
-                let mut ws = ProverWorkspace::new().with_policy(policy);
-                let start = Instant::now();
-                prove_instance_policied(&pcp, witness, &mut ws)
-                    .expect("unlimited budget")
-                    .expect("honest witness");
-                start.elapsed().as_nanos() as u64
-            };
-            let (mono, streamed) = (ExecPolicy::serial(), ExecPolicy::streamed(chunk_len));
-            time_under(mono);
-            time_under(streamed);
-            let monolithic_ns = min_of(SCHED_DECISION_REPS, &mut || time_under(mono));
-            let streaming_ns = min_of(SCHED_DECISION_REPS, &mut || time_under(streamed));
-            SchedDecision {
-                chain,
-                domain,
-                predicted_peak_bytes: Scheduler::predicted_monolithic_peak_bytes(shape),
-                policy_streamed,
-                chunk_len,
-                monolithic_ns: monolithic_ns.max(1),
-                streaming_ns: streaming_ns.max(1),
-            }
-        })
-        .collect();
-
-    SchedSample {
-        sweep_batch: witnesses.len(),
-        rows,
-        chosen_workers,
-        chosen_ns,
-        best_workers,
-        best_ns,
-        decisions,
-    }
-}
-
 /// The `server` section: throughput and latency of the multi-tenant
 /// session server at nominal load, plus the deterministic admission
 /// split under synthetic overload.
@@ -870,14 +620,6 @@ fn run_baseline(smoke: bool) -> String {
     // requires.
     let mem_samples = bench_mem_reuse(&pcp, &witnesses);
 
-    // Monolithic-vs-streaming residency comparison at two circuit
-    // sizes — the PR 9 streaming-pipeline gate.
-    let stream_samples = bench_stream(smoke);
-
-    // Scheduler decisions vs ground truth (worker sweep + pipeline
-    // choice) — the PR 10 calibration gate.
-    let sched_sample = bench_sched(&pcp, &witnesses, smoke);
-
     // Multi-tenant session-server throughput and admission behaviour
     // (nominal fleet + deterministic synthetic overload) — populates
     // the server.* counters and the server.session timer.
@@ -1018,55 +760,6 @@ fn run_baseline(smoke: bool) -> String {
             smp.prove_ns_per_instance,
             smp.footprint_bytes,
             if i + 1 < mem_samples.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]},\n");
-    s.push_str("  \"stream\": {\"sizes\": [\n");
-    for (i, smp) in stream_samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"chain\": {}, \"domain\": {}, \"chunk_len\": {}, \
-             \"monolithic_high_water_bytes\": {}, \"streaming_high_water_bytes\": {}, \
-             \"monolithic_prove_ns\": {}, \"streaming_prove_ns\": {}, \"identical\": {}}}{}\n",
-            smp.chain,
-            smp.domain,
-            smp.chunk_len,
-            smp.monolithic_high_water_bytes,
-            smp.streaming_high_water_bytes,
-            smp.monolithic_prove_ns,
-            smp.streaming_prove_ns,
-            smp.identical,
-            if i + 1 < stream_samples.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]},\n");
-    let sc = &sched_sample;
-    s.push_str(&format!(
-        "  \"sched\": {{\"sweep_batch\": {}, \"chosen_workers\": {}, \"chosen_ns\": {}, \
-         \"best_workers\": {}, \"best_ns\": {}, \"sweep\": [\n",
-        sc.sweep_batch, sc.chosen_workers, sc.chosen_ns, sc.best_workers, sc.best_ns,
-    ));
-    for (i, row) in sc.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workers\": {}, \"ns\": {}}}{}\n",
-            row.workers,
-            row.ns,
-            if i + 1 < sc.rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ], \"decisions\": [\n");
-    for (i, d) in sc.decisions.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"chain\": {}, \"domain\": {}, \"predicted_peak_bytes\": {}, \
-             \"policy_streamed\": {}, \"chunk_len\": {}, \"monolithic_ns\": {}, \
-             \"streaming_ns\": {}}}{}\n",
-            d.chain,
-            d.domain,
-            d.predicted_peak_bytes,
-            d.policy_streamed,
-            d.chunk_len,
-            d.monolithic_ns,
-            d.streaming_ns,
-            if i + 1 < sc.decisions.len() { "," } else { "" },
         ));
     }
     s.push_str("  ]},\n");
@@ -1422,181 +1115,6 @@ fn validate_baseline(path: &str) -> Result<(), String> {
             "mem.scratch allocs_per_instance at batch 16 ({last_allocs}) not < batch 1 \
              ({first_allocs}) — workspace reuse must amortize allocations"
         ));
-    }
-
-    let stream = root
-        .get("stream")
-        .and_then(Value::as_object)
-        .ok_or("missing object \"stream\"")?;
-    let stream_sizes = stream
-        .get("sizes")
-        .and_then(Value::as_array)
-        .ok_or("missing array \"stream.sizes\"")?;
-    if stream_sizes.len() < 2 {
-        return Err("stream.sizes needs at least two circuit sizes".into());
-    }
-    let mut prev_domain = 0u64;
-    for (i, entry) in stream_sizes.iter().enumerate() {
-        let e = entry
-            .as_object()
-            .ok_or_else(|| format!("stream.sizes[{i}] is not an object"))?;
-        for field in [
-            "chain",
-            "domain",
-            "chunk_len",
-            "monolithic_high_water_bytes",
-            "streaming_high_water_bytes",
-            "monolithic_prove_ns",
-            "streaming_prove_ns",
-        ] {
-            match e.get(field).and_then(Value::as_u64) {
-                Some(v) if v >= 1 => {}
-                _ => return Err(format!("stream.sizes[{i}].{field} must be an integer >= 1")),
-            }
-        }
-        let domain = e["domain"].as_u64().expect("checked above");
-        if domain <= prev_domain {
-            return Err(format!(
-                "stream.sizes[{i}].domain {domain} not > previous {prev_domain}"
-            ));
-        }
-        prev_domain = domain;
-        // Byte-identity is the streaming pipeline's contract; a
-        // baseline recording divergence is recording a bug.
-        match e.get("identical").and_then(Value::as_bool) {
-            Some(true) => {}
-            Some(false) => {
-                return Err(format!(
-                    "stream.sizes[{i}].identical is false — streaming proof diverged"
-                ))
-            }
-            None => return Err(format!("stream.sizes[{i}].identical missing or not a bool")),
-        }
-    }
-    // The streaming gate: at the larger circuit the chunked pipeline
-    // must hold a strictly smaller peak than the monolithic path.
-    let largest = stream_sizes[stream_sizes.len() - 1]
-        .as_object()
-        .expect("checked above");
-    let mono_hw = largest["monolithic_high_water_bytes"].as_u64().expect("checked above");
-    let stream_hw = largest["streaming_high_water_bytes"].as_u64().expect("checked above");
-    if stream_hw >= mono_hw {
-        return Err(format!(
-            "stream.sizes: streaming high water ({stream_hw}) not strictly below the \
-             monolithic peak ({mono_hw}) at the largest size — the chunked pipeline \
-             is not bounding memory"
-        ));
-    }
-
-    let sched = root
-        .get("sched")
-        .and_then(Value::as_object)
-        .ok_or("missing object \"sched\"")?;
-    for field in ["sweep_batch", "chosen_workers", "chosen_ns", "best_workers", "best_ns"] {
-        match sched.get(field).and_then(Value::as_u64) {
-            Some(v) if v >= 1 => {}
-            _ => return Err(format!("sched.{field} must be an integer >= 1")),
-        }
-    }
-    let sweep = sched
-        .get("sweep")
-        .and_then(Value::as_array)
-        .ok_or("missing array \"sched.sweep\"")?;
-    if sweep.len() < 2 {
-        return Err("sched.sweep needs at least two worker counts".into());
-    }
-    let mut prev_workers = 0u64;
-    let mut serial_ns = None;
-    let mut sweep_min_ns = u64::MAX;
-    for (i, entry) in sweep.iter().enumerate() {
-        let e = entry
-            .as_object()
-            .ok_or_else(|| format!("sched.sweep[{i}] is not an object"))?;
-        for field in ["workers", "ns"] {
-            match e.get(field).and_then(Value::as_u64) {
-                Some(v) if v >= 1 => {}
-                _ => return Err(format!("sched.sweep[{i}].{field} must be an integer >= 1")),
-            }
-        }
-        let workers = e["workers"].as_u64().expect("checked above");
-        let ns = e["ns"].as_u64().expect("checked above");
-        if workers <= prev_workers {
-            return Err(format!("sched.sweep[{i}].workers {workers} not > previous {prev_workers}"));
-        }
-        prev_workers = workers;
-        if workers == 1 {
-            serial_ns = Some(ns);
-        }
-        sweep_min_ns = sweep_min_ns.min(ns);
-    }
-    let serial_ns = serial_ns.ok_or("sched.sweep must include the serial point (workers = 1)")?;
-    let chosen_ns = sched["chosen_ns"].as_u64().expect("checked above");
-    let best_ns = sched["best_ns"].as_u64().expect("checked above");
-    if best_ns != sweep_min_ns {
-        return Err(format!(
-            "sched.best_ns ({best_ns}) is not the sweep minimum ({sweep_min_ns})"
-        ));
-    }
-    // The calibration gate: the scheduler's worker choice must be
-    // within 5% of the best swept configuration and never lose to the
-    // serial fallback it always has available.
-    if chosen_ns as f64 > best_ns as f64 * 1.05 {
-        return Err(format!(
-            "sched.chosen_ns ({chosen_ns}) exceeds 1.05x best_ns ({best_ns}) — the \
-             scheduler picked a measurably wrong worker count"
-        ));
-    }
-    if chosen_ns > serial_ns {
-        return Err(format!(
-            "sched.chosen_ns ({chosen_ns}) is slower than serial ({serial_ns}) — \
-             the scheduler must never lose to the fallback it can always take"
-        ));
-    }
-    let decisions = sched
-        .get("decisions")
-        .and_then(Value::as_array)
-        .ok_or("missing array \"sched.decisions\"")?;
-    if decisions.len() < 2 {
-        return Err("sched.decisions needs both stream circuit sizes".into());
-    }
-    for (i, entry) in decisions.iter().enumerate() {
-        let e = entry
-            .as_object()
-            .ok_or_else(|| format!("sched.decisions[{i}] is not an object"))?;
-        for field in [
-            "chain",
-            "domain",
-            "predicted_peak_bytes",
-            "chunk_len",
-            "monolithic_ns",
-            "streaming_ns",
-        ] {
-            match e.get(field).and_then(Value::as_u64) {
-                Some(v) if v >= 1 => {}
-                _ => return Err(format!("sched.decisions[{i}].{field} must be an integer >= 1")),
-            }
-        }
-        let streamed = e
-            .get("policy_streamed")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| format!("sched.decisions[{i}].policy_streamed missing or not a bool"))?;
-        let mono_ns = e["monolithic_ns"].as_u64().expect("checked above") as f64;
-        let stream_ns = e["streaming_ns"].as_u64().expect("checked above") as f64;
-        // The pipeline-choice gate: under an unlimited budget the
-        // policy must take the measured-faster path. The noise band
-        // keeps a statistical tie from failing either choice (see
-        // SCHED_DECISION_NOISE_BAND for the calibration).
-        let measured_streamed_faster = stream_ns < mono_ns;
-        let within_noise =
-            (stream_ns - mono_ns).abs() <= SCHED_DECISION_NOISE_BAND * mono_ns.max(stream_ns);
-        if streamed != measured_streamed_faster && !within_noise {
-            return Err(format!(
-                "sched.decisions[{i}]: policy_streamed is {streamed} but measurements \
-                 (monolithic {mono_ns} ns vs streaming {stream_ns} ns) favor the other \
-                 path by more than {:.0}% — the pipeline choice is miscalibrated",
-                SCHED_DECISION_NOISE_BAND * 100.0
-            ));
-        }
     }
 
     let server = root

@@ -51,34 +51,38 @@ impl<F: HasGroup> CommitmentKey<F> {
         self.r.is_empty()
     }
 
-    /// **Prover side**: computes the commitment `Enc(π(r)) = ∏ Enc(rᵢ)^(uᵢ)`
-    /// for proof vector `u` (the prover sees only `enc_r`) via the
-    /// Pippenger bucket MSM. A zero-length oracle commits to the
-    /// identity ciphertext `Enc(0)` — pinned behavior, not a panic.
+    /// **Prover side**: [`Self::commit_chunked`] with one covering chunk
+    /// and a throwaway workspace.
     pub fn commit(enc_r: &[Ciphertext], u: &[F]) -> Ciphertext {
-        let _span = zaatar_obs::time("commit.commit");
-        ElGamal::<F>::inner_product(enc_r, u)
+        Self::commit_chunked(enc_r, u, usize::MAX, &mut crate::ProverWorkspace::new())
     }
 
-    /// [`Self::commit`] leasing the MSM bucket accumulators from a
-    /// [`crate::ProverWorkspace`], so a worker committing to a whole
-    /// batch allocates bucket storage once. Result is identical to
-    /// [`Self::commit`] (the pool only recycles capacity).
+    /// [`Self::commit_chunked`] with one covering chunk. Kept because
+    /// `zbench` calls it; the session layer passes the policy's chunk
+    /// length to [`Self::commit_chunked`] itself.
     pub fn commit_with(
         enc_r: &[Ciphertext],
         u: &[F],
         ws: &mut crate::ProverWorkspace<F>,
     ) -> Ciphertext {
-        let _span = zaatar_obs::time("commit.commit");
-        ElGamal::<F>::inner_product_scratch(enc_r, u, ws.group_scratch())
+        Self::commit_chunked(enc_r, u, usize::MAX, ws)
     }
 
-    /// [`Self::commit_with`] feeding the MSM `chunk_len` scalars at a
-    /// time: each chunk runs its own bucket pass sized to the chunk and
-    /// the partial residues fold in the group, so peak bucket storage
-    /// tracks the chunk, not the oracle length. The group fold is exact
-    /// (a product of partial products is the one-shot product), so the
-    /// ciphertext is identical to [`Self::commit`].
+    /// **Prover side**: computes the commitment
+    /// `Enc(π(r)) = ∏ Enc(rᵢ)^(uᵢ)` for proof vector `u` (the prover
+    /// sees only `enc_r`), feeding the Pippenger bucket MSM `chunk_len`
+    /// scalars at a time with the bucket accumulators leased from `ws`:
+    /// each chunk runs its own bucket pass sized to the chunk and the
+    /// partial residues fold in the group, so peak bucket storage tracks
+    /// the chunk, not the oracle length. The group fold is exact (a
+    /// product of partial products is the one-shot product), so the
+    /// ciphertext is identical at every chunk length; any length ≥
+    /// `u.len()` is one covering chunk. A zero-length oracle commits to
+    /// the identity ciphertext `Enc(0)` — pinned behavior, not a panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or `chunk_len == 0`.
     pub fn commit_chunked(
         enc_r: &[Ciphertext],
         u: &[F],

@@ -52,7 +52,7 @@ pub use ginger::{GingerPcp, GingerProof};
 pub use matvec::QueryMatrix;
 pub use pcp::{BatchQuerySet, PcpParams, QuerySet, ZaatarPcp, ZaatarProof};
 pub use network::{queries_from_seed, zaatar_network_costs, NetworkCosts};
-pub use qap::{Qap, QapEvals, QapWitness, StagedWitness, StagedWitnessChunked};
+pub use qap::{Qap, QapEvals, QapWitness, StagedWitnessChunked};
 pub use runtime::{
     parse_instance_index, prove_batch_with_policy, prove_instance_policied,
     run_hetero_session_prover, run_hetero_session_verifier, run_session_prover,

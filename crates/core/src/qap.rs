@@ -19,7 +19,6 @@ use zaatar_field::PrimeField;
 use zaatar_mem::{BudgetError, ChunkedVec};
 use zaatar_poly::domain::EvalDomain;
 use zaatar_poly::{Radix2Domain, SparsePoly};
-use zaatar_sched::Proving;
 
 use crate::workspace::ProverWorkspace;
 
@@ -108,21 +107,10 @@ impl<F: PrimeField> QapWitness<F> {
 }
 
 /// Output of the prover pipeline's Witness stage
-/// ([`Qap::witness_stage`]): the per-constraint values of `A`, `B`, `C`
-/// for one instance, held in workspace-leased buffers. Consume it with
-/// [`Qap::quotient_stage`], which recycles the buffers into the same
-/// workspace.
-pub struct StagedWitness<F> {
-    a_vals: Vec<F>,
-    b_vals: Vec<F>,
-    c_vals: Vec<F>,
-}
-
-/// Output of the *streaming* Witness stage
-/// ([`Qap::witness_stage_streamed`]): the same per-constraint values as
-/// [`StagedWitness`], materialized as pool-leased chunks so the quotient
-/// kernel can return each chunk the moment it is absorbed. Consume with
-/// [`Qap::quotient_stage_streamed`].
+/// ([`Qap::witness_stage_streamed`]): the per-constraint values of `A`,
+/// `B`, `C` for one instance, materialized as pool-leased chunks so the
+/// quotient kernel can return each chunk the moment it is absorbed.
+/// Consume with [`Qap::quotient_stage_streamed`].
 pub struct StagedWitnessChunked<F> {
     a_vals: ChunkedVec<F>,
     b_vals: ChunkedVec<F>,
@@ -287,7 +275,8 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
 
     /// Per-constraint inner products `Σᵢ wᵢ·mᵢⱼ` for a full `w`, into a
     /// buffer leased from `ws` (including padding zeros beyond the real
-    /// constraints).
+    /// constraints) — the flat reference [`Qap::compute_h_unchecked`]
+    /// runs and the chunked Witness stage is tested against.
     fn combine_rows_into(
         &self,
         rows: &[SparsePoly<F>],
@@ -301,69 +290,50 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
         acc
     }
 
-    /// Pipeline stage 1 — **Witness**: assembles the full `w` vector and
-    /// combines the sparse rows into the per-constraint values of `A`,
-    /// `B`, `C`, all in buffers leased from the workspace. The output is
-    /// consumed (and its buffers recycled) by [`Qap::quotient_stage`].
+    /// [`Qap::witness_stage_streamed`] at one covering chunk. Kept
+    /// because `zbench` calls it; prover code goes through
+    /// [`Qap::compute_h_policied`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace's budget refuses a lease.
     pub fn witness_stage(
         &self,
         witness: &QapWitness<F>,
         ws: &mut ProverWorkspace<F>,
-    ) -> StagedWitness<F> {
-        let z_len = witness.z.len();
-        let mut w = ws.scratch().take(1 + z_len + witness.io.len(), F::ZERO);
-        w[0] = F::ONE;
-        w[1..=z_len].clone_from_slice(&witness.z);
-        w[1 + z_len..].clone_from_slice(&witness.io);
-        let a_vals = self.combine_rows_into(&self.a_rows, &w, ws);
-        let b_vals = self.combine_rows_into(&self.b_rows, &w, ws);
-        let c_vals = self.combine_rows_into(&self.c_rows, &w, ws);
-        ws.scratch().put(w);
-        StagedWitness {
-            a_vals,
-            b_vals,
-            c_vals,
-        }
+    ) -> StagedWitnessChunked<F> {
+        self.witness_stage_streamed(witness, self.degree(), ws)
+            .expect("budget refused a covering-chunk Witness lease")
     }
 
-    /// Pipeline stage 2 — **Quotient**: hands the staged per-constraint
-    /// values to the domain's quotient kernel
-    /// ([`EvalDomain::quotient_zero_pinned_scratch`], coset transforms
-    /// over workspace buffers on the NTT fast path) and returns the
-    /// staged buffers to the pool. `None` means the divisibility gate
-    /// failed — `w` is not a satisfying assignment.
+    /// [`Qap::quotient_stage_streamed`] with a refused lease turned
+    /// into a panic. Kept because `zbench` calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace's budget refuses a lease.
     pub fn quotient_stage(
         &self,
-        staged: StagedWitness<F>,
+        staged: StagedWitnessChunked<F>,
         ws: &mut ProverWorkspace<F>,
     ) -> Option<Vec<F>> {
-        let h = self.domain.quotient_zero_pinned_scratch(
-            &staged.a_vals,
-            &staged.b_vals,
-            &staged.c_vals,
-            ws.scratch(),
-        );
-        ws.scratch().put(staged.c_vals);
-        ws.scratch().put(staged.b_vals);
-        ws.scratch().put(staged.a_vals);
-        debug_assert!(
-            h.as_ref().is_none_or(|h| h.len() == self.degree() + 1),
-            "quotient kernel must return degree()+1 coefficients"
-        );
-        h
+        self.quotient_stage_streamed(staged, ws)
+            .expect("budget refused a Quotient-stage lease")
     }
 
-    /// Streaming stage 1 — **Witness**, chunked: walks the constraint
-    /// rows variable-by-variable *without materializing the full `w`
-    /// vector* (each `wᵢ` is read straight out of the witness: the
-    /// constant 1, then `z`, then `io`), accumulating into chunked
-    /// `A`/`B`/`C` value vectors leased `chunk_len` elements at a time.
-    /// The per-slot accumulation order is identical to
-    /// [`Qap::witness_stage`] (same rows, same entry order, same
-    /// skip-zero-scale rule), so the values are bit-identical; what
-    /// changes is residency — the `1 + n' + |io|` element `w` buffer is
-    /// never allocated, and a budget-limited workspace gets a typed
-    /// rejection instead of an OOM.
+    /// Pipeline stage 1 — **Witness**: walks the constraint rows
+    /// variable-by-variable *without materializing the full `w` vector*
+    /// (each `wᵢ` is read straight out of the witness: the constant 1,
+    /// then `z`, then `io`), accumulating into chunked `A`/`B`/`C` value
+    /// vectors leased `chunk_len` elements at a time. The per-slot
+    /// accumulation order mirrors [`SparsePoly::accumulate_into`] (same
+    /// rows, same entry order, same skip-zero-scale rule), so the values
+    /// are the same at every chunk length; a budget-limited workspace
+    /// gets a typed rejection instead of an OOM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_len == 0`.
     pub fn witness_stage_streamed(
         &self,
         witness: &QapWitness<F>,
@@ -414,11 +384,11 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
         Ok(staged)
     }
 
-    /// Streaming stage 2 — **Quotient**: hands the chunked values to the
-    /// domain's streaming kernel
+    /// Pipeline stage 2 — **Quotient**: hands the chunked values to the
+    /// domain's quotient kernel
     /// ([`EvalDomain::quotient_zero_pinned_streamed`]), which returns
     /// each chunk to the pool as it is absorbed. `Ok(None)` means the
-    /// divisibility gate failed, exactly as [`Qap::quotient_stage`].
+    /// divisibility gate failed — `w` is not a satisfying assignment.
     pub fn quotient_stage_streamed(
         &self,
         staged: StagedWitnessChunked<F>,
@@ -438,33 +408,24 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
     }
 
     /// The prover's quotient computation (App. A.3): the Witness and
-    /// Quotient stages back to back, through whichever pipeline the
-    /// workspace's stamped [`zaatar_sched::ExecPolicy`] selects —
-    /// [`Proving::Monolithic`] runs [`Qap::witness_stage`] +
-    /// [`Qap::quotient_stage`] over full-length soft leases (the `Err`
-    /// path is then unreachable), [`Proving::Streamed`] runs the
-    /// `_streamed` stages over hard `chunk_len` leases, bounding peak
-    /// residency by two coset buffers plus one chunk.
+    /// Quotient stages back to back over hard (`try_take`) leases, at the
+    /// chunk length the workspace's stamped [`zaatar_sched::ExecPolicy`]
+    /// gives for this domain ([`zaatar_sched::Proving::chunk_len_for`]).
+    /// Peak residency is two coset buffers plus the three value vectors
+    /// (7 elements per domain point) at any chunk length.
     ///
     /// Returns the coefficients of `H(t)` (length `degree() + 1`),
-    /// bit-identical either way; `Ok(None)` means `D(t)` does not divide
-    /// `P_w(t)` — `w` is not a satisfying assignment.
+    /// bit-identical under every policy; `Ok(None)` means `D(t)` does not
+    /// divide `P_w(t)` — `w` is not a satisfying assignment.
     pub fn compute_h_policied(
         &self,
         witness: &QapWitness<F>,
         ws: &mut ProverWorkspace<F>,
     ) -> Result<Option<Vec<F>>, BudgetError> {
         let _span = zaatar_obs::time("qap.compute_h");
-        match ws.policy().proving {
-            Proving::Monolithic => {
-                let staged = self.witness_stage(witness, ws);
-                Ok(self.quotient_stage(staged, ws))
-            }
-            Proving::Streamed { chunk_len } => {
-                let staged = self.witness_stage_streamed(witness, chunk_len, ws)?;
-                self.quotient_stage_streamed(staged, ws)
-            }
-        }
+        let chunk_len = ws.policy().proving.chunk_len_for(self.degree());
+        let staged = self.witness_stage_streamed(witness, chunk_len, ws)?;
+        self.quotient_stage_streamed(staged, ws)
     }
 
     /// Like [`Qap::compute_h_policied`] but returns the (useless)
@@ -570,6 +531,32 @@ mod tests {
             assignments.push(t.extend_assignment(&asg));
         }
         (t.system, assignments)
+    }
+
+    #[test]
+    fn chunked_witness_values_match_flat_combination() {
+        // Covering chunk, even split, ragged tail of 7 — all against
+        // combine_rows_into over the materialised w.
+        let (sys, asgs) = small_system();
+        let qap = Qap::with_domain(&sys, Radix2Domain::new(sys.constraints.len() * 8));
+        let n = qap.degree();
+        let mut ws = ProverWorkspace::new();
+        for asg in &asgs {
+            let witness = qap.witness(asg);
+            let w = witness.full();
+            let a = qap.combine_rows_into(&qap.a_rows, &w, &mut ws);
+            let b = qap.combine_rows_into(&qap.b_rows, &w, &mut ws);
+            let c = qap.combine_rows_into(&qap.c_rows, &w, &mut ws);
+            for chunk_len in [n, n / 2, 7] {
+                let staged = qap
+                    .witness_stage_streamed(&witness, chunk_len, &mut ws)
+                    .expect("no budget");
+                assert_eq!(staged.a_vals.to_vec(), a, "chunk_len={chunk_len}");
+                assert_eq!(staged.b_vals.to_vec(), b, "chunk_len={chunk_len}");
+                assert_eq!(staged.c_vals.to_vec(), c, "chunk_len={chunk_len}");
+                assert!(qap.quotient_stage(staged, &mut ws).is_some());
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use zaatar_crypto::{ChaChaPrg, Ciphertext, HasGroup};
 use zaatar_field::PrimeField;
 use zaatar_poly::domain::EvalDomain;
-use zaatar_sched::Proving;
 
 use zaatar_transport::TransportError;
 
@@ -40,7 +39,7 @@ pub enum SessionError {
     /// The peer violated the message sequence in a way retransmission
     /// cannot fix.
     Protocol(&'static str),
-    /// The streaming prover's workspace budget refused a buffer lease:
+    /// The prover's workspace budget refused a buffer lease:
     /// admitting `requested_bytes` on top of `footprint_bytes` already
     /// outstanding would exceed `limit_bytes`. The session is intact —
     /// a driver can retry with a smaller chunk size, shed other
@@ -288,15 +287,14 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
     /// [`SessionError::SetupNotReceived`] when called before
     /// [`SessionProver::receive_setup`] has succeeded.
     ///
-    /// The workspace's stamped [`zaatar_sched::ExecPolicy`] selects the
-    /// commitment engine: [`Proving::Monolithic`] runs one Pippenger MSM
-    /// per oracle, [`Proving::Streamed`] feeds the MSM `chunk_len`
-    /// scalars at a time so bucket storage tracks the chunk instead of
-    /// the oracle length. The Answer-stage buffers are always hard
-    /// `try_take` leases — identical to `take` under an unlimited
-    /// budget, a typed [`SessionError::BudgetExceeded`] instead of an
-    /// allocation past the cap under a finite one. Bytes on the wire are
-    /// identical under every policy.
+    /// The workspace's stamped [`zaatar_sched::ExecPolicy`] gives the
+    /// chunk length the commitment MSM is fed at
+    /// ([`zaatar_sched::Proving::chunk_len_for`]), so bucket storage
+    /// tracks the chunk instead of the oracle length. The Answer-stage
+    /// buffers are hard `try_take` leases — identical to `take` under an
+    /// unlimited budget, a typed [`SessionError::BudgetExceeded`] instead
+    /// of an allocation past the cap under a finite one. Bytes on the
+    /// wire are identical under every policy.
     pub fn instance_message_policied(
         &self,
         proof: &ZaatarProof<F>,
@@ -304,12 +302,8 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
     ) -> Result<Vec<u8>, SessionError> {
         let queries = self.queries.as_ref().ok_or(SessionError::SetupNotReceived)?;
         let commit = |enc_r: &[Ciphertext], u: &[F], ws: &mut ProverWorkspace<F>| {
-            match ws.policy().proving {
-                Proving::Monolithic => CommitmentKey::<F>::commit_with(enc_r, u, ws),
-                Proving::Streamed { chunk_len } => {
-                    CommitmentKey::<F>::commit_chunked(enc_r, u, chunk_len, ws)
-                }
-            }
+            let chunk_len = ws.policy().proving.chunk_len_for(u.len());
+            CommitmentKey::<F>::commit_chunked(enc_r, u, chunk_len, ws)
         };
         let commitments = (
             commit(&self.enc_r_z, &proof.z, ws),

@@ -57,7 +57,7 @@ impl<F> ProverWorkspace<F> {
     }
 
     /// An empty workspace whose pools each enforce `budget` as a hard
-    /// cap: the streaming prover's `try_take` leases fail with a typed
+    /// cap: the prover's `try_take` leases fail with a typed
     /// [`zaatar_mem::BudgetError`] (surfaced as
     /// [`crate::session::SessionError::BudgetExceeded`]) instead of
     /// allocating past the ceiling. The cap applies per pool — the same
@@ -101,9 +101,7 @@ impl<F> ProverWorkspace<F> {
     }
 
     /// The larger of the two pools' own peak footprints — the
-    /// per-workspace quantity the budget caps, and what the bench's
-    /// `stream` section compares between the monolithic and streaming
-    /// paths.
+    /// per-workspace quantity the budget caps.
     pub fn high_water_bytes(&self) -> usize {
         self.scratch
             .high_water_bytes()

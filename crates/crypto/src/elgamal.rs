@@ -158,59 +158,37 @@ impl<F: HasGroup> ElGamal<F> {
 
     /// Homomorphic inner product: `∏ Enc(rᵢ)^(uᵢ) = Enc(⟨r, u⟩)` — the
     /// prover's entire commitment computation (§2.2, "apply its function
-    /// to an encrypted vector").
-    ///
-    /// Runs the Pippenger bucket MSM ([`SchnorrGroup::msm`]) once per
-    /// ciphertext component; a zero-length oracle commits to the
-    /// identity ciphertext ([`Self::zero`]), never a panic.
+    /// to an encrypted vector"): [`Self::inner_product_chunked`] with one
+    /// covering chunk and a throwaway pool.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
     pub fn inner_product(cts: &[Ciphertext], scalars: &[F]) -> Ciphertext {
-        Self::inner_product_scratch(cts, scalars, &mut Scratch::new())
+        Self::inner_product_chunked(cts, scalars, usize::MAX, &mut Scratch::new())
     }
 
-    /// [`Self::inner_product`] leasing the MSM bucket accumulators from
-    /// a caller-owned [`Scratch`] pool (the prover's commit and answer
-    /// stages thread their `ProverWorkspace` pool through here).
+    /// [`Self::inner_product_chunked`] with one covering chunk.
     pub fn inner_product_scratch(
         cts: &[Ciphertext],
         scalars: &[F],
         scratch: &mut Scratch<u64>,
     ) -> Ciphertext {
-        assert_eq!(cts.len(), scalars.len(), "length mismatch");
-        let g = Self::group();
-        // Gather the surviving (nonzero-scalar) pairs once, then run one
-        // MSM per ciphertext component over the same scalar set.
-        let mut c1s: Vec<&[u64]> = Vec::with_capacity(cts.len());
-        let mut c2s: Vec<&[u64]> = Vec::with_capacity(cts.len());
-        let mut exps: Vec<Vec<u64>> = Vec::with_capacity(cts.len());
-        for (ct, s) in cts.iter().zip(scalars.iter()) {
-            if s.is_zero() {
-                continue;
-            }
-            c1s.push(ct.c1.words());
-            c2s.push(ct.c2.words());
-            exps.push(s.exponent_words());
-        }
-        let exp_refs: Vec<&[u64]> = exps.iter().map(|e| e.as_slice()).collect();
-        Ciphertext {
-            c1: GroupElem::from_mont_words(g.msm_words(&c1s, &exp_refs, scratch)),
-            c2: GroupElem::from_mont_words(g.msm_words(&c2s, &exp_refs, scratch)),
-        }
+        Self::inner_product_chunked(cts, scalars, usize::MAX, scratch)
     }
 
-    /// [`Self::inner_product_scratch`] consuming the scalar vector
-    /// `chunk_len` entries at a time: each chunk's pairs run through the
-    /// Pippenger kernel separately and the per-chunk ciphertext products
+    /// The commitment engine: consumes the scalar vector `chunk_len`
+    /// entries at a time (any length ≥ the vector's is one covering
+    /// chunk). Each chunk's surviving (nonzero-scalar) pairs run through
+    /// the Pippenger bucket MSM once per ciphertext component, leasing
+    /// the bucket accumulators from `scratch`, and the per-chunk products
     /// fold together via [`MsmAccumulator`]. The group product over
-    /// ordered chunks equals the one-shot product, so the resulting
-    /// ciphertext is **equal** (byte-identical once serialized) to the
-    /// monolithic path's — while peak transient memory is bounded by the
-    /// chunk: the gathered word-slice vectors and the leased MSM bucket
-    /// buffer are all chunk-sized. This is the streaming commit stage's
-    /// entry point.
+    /// ordered chunks equals the one-shot product, so the ciphertext is
+    /// **equal** (byte-identical once serialized) at every chunk length
+    /// — while peak transient memory is bounded by the chunk: the
+    /// gathered word-slice vectors and the bucket buffer are chunk-sized.
+    /// A zero-length oracle commits to the identity ciphertext
+    /// ([`Self::zero`]), never a panic.
     ///
     /// # Panics
     ///
@@ -226,9 +204,10 @@ impl<F: HasGroup> ElGamal<F> {
         let g = Self::group();
         let mut acc1 = MsmAccumulator::new();
         let mut acc2 = MsmAccumulator::new();
-        let mut c1s: Vec<&[u64]> = Vec::with_capacity(chunk_len);
-        let mut c2s: Vec<&[u64]> = Vec::with_capacity(chunk_len);
-        let mut exps: Vec<Vec<u64>> = Vec::with_capacity(chunk_len);
+        let reserve = chunk_len.min(cts.len());
+        let mut c1s: Vec<&[u64]> = Vec::with_capacity(reserve);
+        let mut c2s: Vec<&[u64]> = Vec::with_capacity(reserve);
+        let mut exps: Vec<Vec<u64>> = Vec::with_capacity(reserve);
         for (ct_chunk, s_chunk) in cts.chunks(chunk_len).zip(scalars.chunks(chunk_len)) {
             c1s.clear();
             c2s.clear();
@@ -374,11 +353,12 @@ mod tests {
     }
 
     #[test]
-    fn chunked_inner_product_identical_to_monolithic() {
-        // The streaming commit stage's accumulation must yield the
-        // *same ciphertext* (not just the same plaintext) as the
-        // one-shot MSM, for every chunking including ragged tails and
-        // chunks that are entirely zero-scalar.
+    fn chunked_inner_product_matches_naive_at_every_chunking() {
+        // The commitment engine must yield the *same ciphertext* (not
+        // just the same plaintext) as the per-element reference, for
+        // every chunking: chunk 1, ragged tails, chunks that are
+        // entirely zero-scalar, covering, and oversized up to
+        // `usize::MAX` (which must not reserve what it names).
         let (kp, mut prg) = setup();
         let r: Vec<F61> = (1..=17u64).map(|i| F61::from_u64(i * 31 + 5)).collect();
         let mut u: Vec<F61> = (1..=17u64).map(|i| F61::from_u64(i * 13)).collect();
@@ -387,16 +367,18 @@ mod tests {
         u[9] = F61::ZERO;
         let cts = Eg::encrypt_vec(kp.public(), &r, &mut prg);
         let mut scratch = Scratch::new();
-        let reference = Eg::inner_product_scratch(&cts, &u, &mut scratch);
-        for chunk_len in [1usize, 3, 8, 17, 64] {
+        let reference = Eg::inner_product_naive(&cts, &u);
+        for chunk_len in [1usize, 3, 8, 17, 64, 1 << 40, usize::MAX] {
             let chunked = Eg::inner_product_chunked(&cts, &u, chunk_len, &mut scratch);
             assert_eq!(chunked, reference, "chunk_len={chunk_len}");
         }
-        // Empty input commits to the identity on both paths.
+        assert_eq!(Eg::inner_product_scratch(&cts, &u, &mut scratch), reference);
+        // Empty input commits to the identity.
         assert_eq!(
             Eg::inner_product_chunked(&[], &[], 4, &mut scratch),
             Eg::zero()
         );
+        assert_eq!(Eg::inner_product(&[], &[]), Eg::zero());
     }
 
     #[test]

@@ -359,7 +359,7 @@ impl SchnorrGroup {
 /// over the concatenated inputs — the same residue, hence byte-identical
 /// serialized commitments — while the leased bucket buffer is sized by
 /// the *chunk* length ([`msm_window_bits`]), not the full vector. This
-/// is how the streaming commit stage feeds `msm_scratch` scalars
+/// is how the commit stage feeds `msm_scratch` scalars
 /// chunk-at-a-time under a memory budget.
 #[derive(Default)]
 pub struct MsmAccumulator {
@@ -397,30 +397,6 @@ impl SchnorrGroup {
     /// was accumulated).
     pub fn msm_accumulator_finish(&self, acc: MsmAccumulator) -> GroupElem {
         GroupElem::from_mont_words(acc.acc.unwrap_or_else(|| self.ctx.one()))
-    }
-
-    /// [`Self::msm_scratch`] fed `chunk_len` pairs at a time through an
-    /// [`MsmAccumulator`]. Identical result; bucket scratch sized by the
-    /// chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or `chunk_len == 0`.
-    pub fn msm_chunked(
-        &self,
-        bases: &[GroupElem],
-        scalars: &[&[u64]],
-        chunk_len: usize,
-        scratch: &mut Scratch<u64>,
-    ) -> GroupElem {
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        assert_eq!(bases.len(), scalars.len(), "length mismatch");
-        let mut acc = MsmAccumulator::new();
-        for (bs, ss) in bases.chunks(chunk_len).zip(scalars.chunks(chunk_len)) {
-            let refs: Vec<&[u64]> = bs.iter().map(|b| b.mont.as_slice()).collect();
-            self.msm_words_accumulate(&mut acc, &refs, ss, scratch);
-        }
-        self.msm_accumulator_finish(acc)
     }
 }
 
@@ -767,27 +743,6 @@ mod tests {
         assert_eq!(
             g.pow(&ga, &c.exponent_words()),
             g.gen_pow(&(a * c).exponent_words())
-        );
-    }
-
-    #[test]
-    fn chunked_msm_identical_to_one_shot() {
-        let g = F61::group();
-        let bases: Vec<GroupElem> = (1..=13u64).map(|i| g.gen_pow(&[i * 7 + 1])).collect();
-        let exps: Vec<Vec<u64>> = (1..=13u64)
-            .map(|i| F61::from_u64(i * 0x1_0001 + 3).exponent_words())
-            .collect();
-        let exp_refs: Vec<&[u64]> = exps.iter().map(|e| e.as_slice()).collect();
-        let mut scratch = Scratch::new();
-        let reference = g.msm_scratch(&bases, &exp_refs, &mut scratch);
-        for chunk_len in [1usize, 2, 5, 13, 100] {
-            let chunked = g.msm_chunked(&bases, &exp_refs, chunk_len, &mut scratch);
-            assert_eq!(chunked, reference, "chunk_len={chunk_len}");
-        }
-        // An empty accumulator finishes to the identity.
-        assert_eq!(
-            g.msm_accumulator_finish(MsmAccumulator::new()),
-            g.identity()
         );
     }
 

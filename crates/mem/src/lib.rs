@@ -19,7 +19,7 @@
 //! which the leak-guard tests and the bench baseline's `mem` section
 //! read.
 //!
-//! The streaming prover additionally uses [`ChunkedVec`] — a vector
+//! The prover's stages additionally use [`ChunkedVec`] — a vector
 //! materialized as a sequence of size-classed chunks leased from a
 //! [`Scratch`] pool — and [`MemBudget`], which turns the pool's
 //! high-water mark from an observation into a hard cap enforced by
@@ -151,16 +151,6 @@ impl MemBudget {
         };
         let n: usize = digits.trim().parse().ok()?;
         n.checked_shl(shift).map(MemBudget::bytes)
-    }
-
-    /// Reads the `ZAATAR_MEM_BUDGET` environment knob (see
-    /// [`MemBudget::parse`] for the accepted forms). Unset or malformed
-    /// values yield an unlimited budget.
-    pub fn from_env() -> MemBudget {
-        std::env::var("ZAATAR_MEM_BUDGET")
-            .ok()
-            .and_then(|v| MemBudget::parse(&v))
-            .unwrap_or_else(MemBudget::unlimited)
     }
 }
 
@@ -430,7 +420,7 @@ impl<T> Default for Scratch<T> {
 /// A logically contiguous vector materialized as a sequence of
 /// fixed-size chunks leased from a [`Scratch`] pool.
 ///
-/// The streaming prover stages pass these instead of flat `Vec`s: a
+/// The prover stages pass these instead of flat `Vec`s: a
 /// producer fills the chunks in order, and a consumer that walks them
 /// front-to-back can return each chunk to the pool the moment it is
 /// done with it ([`ChunkedVec::drain`]), so peak residency is bounded
@@ -450,33 +440,14 @@ pub struct ChunkedVec<T> {
 
 impl<T> ChunkedVec<T> {
     /// Leases chunks for `len` elements (each set to `fill`) from the
-    /// pool, `chunk_len` elements per chunk.
+    /// pool, `chunk_len` elements per chunk, under the pool's budget
+    /// ([`Scratch::try_take`]): on rejection, every chunk leased so far
+    /// is returned to the pool before the error propagates, so a failed
+    /// lease never strands memory.
     ///
     /// # Panics
     ///
     /// Panics if `chunk_len == 0`.
-    pub fn take(scratch: &mut Scratch<T>, len: usize, chunk_len: usize, fill: T) -> Self
-    where
-        T: Clone,
-    {
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        let mut chunks = Vec::with_capacity(len.div_ceil(chunk_len));
-        let mut remaining = len;
-        while remaining > 0 {
-            let this = remaining.min(chunk_len);
-            chunks.push(scratch.take(this, fill.clone()));
-            remaining -= this;
-        }
-        ChunkedVec {
-            chunks,
-            chunk_len,
-            len,
-        }
-    }
-
-    /// Budget-enforcing [`ChunkedVec::take`]: on rejection, every chunk
-    /// leased so far is returned to the pool before the error
-    /// propagates, so a failed lease never strands memory.
     pub fn try_take(
         scratch: &mut Scratch<T>,
         len: usize,
@@ -524,21 +495,6 @@ impl<T> ChunkedVec<T> {
         self.chunk_len
     }
 
-    /// Number of chunks.
-    pub fn num_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// The `k`-th chunk as a slice.
-    pub fn chunk(&self, k: usize) -> &[T] {
-        &self.chunks[k]
-    }
-
-    /// The `k`-th chunk as a mutable slice.
-    pub fn chunk_mut(&mut self, k: usize) -> &mut [T] {
-        &mut self.chunks[k]
-    }
-
     /// The element at logical index `i`.
     pub fn get(&self, i: usize) -> &T {
         &self.chunks[i / self.chunk_len][i % self.chunk_len]
@@ -547,14 +503,6 @@ impl<T> ChunkedVec<T> {
     /// Mutable access to the element at logical index `i`.
     pub fn get_mut(&mut self, i: usize) -> &mut T {
         &mut self.chunks[i / self.chunk_len][i % self.chunk_len]
-    }
-
-    /// A cursor over `(base_offset, chunk)` views, front to back.
-    pub fn cursor(&self) -> StreamCursor<'_, T> {
-        StreamCursor {
-            chunks: self.chunks.iter(),
-            offset: 0,
-        }
     }
 
     /// Returns every chunk to the pool.
@@ -578,7 +526,7 @@ impl<T> ChunkedVec<T> {
     }
 
     /// Copies the chunks out into one flat `Vec` (for differential
-    /// tests and the monolithic fallback path).
+    /// tests and domains without a chunk-draining kernel).
     pub fn to_vec(&self) -> Vec<T>
     where
         T: Clone,
@@ -588,24 +536,6 @@ impl<T> ChunkedVec<T> {
             out.extend_from_slice(c);
         }
         out
-    }
-}
-
-/// Iterator over a [`ChunkedVec`]'s `(base_offset, chunk)` views in
-/// logical order.
-pub struct StreamCursor<'a, T> {
-    chunks: std::slice::Iter<'a, Vec<T>>,
-    offset: usize,
-}
-
-impl<'a, T> Iterator for StreamCursor<'a, T> {
-    type Item = (usize, &'a [T]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let c = self.chunks.next()?;
-        let off = self.offset;
-        self.offset += c.len();
-        Some((off, c.as_slice()))
     }
 }
 
@@ -788,42 +718,28 @@ mod tests {
     #[test]
     fn chunked_vec_round_trips_with_ragged_tail() {
         let mut s: Scratch<u64> = Scratch::new();
-        let mut cv = ChunkedVec::take(&mut s, 10, 4, 0u64);
+        let mut cv = ChunkedVec::try_take(&mut s, 10, 4, 0u64).expect("no budget");
         assert_eq!(cv.len(), 10);
-        assert_eq!(cv.num_chunks(), 3);
-        assert_eq!(cv.chunk(2).len(), 2, "tail chunk is ragged");
+        assert_eq!(cv.chunk_len(), 4);
         for i in 0..10 {
             *cv.get_mut(i) = i as u64 * 3;
         }
         assert_eq!(*cv.get(7), 21);
-        // Cursor walks (offset, chunk) in order and covers every slot.
-        let mut seen = Vec::new();
-        for (off, chunk) in cv.cursor() {
-            for (j, v) in chunk.iter().enumerate() {
-                seen.push((off + j, *v));
-            }
-        }
-        assert_eq!(seen.len(), 10);
-        assert!(seen.iter().all(|&(i, v)| v == i as u64 * 3));
         assert_eq!(cv.to_vec(), (0..10).map(|i| i * 3).collect::<Vec<u64>>());
         cv.release(&mut s);
         assert_eq!(s.outstanding_bytes(), 0);
+        // Two full chunks and the ragged 2-element tail.
         assert_eq!(s.pooled(), 3);
     }
 
     #[test]
     fn chunked_vec_drain_returns_chunks_progressively() {
         let mut s: Scratch<u64> = Scratch::new();
-        let cv = ChunkedVec::take(&mut s, 8, 4, 5u64);
-        assert_eq!(s.outstanding_bytes(), 2 * 4 * 8);
-        let mut offsets = Vec::new();
-        let mut total = 0u64;
-        cv.drain(&mut s, |off, chunk| {
-            offsets.push(off);
-            total += chunk.iter().sum::<u64>();
-        });
-        assert_eq!(offsets, vec![0, 4]);
-        assert_eq!(total, 8 * 5);
+        let cv = ChunkedVec::try_take(&mut s, 10, 4, 5u64).expect("no budget");
+        assert_eq!(s.outstanding_bytes(), (4 + 4 + 2) * 8);
+        let mut seen = Vec::new();
+        cv.drain(&mut s, |off, chunk| seen.push((off, chunk.len(), chunk.iter().sum::<u64>())));
+        assert_eq!(seen, vec![(0, 4, 20), (4, 4, 20), (8, 2, 10)]);
         assert_eq!(s.outstanding_bytes(), 0);
     }
 

@@ -115,14 +115,10 @@ pub trait EvalDomain<F: PrimeField>: Clone + Send + Sync {
         Some(h)
     }
 
-    /// [`EvalDomain::quotient_zero_pinned`] with every temporary drawn
-    /// from a caller-owned [`Scratch`] pool, returning exactly the
-    /// `size() + 1` coefficients of `H` (zero-padded). The staged prover
-    /// runs one pool per worker thread, so a domain that overrides this
-    /// (the NTT fast path) pays for its transform buffers once per
-    /// worker instead of once per instance. Field arithmetic is exact,
-    /// so the coefficients are identical to the allocating path's —
-    /// which is also the default implementation here.
+    /// [`EvalDomain::quotient_zero_pinned`] returning exactly the
+    /// `size() + 1` coefficients of `H` (zero-padded) — the flat-slice
+    /// form of the generic route, and the differential reference the
+    /// chunk-draining kernel is tested against. No domain overrides it.
     fn quotient_zero_pinned_scratch(
         &self,
         a_vals: &[F],
@@ -137,18 +133,17 @@ pub trait EvalDomain<F: PrimeField>: Clone + Send + Sync {
         Some(coeffs)
     }
 
-    /// Streaming variant of [`EvalDomain::quotient_zero_pinned_scratch`]
-    /// consuming *chunked* witness-combination values and returning
-    /// each chunk to the pool as soon as it is absorbed. Coefficients
-    /// are bit-identical to the monolithic paths (field arithmetic is
-    /// exact and the per-slot operation sequence is unchanged); what
-    /// differs is peak residency. Budget-limited pools reject via
-    /// [`BudgetError`] with every leased chunk returned first.
+    /// The quotient kernel the prover runs: consumes *chunked*
+    /// witness-combination values, returning each chunk to the pool as
+    /// soon as it is absorbed. Coefficients are bit-identical to
+    /// [`EvalDomain::quotient_zero_pinned_scratch`] (field arithmetic is
+    /// exact); what differs is speed and peak residency. Budget-limited
+    /// pools reject via [`BudgetError`] with every leased chunk
+    /// returned first.
     ///
     /// The default implementation flattens and delegates — correct for
     /// any domain, no residency win. [`Radix2Domain`] overrides it with
-    /// a kernel that holds at most two size-`2n` coset buffers at once
-    /// (the monolithic kernel holds three).
+    /// a coset kernel that holds at most two size-`2n` buffers at once.
     fn quotient_zero_pinned_streamed(
         &self,
         a_vals: ChunkedVec<F>,
@@ -329,116 +324,21 @@ impl<F: PrimeField> EvalDomain<F> for Radix2Domain<F> {
         DensePoly::from_coeffs(coeffs)
     }
 
-    /// Coset fast path: with `D(t) = tⁿ − 1`, the quotient is recovered
+    /// Coset kernel: with `D(t) = tⁿ − 1`, the quotient is recovered
     /// from `2n` evaluations on the proper coset `g·H₂ₙ`, where `D` never
     /// vanishes. Only `Â, B̂, Ĉ` (degree ≤ n) are transformed forward and
     /// `H` (degree ≤ n < 2n) backward — the degree-`2n` product `P_w`
-    /// itself is never interpolated, so `2n` points suffice. This replaces
-    /// the size-`4n` transforms of the generic multiply-then-divide route
-    /// with size-`2n` ones.
-    fn quotient_zero_pinned(
-        &self,
-        a_vals: &[F],
-        b_vals: &[F],
-        c_vals: &[F],
-    ) -> Option<DensePoly<F>> {
-        let _span = zaatar_obs::time("poly.quotient");
-        let n = self.size;
-        for j in 0..n {
-            if a_vals[j] * b_vals[j] != c_vals[j] {
-                return None;
-            }
-        }
-        let big = 2 * n;
-        let shift = F::multiplicative_generator();
-        let to_coset = |vals: &[F]| {
-            let mut c = self.interpolate_zero_pinned(vals).into_coeffs();
-            c.resize(big, F::ZERO);
-            fft::coset_ntt(&mut c, shift);
-            c
-        };
-        let mut h = to_coset(a_vals);
-        let eb = to_coset(b_vals);
-        let ec = to_coset(c_vals);
-        // Vanishing values on the coset: (g·ω₂ₙʲ)ⁿ − 1 = gⁿ·(−1)ʲ − 1;
-        // two inverses cover all 2n points.
-        let gn = shift.pow(n as u64);
-        let v_even = (gn - F::ONE).inverse().expect("proper coset");
-        let v_odd = (-gn - F::ONE).inverse().expect("proper coset");
-        for (j, hj) in h.iter_mut().enumerate() {
-            let p = *hj * eb[j] - ec[j];
-            *hj = p * if j % 2 == 0 { v_even } else { v_odd };
-        }
-        fft::coset_intt(&mut h, shift);
-        Some(DensePoly::from_coeffs(h))
-    }
-
-    /// The coset kernel of [`Radix2Domain::quotient_zero_pinned`] with
-    /// the three size-`2n` transform buffers leased from `scratch`
-    /// instead of freshly allocated — the zero-pinned interpolant is
-    /// laid out directly at coset length (`buf = [0, g₀, …, g_{n−1},
-    /// 0, …]`, the coefficients of `t·g(t)`), skipping the allocating
-    /// path's `insert(0, ZERO)` + `resize` round trip.
-    fn quotient_zero_pinned_scratch(
-        &self,
-        a_vals: &[F],
-        b_vals: &[F],
-        c_vals: &[F],
-        scratch: &mut Scratch<F>,
-    ) -> Option<Vec<F>> {
-        let _span = zaatar_obs::time("poly.quotient");
-        let n = self.size;
-        for j in 0..n {
-            if a_vals[j] * b_vals[j] != c_vals[j] {
-                return None;
-            }
-        }
-        let big = 2 * n;
-        let gen_inv = self.group_gen_inv;
-        let shift = F::multiplicative_generator();
-        let to_coset = |vals: &[F], buf: &mut [F]| {
-            let mut inv = F::ONE;
-            for (slot, e) in buf[1..=n].iter_mut().zip(vals) {
-                *slot = *e * inv;
-                inv *= gen_inv;
-            }
-            fft::intt(&mut buf[1..=n]);
-            fft::coset_ntt(buf, shift);
-        };
-        let mut h = scratch.take(big, F::ZERO);
-        to_coset(a_vals, &mut h);
-        let mut eb = scratch.take(big, F::ZERO);
-        to_coset(b_vals, &mut eb);
-        let mut ec = scratch.take(big, F::ZERO);
-        to_coset(c_vals, &mut ec);
-        // Vanishing values on the coset: (g·ω₂ₙʲ)ⁿ − 1 = gⁿ·(−1)ʲ − 1.
-        let gn = shift.pow(n as u64);
-        let v_even = (gn - F::ONE).inverse().expect("proper coset");
-        let v_odd = (-gn - F::ONE).inverse().expect("proper coset");
-        for (j, hj) in h.iter_mut().enumerate() {
-            let p = *hj * eb[j] - ec[j];
-            *hj = p * if j % 2 == 0 { v_even } else { v_odd };
-        }
-        fft::coset_intt(&mut h, shift);
-        // Only degree ≤ n survives division; the top half is zeros.
-        let out = h[..=n].to_vec();
-        scratch.put(ec);
-        scratch.put(eb);
-        scratch.put(h);
-        Some(out)
-    }
-
-    /// Streaming coset kernel: the A/B/C value streams are absorbed into
-    /// the coset buffers one chunk at a time (each chunk returns to the
-    /// pool the moment it is copied), and the three-buffer pointwise
-    /// combine is reassociated so only **two** size-`2n` buffers are ever
-    /// live — B's coset evaluations fold into H in place before C's
-    /// buffer is leased (reusing B's storage via the pool). Per slot the
-    /// operation sequence is still `h·eb`, `− ec`, `· v`, in that order,
-    /// so the output is bit-identical to the monolithic kernels; the
-    /// transforms run tiled ([`fft::ntt_tiled`]), which is also
-    /// bit-identical. Peak residency drops from `9n` field elements
-    /// (3 value vectors + 3 coset buffers) to `≈ 5n + chunk`.
+    /// itself is never interpolated, so `2n` points suffice where the
+    /// generic multiply-then-divide route needs size-`4n` transforms.
+    ///
+    /// Each value stream is absorbed into its coset buffer one chunk at
+    /// a time (the chunk returns to the pool the moment it is copied),
+    /// laid out directly as the zero-pinned interpolant's coefficients
+    /// (`buf = [0, g₀, …, g_{n−1}, 0, …]`, i.e. `t·g(t)`). The pointwise
+    /// combine `(h·eb − ec)·v` is associated so only **two** size-`2n`
+    /// buffers are ever live: B's evaluations fold into H in place, and
+    /// C's buffer reuses B's storage via the pool. Peak residency is
+    /// `3n` (values) + `4n` (two coset buffers) at any chunk length.
     fn quotient_zero_pinned_streamed(
         &self,
         a_vals: ChunkedVec<F>,
@@ -464,9 +364,20 @@ impl<F: PrimeField> EvalDomain<F> for Radix2Domain<F> {
         let big = 2 * n;
         let gen_inv = self.group_gen_inv;
         let shift = F::multiplicative_generator();
-        // H buffer: absorb A's chunks in zero-pinned layout
-        // (buf[1 + j] = a[j]·ω^{−j}), then interpolate and move to the
-        // coset — the same op sequence as the monolithic `to_coset`.
+        // Drains one value stream into `buf` in zero-pinned layout
+        // (buf[1 + j] = vals[j]·ω^{−j}), interpolates, and moves it to
+        // the coset.
+        let to_coset = |vals: ChunkedVec<F>, buf: &mut [F], scratch: &mut Scratch<F>| {
+            let mut inv = F::ONE;
+            vals.drain(scratch, |off, chunk| {
+                for (slot, e) in buf[1 + off..][..chunk.len()].iter_mut().zip(chunk) {
+                    *slot = *e * inv;
+                    inv *= gen_inv;
+                }
+            });
+            fft::intt(&mut buf[1..=n]);
+            fft::coset_ntt(buf, shift);
+        };
         let mut h = match scratch.try_take(big, F::ZERO) {
             Ok(buf) => buf,
             Err(e) => {
@@ -476,15 +387,7 @@ impl<F: PrimeField> EvalDomain<F> for Radix2Domain<F> {
                 return Err(e);
             }
         };
-        let mut inv = F::ONE;
-        a_vals.drain(scratch, |off, chunk| {
-            for (slot, e) in h[1 + off..1 + off + chunk.len()].iter_mut().zip(chunk) {
-                *slot = *e * inv;
-                inv *= gen_inv;
-            }
-        });
-        fft::intt_tiled(&mut h[1..=n]);
-        fft::coset_ntt_tiled(&mut h, shift);
+        to_coset(a_vals, &mut h, scratch);
         // B's coset buffer — the second and last big buffer ever live.
         let mut eb = match scratch.try_take(big, F::ZERO) {
             Ok(buf) => buf,
@@ -495,18 +398,9 @@ impl<F: PrimeField> EvalDomain<F> for Radix2Domain<F> {
                 return Err(e);
             }
         };
-        let mut inv = F::ONE;
-        b_vals.drain(scratch, |off, chunk| {
-            for (slot, e) in eb[1 + off..1 + off + chunk.len()].iter_mut().zip(chunk) {
-                *slot = *e * inv;
-                inv *= gen_inv;
-            }
-        });
-        fft::intt_tiled(&mut eb[1..=n]);
-        fft::coset_ntt_tiled(&mut eb, shift);
-        // Fold B into H (the `h·eb` half of the monolithic pointwise
-        // combine) and return B's storage before leasing C's — the pool
-        // hands the same buffer back.
+        to_coset(b_vals, &mut eb, scratch);
+        // Fold B into H and return B's storage before leasing C's — the
+        // pool hands the same buffer back.
         for (hj, ebj) in h.iter_mut().zip(eb.iter()) {
             *hj *= *ebj;
         }
@@ -519,23 +413,17 @@ impl<F: PrimeField> EvalDomain<F> for Radix2Domain<F> {
                 return Err(e);
             }
         };
-        let mut inv = F::ONE;
-        c_vals.drain(scratch, |off, chunk| {
-            for (slot, e) in ec[1 + off..1 + off + chunk.len()].iter_mut().zip(chunk) {
-                *slot = *e * inv;
-                inv *= gen_inv;
-            }
-        });
-        fft::intt_tiled(&mut ec[1..=n]);
-        fft::coset_ntt_tiled(&mut ec, shift);
-        // Vanishing values on the coset: (g·ω₂ₙʲ)ⁿ − 1 = gⁿ·(−1)ʲ − 1.
+        to_coset(c_vals, &mut ec, scratch);
+        // Vanishing values on the coset: (g·ω₂ₙʲ)ⁿ − 1 = gⁿ·(−1)ʲ − 1;
+        // two inverses cover all 2n points.
         let gn = shift.pow(n as u64);
         let v_even = (gn - F::ONE).inverse().expect("proper coset");
         let v_odd = (-gn - F::ONE).inverse().expect("proper coset");
         for (j, hj) in h.iter_mut().enumerate() {
             *hj = (*hj - ec[j]) * if j % 2 == 0 { v_even } else { v_odd };
         }
-        fft::coset_intt_tiled(&mut h, shift);
+        fft::coset_intt(&mut h, shift);
+        // Only degree ≤ n survives division; the top half is zeros.
         let out = h[..=n].to_vec();
         scratch.put(ec);
         scratch.put(h);
@@ -849,200 +737,95 @@ mod tests {
             self.vanishing_poly()
         }
     }
-}
 
-impl<F: PrimeField> Radix2Domain<F> {
-    /// Alternative quotient computation via coset evaluation, the
-    /// standard QAP-prover trick: evaluate the (degree < 2n) polynomial
-    /// on the coset `g·H₂ₙ`, divide pointwise by the vanishing values
-    /// `(g·ω_{2n}ʲ)ⁿ − 1 = gⁿ·(−1)ʲ − 1` (which never vanish on a proper
-    /// coset), and interpolate back. Mathematically identical to
-    /// [`EvalDomain::divide_by_vanishing`] when the division is exact;
-    /// kept as a cross-check and for the ablation bench.
-    ///
-    /// Returns `None` if the input's degree does not permit an exact
-    /// quotient representation (degree ≥ 2n) — callers should fall back
-    /// to the coefficient method for the general case.
-    pub fn divide_by_vanishing_coset(&self, poly: &DensePoly<F>) -> Option<DensePoly<F>> {
-        let n = self.size;
-        let deg = poly.degree()?;
-        if deg < n {
-            return Some(DensePoly::zero());
-        }
-        if deg >= 2 * n {
-            return None;
-        }
-        let big = 2 * n;
-        let shift = F::multiplicative_generator();
-        let mut evals = poly.coeffs().to_vec();
-        evals.resize(big, F::ZERO);
-        crate::fft::coset_ntt(&mut evals, shift);
-        // Vanishing values on the coset: (g·ω₂ₙʲ)ⁿ − 1 = gⁿ·(−1)ʲ − 1.
-        let gn = shift.pow(n as u64);
-        let v_even = (gn - F::ONE).inverse().expect("proper coset");
-        let v_odd = (-gn - F::ONE).inverse().expect("proper coset");
-        for (j, e) in evals.iter_mut().enumerate() {
-            *e *= if j % 2 == 0 { v_even } else { v_odd };
-        }
-        crate::fft::coset_intt(&mut evals, shift);
-        Some(DensePoly::from_coeffs(evals))
+    /// Values satisfying `a·b = c` pointwise, so `D | P_w`.
+    fn satisfying_values(n: usize) -> [Vec<F61>; 3] {
+        let a: Vec<F61> = (0..n as u64).map(|i| F61::from_u64(i * 7 + 1)).collect();
+        let b: Vec<F61> = (0..n as u64).map(|i| F61::from_u64(i * i + 4)).collect();
+        let c = a.iter().zip(&b).map(|(a, b)| *a * *b).collect();
+        [a, b, c]
     }
-}
 
-#[cfg(test)]
-mod coset_tests {
-    use super::*;
-    use zaatar_field::{Field, F61};
-
-    #[test]
-    fn coset_division_matches_coefficient_division() {
-        let d = Radix2Domain::<F61>::new(8);
-        // Exact multiple of the vanishing polynomial.
-        let q = DensePoly::from_coeffs((1..=8u64).map(F61::from_u64).collect());
-        let prod = q.mul_naive(&d.vanishing_poly());
-        let via_coset = d.divide_by_vanishing_coset(&prod).expect("degree fits");
-        let (via_coeff, rem) = d.divide_by_vanishing(&prod);
-        assert!(rem.is_zero());
-        assert_eq!(via_coset, via_coeff);
+    fn chunked(vals: &[F61], chunk_len: usize, s: &mut Scratch<F61>) -> ChunkedVec<F61> {
+        let mut cv = ChunkedVec::try_take(s, vals.len(), chunk_len, F61::ZERO).expect("lease fits");
+        for (i, v) in vals.iter().enumerate() {
+            *cv.get_mut(i) = *v;
+        }
+        cv
     }
 
     #[test]
-    fn coset_division_degree_limits() {
-        let d = Radix2Domain::<F61>::new(4);
-        // Degree < n → zero quotient.
-        let small = DensePoly::from_coeffs(vec![F61::from_u64(3); 3]);
-        assert!(d
-            .divide_by_vanishing_coset(&small)
-            .expect("fits")
-            .is_zero());
-        // Degree ≥ 2n → unsupported by this path.
-        let big = DensePoly::from_coeffs(vec![F61::from_u64(1); 10]);
-        assert!(d.divide_by_vanishing_coset(&big).is_none());
-    }
-
-    #[test]
-    fn quotient_kernel_matches_generic_route() {
-        for n in [1usize, 2, 4, 8, 16] {
-            let d = Radix2Domain::<F61>::new(n);
-            let a_vals: Vec<F61> = (0..n as u64).map(|i| F61::from_u64(i * 5 + 3)).collect();
-            let b_vals: Vec<F61> = (0..n as u64).map(|i| F61::from_u64(i * i + 2)).collect();
-            let c_vals: Vec<F61> = a_vals.iter().zip(&b_vals).map(|(a, b)| *a * *b).collect();
-            let h = d
-                .quotient_zero_pinned(&a_vals, &b_vals, &c_vals)
-                .expect("pointwise-satisfying values divide exactly");
-            // Generic route: explicit interpolate → multiply → divide.
-            let a_poly = d.interpolate_zero_pinned(&a_vals);
-            let b_poly = d.interpolate_zero_pinned(&b_vals);
-            let c_poly = d.interpolate_zero_pinned(&c_vals);
-            let p = &(&a_poly * &b_poly) - &c_poly;
-            let (q, r) = d.divide_by_vanishing(&p);
-            assert!(r.is_zero(), "n={n}");
-            assert_eq!(h, q, "n={n}");
-        }
-    }
-
-    #[test]
-    fn scratch_quotient_matches_allocating_kernel() {
+    fn coset_kernel_matches_generic_route_across_chunkings() {
+        // Reference: the trait-default interpolate → multiply → divide
+        // route on the same domain. Sizes cover even and odd log n; the
+        // chunk geometries are covering, even split, ragged tail of 7.
         let mut scratch = Scratch::new();
-        for n in [1usize, 2, 4, 8, 16, 32] {
+        for log_n in 0..=10u32 {
+            let n = 1usize << log_n;
             let d = Radix2Domain::<F61>::new(n);
-            let a_vals: Vec<F61> = (0..n as u64).map(|i| F61::from_u64(i * 7 + 1)).collect();
-            let b_vals: Vec<F61> = (0..n as u64).map(|i| F61::from_u64(i * 3 + 4)).collect();
-            let c_vals: Vec<F61> = a_vals.iter().zip(&b_vals).map(|(a, b)| *a * *b).collect();
-            let via_alloc = d
-                .quotient_zero_pinned(&a_vals, &b_vals, &c_vals)
-                .expect("satisfying values");
-            let via_scratch = d
-                .quotient_zero_pinned_scratch(&a_vals, &b_vals, &c_vals, &mut scratch)
-                .expect("satisfying values");
-            assert_eq!(via_scratch.len(), n + 1, "n={n}");
-            let mut expected = via_alloc.into_coeffs();
-            expected.resize(n + 1, F61::ZERO);
-            assert_eq!(via_scratch, expected, "n={n}");
-        }
-        // Rejection must also release its (zero) buffers gracefully.
-        let d = Radix2Domain::<F61>::new(4);
-        let bad = vec![F61::ONE; 4];
-        let zeros = vec![F61::ZERO; 4];
-        assert!(d
-            .quotient_zero_pinned_scratch(&bad, &bad, &zeros, &mut scratch)
-            .is_none());
-        // Re-running the largest size now hits the pool instead of allocating.
-        assert!(scratch.pooled() > 0);
-    }
-
-    #[test]
-    fn streamed_quotient_matches_scratch_kernel_across_chunkings() {
-        use zaatar_mem::{ChunkedVec, MemBudget};
-        let mut scratch = Scratch::new();
-        for n in [1usize, 2, 8, 32] {
-            let d = Radix2Domain::<F61>::new(n);
-            let a_vals: Vec<F61> = (0..n as u64).map(|i| F61::from_u64(i * 7 + 1)).collect();
-            let b_vals: Vec<F61> = (0..n as u64).map(|i| F61::from_u64(i * 3 + 4)).collect();
-            let c_vals: Vec<F61> = a_vals.iter().zip(&b_vals).map(|(a, b)| *a * *b).collect();
+            let [a, b, c] = satisfying_values(n);
             let reference = d
-                .quotient_zero_pinned_scratch(&a_vals, &b_vals, &c_vals, &mut scratch)
+                .quotient_zero_pinned_scratch(&a, &b, &c, &mut scratch)
                 .expect("satisfying values");
-            // One chunk, two chunks, and a ragged tail.
-            for chunk_len in [n.max(1), n.div_ceil(2).max(1), 3] {
-                let load = |vals: &[F61], s: &mut Scratch<F61>| {
-                    let mut cv = ChunkedVec::take(s, n, chunk_len, F61::ZERO);
-                    for (i, v) in vals.iter().enumerate() {
-                        *cv.get_mut(i) = *v;
-                    }
-                    cv
-                };
-                let ca = load(&a_vals, &mut scratch);
-                let cb = load(&b_vals, &mut scratch);
-                let cc = load(&c_vals, &mut scratch);
-                let streamed = d
+            assert_eq!(reference.len(), n + 1, "n={n}");
+            for chunk_len in [n, n.div_ceil(2), 7] {
+                let (ca, cb, cc) = (
+                    chunked(&a, chunk_len, &mut scratch),
+                    chunked(&b, chunk_len, &mut scratch),
+                    chunked(&c, chunk_len, &mut scratch),
+                );
+                let h = d
                     .quotient_zero_pinned_streamed(ca, cb, cc, &mut scratch)
                     .expect("no budget set")
                     .expect("satisfying values");
-                assert_eq!(streamed, reference, "n={n} chunk_len={chunk_len}");
+                assert_eq!(h, reference, "n={n} chunk_len={chunk_len}");
+                assert_eq!(scratch.outstanding_bytes(), 0);
             }
         }
-        // Rejection releases every chunk (no outstanding accounting drift).
-        let d = Radix2Domain::<F61>::new(4);
-        let before = scratch.outstanding_bytes();
-        let ones = ChunkedVec::take(&mut scratch, 4, 2, F61::ONE);
-        let ones2 = ChunkedVec::take(&mut scratch, 4, 2, F61::ONE);
-        let zeros = ChunkedVec::take(&mut scratch, 4, 2, F61::ZERO);
-        assert!(d
-            .quotient_zero_pinned_streamed(ones, ones2, zeros, &mut scratch)
-            .expect("no budget")
-            .is_none());
-        assert_eq!(scratch.outstanding_bytes(), before);
-
-        // Budget too small for the coset buffers: typed error, all
-        // chunks back in the pool.
-        let mut tight: Scratch<F61> = Scratch::with_budget(MemBudget::bytes(16 * 8));
-        let n = 16;
-        let d = Radix2Domain::<F61>::new(n);
-        let mk = |fill: u64, s: &mut Scratch<F61>| {
-            let mut cv = ChunkedVec::take(s, n, 4, F61::ZERO);
-            for i in 0..n {
-                *cv.get_mut(i) = F61::from_u64(fill);
-            }
-            cv
-        };
-        let ca = mk(2, &mut tight);
-        let cb = mk(3, &mut tight);
-        let cc = mk(6, &mut tight);
-        let err = d
-            .quotient_zero_pinned_streamed(ca, cb, cc, &mut tight)
-            .expect_err("2n coset buffer cannot fit a 16-element budget");
-        assert_eq!(err.limit_bytes, 16 * 8);
-        assert_eq!(tight.outstanding_bytes(), 0, "error path released all chunks");
     }
 
     #[test]
-    fn quotient_kernel_rejects_nonsatisfying_values() {
-        let d = Radix2Domain::<F61>::new(4);
-        let a_vals = vec![F61::from_u64(2); 4];
-        let b_vals = vec![F61::from_u64(3); 4];
-        let mut c_vals: Vec<F61> = a_vals.iter().zip(&b_vals).map(|(a, b)| *a * *b).collect();
-        c_vals[2] += F61::ONE;
-        assert!(d.quotient_zero_pinned(&a_vals, &b_vals, &c_vals).is_none());
+    fn coset_kernel_rejects_nonsatisfying_values_before_leasing() {
+        let n = 4;
+        let d = Radix2Domain::<F61>::new(n);
+        let [a, b, mut c] = satisfying_values(n);
+        c[2] += F61::ONE;
+        assert!(d.quotient_zero_pinned(&a, &b, &c).is_none());
+        let mut scratch = Scratch::new();
+        let (ca, cb, cc) = (
+            chunked(&a, 2, &mut scratch),
+            chunked(&b, 2, &mut scratch),
+            chunked(&c, 2, &mut scratch),
+        );
+        let chunks_only = scratch.high_water_bytes();
+        assert!(d
+            .quotient_zero_pinned_streamed(ca, cb, cc, &mut scratch)
+            .expect("no budget")
+            .is_none());
+        // Every chunk came back and no coset buffer was ever leased.
+        assert_eq!(scratch.outstanding_bytes(), 0);
+        assert_eq!(scratch.high_water_bytes(), chunks_only);
+    }
+
+    #[test]
+    fn coset_kernel_budget_refusal_releases_every_lease() {
+        use zaatar_mem::MemBudget;
+        // Room for the three 16-element value streams but not for a
+        // 32-element coset buffer on top of them.
+        let n = 16;
+        let budget = 4 * n * 8;
+        let mut tight: Scratch<F61> = Scratch::with_budget(MemBudget::bytes(budget));
+        let d = Radix2Domain::<F61>::new(n);
+        let [a, b, c] = satisfying_values(n);
+        let (ca, cb, cc) = (
+            chunked(&a, 4, &mut tight),
+            chunked(&b, 4, &mut tight),
+            chunked(&c, 4, &mut tight),
+        );
+        let err = d
+            .quotient_zero_pinned_streamed(ca, cb, cc, &mut tight)
+            .expect_err("2n coset buffer cannot fit on top of the value streams");
+        assert_eq!(err.limit_bytes, budget);
+        assert_eq!(tight.outstanding_bytes(), 0, "error path released all chunks");
     }
 }

@@ -45,56 +45,6 @@ pub fn intt<F: PrimeField>(a: &mut [F]) {
     plan.inverse(a);
 }
 
-/// [`ntt`] under an explicit execution policy: shards butterfly passes
-/// across `workers` threads when the transform size is at or above
-/// `2^parallel_min_log2`, stays serial below it. This is the free-fn
-/// seam a scheduler-derived `ExecPolicy` threads its calibrated worker
-/// count and cutoff through; output bits are identical to [`ntt`] for
-/// every policy (worker count only changes butterfly visit order
-/// across independent butterflies).
-pub fn ntt_with_policy<F: PrimeField>(a: &mut [F], workers: usize, parallel_min_log2: u32) {
-    if a.len() <= 1 {
-        return;
-    }
-    let plan = plan_for_len::<F>(a.len());
-    let _span = zaatar_obs::time("poly.ntt.forward");
-    plan.forward_with_policy(a, workers, parallel_min_log2);
-}
-
-/// Policy counterpart of [`intt`]; see [`ntt_with_policy`].
-pub fn intt_with_policy<F: PrimeField>(a: &mut [F], workers: usize, parallel_min_log2: u32) {
-    if a.len() <= 1 {
-        return;
-    }
-    let plan = plan_for_len::<F>(a.len());
-    let _span = zaatar_obs::time("poly.ntt.inverse");
-    plan.inverse_with_policy(a, workers, parallel_min_log2);
-}
-
-/// Forward NTT sweeping each butterfly pass in cache-sized tiles (see
-/// [`crate::plan::NttPlan::forward_tiled`]): bit-identical output to
-/// [`ntt`], bounded per-pass working set. The streaming quotient kernel
-/// uses these so its transforms never stream more than a tile at a time
-/// on top of the single coset buffer they run in.
-pub fn ntt_tiled<F: PrimeField>(a: &mut [F]) {
-    if a.len() <= 1 {
-        return;
-    }
-    let plan = plan_for_len::<F>(a.len());
-    let _span = zaatar_obs::time("poly.ntt.forward");
-    plan.forward_tiled(a, crate::plan::NTT_TILE_LOG2);
-}
-
-/// Tiled counterpart of [`intt`]; see [`ntt_tiled`].
-pub fn intt_tiled<F: PrimeField>(a: &mut [F]) {
-    if a.len() <= 1 {
-        return;
-    }
-    let plan = plan_for_len::<F>(a.len());
-    let _span = zaatar_obs::time("poly.ntt.inverse");
-    plan.inverse_tiled(a, crate::plan::NTT_TILE_LOG2);
-}
-
 /// Multiplies two coefficient vectors via NTT, returning the product's
 /// coefficients (length `a.len() + b.len() − 1`, untrimmed).
 pub fn fft_mul<F: PrimeField>(a: &[F], b: &[F]) -> Vec<F> {
@@ -133,27 +83,6 @@ pub fn coset_ntt<F: PrimeField>(a: &mut [F], shift: F) {
 /// coset `g·H`.
 pub fn coset_intt<F: PrimeField>(a: &mut [F], shift: F) {
     intt(a);
-    let shift_inv = shift.inverse().expect("coset shift must be nonzero");
-    let mut power = F::ONE;
-    for c in a.iter_mut() {
-        *c *= power;
-        power *= shift_inv;
-    }
-}
-
-/// Tiled counterpart of [`coset_ntt`]: same scaling, tiled transform.
-pub fn coset_ntt_tiled<F: PrimeField>(a: &mut [F], shift: F) {
-    let mut power = F::ONE;
-    for c in a.iter_mut() {
-        *c *= power;
-        power *= shift;
-    }
-    ntt_tiled(a);
-}
-
-/// Tiled counterpart of [`coset_intt`].
-pub fn coset_intt_tiled<F: PrimeField>(a: &mut [F], shift: F) {
-    intt_tiled(a);
     let shift_inv = shift.inverse().expect("coset shift must be nonzero");
     let mut power = F::ONE;
     for c in a.iter_mut() {
@@ -242,22 +171,6 @@ mod tests {
         assert_eq!(a[3], expect);
         coset_intt(&mut a, g);
         assert_eq!(a, coeffs);
-    }
-
-    #[test]
-    fn policy_variants_are_bit_identical() {
-        let coeffs: Vec<F61> = (0..256u64).map(|i| F61::from_u64(i * 5 + 2)).collect();
-        let mut reference = coeffs.clone();
-        ntt(&mut reference);
-        // Serial, parallel-above-cutoff, and parallel-below-cutoff all
-        // produce the same bits — the policy only moves work around.
-        for (workers, cutoff) in [(1usize, 0u32), (4, 0), (4, 32)] {
-            let mut a = coeffs.clone();
-            ntt_with_policy(&mut a, workers, cutoff);
-            assert_eq!(a, reference, "forward workers={workers} cutoff={cutoff}");
-            intt_with_policy(&mut a, workers, cutoff);
-            assert_eq!(a, coeffs, "round trip workers={workers} cutoff={cutoff}");
-        }
     }
 
     #[test]

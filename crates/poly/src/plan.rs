@@ -31,16 +31,8 @@ use crate::parallel::parallel_map;
 
 /// Transforms with at least this many points shard their butterfly passes
 /// across threads; smaller ones stay serial (thread spawn/join overhead
-/// exceeds the butterfly work below ~16k points). This is the *default*
-/// cutoff — a scheduler-derived `ExecPolicy` carries a calibrated one,
-/// which [`NttPlan::forward_with_policy`] /
-/// [`NttPlan::inverse_with_policy`] take explicitly.
+/// exceeds the butterfly work below ~16k points).
 pub const PARALLEL_NTT_MIN_LOG2: u32 = 14;
-
-/// Default butterfly-tile size (log₂ points) for the tiled transforms:
-/// 4096 points ≈ 32 KiB of 8-byte limbs — the streaming prover's
-/// per-pass working set stays L1/L2-resident regardless of `n`.
-pub const NTT_TILE_LOG2: u32 = 12;
 
 /// A reusable execution plan for size-`2^log_n` NTTs over `F`.
 ///
@@ -127,17 +119,6 @@ impl<F: PrimeField> NttPlan<F> {
         self.transform(a, &self.fwd, workers);
     }
 
-    /// [`NttPlan::forward`] under an explicit policy: `workers` threads
-    /// when this plan's size is at or above `parallel_min_log2`, serial
-    /// below it. This is the seam a scheduler-derived `ExecPolicy`
-    /// threads its calibrated cutoff through instead of the hardcoded
-    /// [`PARALLEL_NTT_MIN_LOG2`] default. Worker count never changes
-    /// transform values — outputs are bit-identical across policies.
-    pub fn forward_with_policy(&self, a: &mut [F], workers: usize, parallel_min_log2: u32) {
-        let w = if self.log_n >= parallel_min_log2 { workers } else { 1 };
-        self.forward_with_workers(a, w);
-    }
-
     /// In-place inverse NTT: evaluations at `{ωʲ}` (natural order) →
     /// coefficients.
     ///
@@ -154,56 +135,6 @@ impl<F: PrimeField> NttPlan<F> {
         let n_inv = self.n_inv;
         for x in a.iter_mut() {
             *x *= n_inv;
-        }
-    }
-
-    /// Policy counterpart of [`NttPlan::inverse_with_workers`]; see
-    /// [`NttPlan::forward_with_policy`] for the cutoff contract.
-    pub fn inverse_with_policy(&self, a: &mut [F], workers: usize, parallel_min_log2: u32) {
-        let w = if self.log_n >= parallel_min_log2 { workers } else { 1 };
-        self.inverse_with_workers(a, w);
-    }
-
-    /// In-place forward NTT running each butterfly pass in tiles of at
-    /// most `2^tile_log2` points (serial; no pass ever walks more than
-    /// one tile's worth of data before moving on). The butterflies of
-    /// one pass touch disjoint slots, so tiling only reorders them —
-    /// the output is bit-identical to [`NttPlan::forward`]; what
-    /// changes is the per-sweep working set, which is what the
-    /// streaming prover's chunked coset transforms bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.len()`.
-    pub fn forward_tiled(&self, a: &mut [F], tile_log2: u32) {
-        self.transform_tiled(a, &self.fwd, tile_log2);
-    }
-
-    /// Tiled counterpart of [`NttPlan::inverse`]; see
-    /// [`NttPlan::forward_tiled`] for the tiling contract.
-    pub fn inverse_tiled(&self, a: &mut [F], tile_log2: u32) {
-        self.transform_tiled(a, &self.inv, tile_log2);
-        let n_inv = self.n_inv;
-        for x in a.iter_mut() {
-            *x *= n_inv;
-        }
-    }
-
-    fn transform_tiled(&self, a: &mut [F], tw: &[F], tile_log2: u32) {
-        assert_eq!(a.len(), self.n, "input length must match the plan size");
-        if self.n <= 1 {
-            return;
-        }
-        let tile_points = 1usize << tile_log2;
-        self.permute(a);
-        let mut m = 1usize;
-        if self.log_n % 2 == 1 {
-            radix2_stage(a, 1);
-            m = 2;
-        }
-        while m < self.n {
-            radix4_pass_tiled(a, tw, m, tile_points);
-            m <<= 2;
         }
     }
 
@@ -335,42 +266,6 @@ fn radix4_pass<F: PrimeField>(a: &mut [F], tw: &[F], m: usize, workers: usize) {
         parallel_map(items, workers, |(off, quarters)| {
             radix4_quarters(off, quarters, m, w1, w2);
         });
-    }
-}
-
-/// One radix-4 pass swept in butterfly tiles of at most `tile_points`
-/// points. Early passes (block span ≤ tile) walk whole blocks as usual;
-/// late passes (a few blocks wider than a tile) split each block's
-/// butterfly range into strips whose four quarter-slices together fit
-/// one tile, finishing a strip before touching the next — the same
-/// decomposition the parallel path uses per worker, here serving
-/// bounded working set instead of concurrency.
-fn radix4_pass_tiled<F: PrimeField>(a: &mut [F], tw: &[F], m: usize, tile_points: usize) {
-    let span = 4 * m;
-    let w1 = &tw[m..2 * m];
-    let w2 = &tw[2 * m..4 * m];
-    if span <= tile_points {
-        for block in a.chunks_exact_mut(span) {
-            radix4_block(block, m, w1, w2);
-        }
-        return;
-    }
-    let strip = (tile_points / 4).max(1);
-    for block in a.chunks_exact_mut(span) {
-        let (h0, h1) = block.split_at_mut(2 * m);
-        let (q0, q1) = h0.split_at_mut(m);
-        let (q2, q3) = h1.split_at_mut(m);
-        let mut off = 0;
-        for (((c0, c1), c2), c3) in q0
-            .chunks_mut(strip)
-            .zip(q1.chunks_mut(strip))
-            .zip(q2.chunks_mut(strip))
-            .zip(q3.chunks_mut(strip))
-        {
-            let len = c0.len();
-            radix4_quarters(off, [c0, c1, c2, c3], m, w1, w2);
-            off += len;
-        }
     }
 }
 
@@ -522,26 +417,6 @@ mod tests {
             assert_eq!(serial, parallel, "forward log_n={log_n}");
             plan.inverse_with_workers(&mut parallel, 3);
             assert_eq!(parallel, coeffs, "inverse log_n={log_n}");
-        }
-    }
-
-    #[test]
-    fn tiled_matches_untiled_bit_for_bit() {
-        // Tiles smaller than, equal to, and larger than the transform,
-        // across sizes that exercise both the whole-block and the
-        // split-strip tiled branches.
-        for log_n in [0u32, 1, 4, 7, 10, 13] {
-            let plan = NttPlan::<F61>::build(log_n);
-            let coeffs = test_vec(1 << log_n);
-            let mut reference = coeffs.clone();
-            plan.forward_with_workers(&mut reference, 1);
-            for tile_log2 in [2u32, 5, 9, NTT_TILE_LOG2, 16] {
-                let mut tiled = coeffs.clone();
-                plan.forward_tiled(&mut tiled, tile_log2);
-                assert_eq!(tiled, reference, "forward log_n={log_n} tile={tile_log2}");
-                plan.inverse_tiled(&mut tiled, tile_log2);
-                assert_eq!(tiled, coeffs, "inverse log_n={log_n} tile={tile_log2}");
-            }
         }
     }
 

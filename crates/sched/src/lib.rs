@@ -4,17 +4,15 @@
 //! The paper evaluates Zaatar *through* an analytic cost model (Fig. 3);
 //! `core::cost` reproduces that model, but until this crate nothing
 //! consumed it at runtime — worker counts came from a process-global env
-//! cache, the parallel-NTT cutoff was a hardcoded constant, and callers
-//! hand-picked streaming vs monolithic proving. This crate turns those
-//! choices into one explicit seam:
+//! cache and callers hand-picked the prover's chunk length. This crate
+//! turns those choices into one explicit seam:
 //!
 //! * [`HostProfile`] — what the machine can do: parallelism, a one-time
 //!   measured thread spawn/join overhead, and the operator's
 //!   `ZAATAR_WORKERS` override (parsed here, once, with a
 //!   `sched.env.bad_override` counter on garbage instead of silence).
-//! * [`ExecPolicy`] — what one prover run will do: worker count, the
-//!   NTT parallel cutoff, and monolithic vs streamed proving (with a
-//!   derived chunk length).
+//! * [`ExecPolicy`] — what one prover run will do: worker count and
+//!   the chunk length of the (single) prover pipeline.
 //! * [`Scheduler`] — derives an [`ExecPolicy`] from the workload shape
 //!   (circuit size, batch size β, element width), a
 //!   [`zaatar_mem::MemBudget`], the host profile, and §5.1 micro costs.
@@ -31,32 +29,16 @@ use std::time::Instant;
 
 use zaatar_mem::MemBudget;
 
-/// The parallel-NTT cutoff policies fall back to when no scheduler ran:
-/// the value measured for the in-tree test field before the cutoff
-/// became policy (transforms at `log n >= 14` shard their passes).
-pub const DEFAULT_NTT_PARALLEL_MIN_LOG2: u32 = 14;
-
-/// Floor/ceiling for the derived NTT cutoff: below 2^10 a transform is
-/// too small for any fork to amortize on realistic hosts; above 2^20
-/// the work term dominates any plausible spawn overhead, so a larger
-/// cutoff would only ever disable parallelism that pays.
-const NTT_MIN_LOG2_RANGE: (u32, u32) = (10, 20);
-
-/// How many times the per-pass butterfly work must exceed the measured
-/// spawn overhead before the scheduler turns intra-NTT sharding on.
-/// Each sharded pass forks and joins once per worker; requiring 8x
-/// keeps the fork tax under ~12% of a pass even in the worst case.
-const NTT_SPAWN_AMORTIZATION: f64 = 8.0;
-
-/// Monolithic peak residency, in field elements per domain point: the
-/// witness vector, three staged A/B/C accumulators, and two 2n coset
-/// transform buffers, rounded up by the pool's power-of-two size
-/// classes. Measured: 81,920 B at n = 1024 and 327,680 B at n = 4096
-/// (8-byte elements) — exactly 10 n elements at both sizes.
+/// Residency, in field elements per domain point, that a budget must
+/// cover before the scheduler picks the covering chunk
+/// ([`Proving::Monolithic`]). The pipeline peaks at
+/// [`STREAM_FLOOR_ELEMS_PER_POINT`] at any chunk, so this over-predicts
+/// a `Monolithic` run; the value fixes where `proving_for` switches,
+/// and re-fitting it is ROADMAP item 5.
 const MONO_PEAK_ELEMS_PER_POINT: usize = 10;
 
-/// Streamed-path floor, in elements per domain point: the chunked A/B/C
-/// value vectors are still full length (3n) and the quotient drain
+/// Pipeline residency floor, in elements per domain point: the chunked
+/// A/B/C value vectors are full length (3n) and the quotient drain
 /// holds two 2n coset buffers (4n). Measured: 57,344 B = 7 n elements
 /// at n = 1024. Chunk length tunes transients above this floor, not
 /// the floor itself.
@@ -67,11 +49,10 @@ const STREAM_FLOOR_ELEMS_PER_POINT: usize = 7;
 /// bench's streaming geometry bottomed out at the same value).
 const MIN_CHUNK_LEN: usize = 16;
 
-/// Default working-set size above which the streamed pipeline's tiled
-/// transforms beat the monolithic path even with no budget in force
-/// (measured: monolithic faster at an 80 KiB working set, streamed
-/// faster at 320 KiB — the boundary is cache residency, not memory
-/// pressure). Overridable per profile for hosts with other cache sizes.
+/// Default working-set size above which the scheduler chunks the
+/// pipeline even with no budget in force (fitted on F61: a covering
+/// chunk was faster at an 80 KiB working set, n/8 chunks at 320 KiB).
+/// Overridable per profile for hosts with other cache sizes.
 const DEFAULT_CACHE_RESIDENT_BYTES: usize = 256 << 10;
 
 /// Spawn-probe fallback when a measurement is impossible or absurd
@@ -95,9 +76,8 @@ pub struct HostProfile {
     /// Measured cost of one thread spawn + join, in nanoseconds — the
     /// calibration probe behind every "is forking worth it" decision.
     pub spawn_overhead_ns: f64,
-    /// Working-set size above which streaming's tiled transforms win
-    /// over the monolithic path on this host (see
-    /// [`Scheduler::proving_for`]).
+    /// Working-set size above which [`Scheduler::proving_for`] chunks
+    /// the pipeline on this host even without a budget.
     pub cache_resident_bytes: usize,
 }
 
@@ -196,22 +176,34 @@ fn measure_spawn_overhead_ns() -> f64 {
     }
 }
 
-/// How an instance's proof is constructed: the monolithic staged
-/// pipeline (fastest while its working set stays cache-resident, peak
-/// residency ~10 elements per domain point) or the chunked streaming
-/// pipeline (peak bounded near 7 elements per point plus the chunk).
-/// Both produce byte-identical proofs.
+/// The chunk length of the prover pipeline. There is one pipeline —
+/// chunked Witness, chunk-draining Quotient, chunked Commit, all over
+/// hard (`try_take`) leases — and its only degree of freedom is how
+/// many elements a chunk holds; proofs are byte-identical at any value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Proving {
-    /// Full-length stage buffers; the Witness and Quotient stages take
-    /// soft (`take`) leases.
+    /// One chunk that covers the whole vector.
     Monolithic,
-    /// Chunked stages with hard (`try_take`) leases of `chunk_len`
-    /// field elements at a time.
+    /// Chunks of `chunk_len` field elements.
     Streamed {
-        /// Field elements per streamed chunk.
+        /// Field elements per chunk; any value is accepted and
+        /// normalised by [`Proving::chunk_len_for`].
         chunk_len: usize,
     },
+}
+
+impl Proving {
+    /// The chunk length to run a `len`-element stage at: `len` for
+    /// [`Proving::Monolithic`], `chunk_len` clamped to `1..=len` for
+    /// [`Proving::Streamed`] (never 0, even for an empty vector). The
+    /// one place a stage learns its chunk length from the policy.
+    pub fn chunk_len_for(self, len: usize) -> usize {
+        let len = len.max(1);
+        match self {
+            Proving::Monolithic => len,
+            Proving::Streamed { chunk_len } => chunk_len.clamp(1, len),
+        }
+    }
 }
 
 /// Every execution decision for one prover run, in one place. Plain
@@ -223,30 +215,25 @@ pub struct ExecPolicy {
     /// (`prove_batch_with_policy`). Call sites still clamp to the item
     /// count.
     pub workers: usize,
-    /// Transforms at `log n` at or above this shard their butterfly
-    /// passes; below it they stay serial.
-    pub ntt_parallel_min_log2: u32,
-    /// Monolithic vs streamed proof construction.
+    /// Chunk length of the prover pipeline.
     pub proving: Proving,
 }
 
 impl ExecPolicy {
-    /// The do-nothing-clever policy: one worker, monolithic proving,
-    /// default NTT cutoff.
+    /// The do-nothing-clever policy: one worker, one covering chunk.
     pub fn serial() -> ExecPolicy {
         ExecPolicy::with_workers(1)
     }
 
-    /// A monolithic policy pinning `workers`, everything else default.
+    /// A covering-chunk policy pinning `workers`.
     pub fn with_workers(workers: usize) -> ExecPolicy {
         ExecPolicy {
             workers: workers.max(1),
-            ntt_parallel_min_log2: DEFAULT_NTT_PARALLEL_MIN_LOG2,
             proving: Proving::Monolithic,
         }
     }
 
-    /// A serial streamed policy pinning `chunk_len`.
+    /// A serial policy pinning `chunk_len`.
     pub fn streamed(chunk_len: usize) -> ExecPolicy {
         ExecPolicy {
             proving: Proving::Streamed { chunk_len: chunk_len.max(1) },
@@ -356,21 +343,21 @@ impl Scheduler {
     pub fn policy(&self, shape: WorkloadShape, budget: MemBudget) -> ExecPolicy {
         ExecPolicy {
             workers: self.workers_for(shape),
-            ntt_parallel_min_log2: self.ntt_parallel_min_log2(),
             proving: self.proving_for(shape, budget),
         }
     }
 
-    /// Predicted monolithic-path peak workspace residency for `shape`,
-    /// in bytes (the v8 `stream` section's measured geometry: 10
-    /// elements per padded domain point).
+    /// The residency, in bytes, a budget must cover for `shape` before
+    /// [`Scheduler::proving_for`] picks the covering chunk (10 elements
+    /// per padded domain point — an over-prediction of the 7 n the
+    /// pipeline peaks at; see `MONO_PEAK_ELEMS_PER_POINT`).
     pub fn predicted_monolithic_peak_bytes(shape: WorkloadShape) -> usize {
         MONO_PEAK_ELEMS_PER_POINT * shape.padded_domain() * shape.elem_bytes
     }
 
-    /// Predicted streamed-path residency floor for `shape`, in bytes
-    /// (7 elements per padded point; chunk length tunes transients
-    /// above this, never below).
+    /// Predicted pipeline residency floor for `shape`, in bytes (7
+    /// elements per padded point; chunk length tunes transients above
+    /// this, never below).
     pub fn predicted_streamed_floor_bytes(shape: WorkloadShape) -> usize {
         STREAM_FLOOR_ELEMS_PER_POINT * shape.padded_domain() * shape.elem_bytes
     }
@@ -408,25 +395,10 @@ impl Scheduler {
         best.0
     }
 
-    /// The `log2 n` at which intra-NTT pass sharding starts paying on
-    /// this host: the smallest size whose per-pass butterfly work
-    /// (~`n` multiplications at the calibrated `f`) covers the
-    /// measured spawn overhead [`NTT_SPAWN_AMORTIZATION`] times over,
-    /// clamped to a sane range. Cheap fields and slow spawns raise the
-    /// cutoff; expensive fields lower it.
-    pub fn ntt_parallel_min_log2(&self) -> u32 {
-        let mult_ns = (self.micro.f * 1e9).max(1e-3);
-        let cutoff_elems = (self.host.spawn_overhead_ns * NTT_SPAWN_AMORTIZATION) / mult_ns;
-        let log2 = cutoff_elems.max(1.0).log2().ceil() as u32;
-        log2.clamp(NTT_MIN_LOG2_RANGE.0, NTT_MIN_LOG2_RANGE.1)
-    }
-
-    /// Monolithic vs streamed proving for `shape` under `budget`:
-    /// streamed when the predicted monolithic peak would cross the
-    /// budget (the hard constraint), or — with room to spare — when
-    /// the working set falls out of cache, where the streamed
-    /// pipeline's tiled transforms are measurably faster. Otherwise
-    /// monolithic, which wins while cache-resident.
+    /// Covering chunk vs smaller chunks for `shape` under `budget`:
+    /// chunked when [`Scheduler::predicted_monolithic_peak_bytes`]
+    /// would cross the budget, or — with room to spare — when it falls
+    /// out of cache. Otherwise one covering chunk.
     pub fn proving_for(&self, shape: WorkloadShape, budget: MemBudget) -> Proving {
         let peak = Scheduler::predicted_monolithic_peak_bytes(shape);
         let over_budget = budget.limit_bytes().is_some_and(|limit| peak > limit);
@@ -437,8 +409,8 @@ impl Scheduler {
         }
     }
 
-    /// Chunk length for the streamed pipeline under `budget`: half the
-    /// element headroom between the budget and the streamed floor
+    /// Chunk length for the pipeline under `budget`: half the
+    /// element headroom between the budget and the residency floor
     /// (half, because the pool's power-of-two size classes can round a
     /// lease up to 2x), clamped to `[16, padded domain]`. With no
     /// budget in force the cache-friendly default is one-eighth of the
@@ -534,24 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn ntt_cutoff_rises_with_cheaper_mults_and_slower_spawns() {
-        let paper = Scheduler::new(HostProfile::synthetic(4, 20_000.0), MicroCosts::paper_128());
-        let slow_spawn =
-            Scheduler::new(HostProfile::synthetic(4, 2_000_000.0), MicroCosts::paper_128());
-        assert!(slow_spawn.ntt_parallel_min_log2() >= paper.ntt_parallel_min_log2());
-        // 220-bit mults are pricier than 128-bit: cutoff can only drop.
-        let p220 = Scheduler::new(HostProfile::synthetic(4, 20_000.0), MicroCosts::paper_220());
-        assert!(p220.ntt_parallel_min_log2() <= paper.ntt_parallel_min_log2());
-        // Both stay in the clamp range.
-        let lo = NTT_MIN_LOG2_RANGE.0;
-        let hi = NTT_MIN_LOG2_RANGE.1;
-        for s in [paper, slow_spawn, p220] {
-            let c = s.ntt_parallel_min_log2();
-            assert!((lo..=hi).contains(&c));
-        }
-    }
-
-    #[test]
     fn unlimited_budget_stays_monolithic_while_cache_resident() {
         // The bench's smaller stream size: n = 1024, predicted peak
         // 80 KiB — inside the 256 KiB cache threshold, so monolithic
@@ -621,7 +575,6 @@ mod tests {
         let serial = ExecPolicy::serial();
         assert_eq!(serial.workers, 1);
         assert_eq!(serial.proving, Proving::Monolithic);
-        assert_eq!(serial.ntt_parallel_min_log2, DEFAULT_NTT_PARALLEL_MIN_LOG2);
         let par = ExecPolicy::with_workers(8);
         assert_eq!(par.workers, 8);
         assert_eq!(par.proving, Proving::Monolithic);
@@ -629,5 +582,16 @@ mod tests {
         assert_eq!(st.proving, Proving::Streamed { chunk_len: 64 });
         assert_eq!(st.workers, 1);
         assert_eq!(ExecPolicy::default(), serial);
+    }
+
+    #[test]
+    fn chunk_len_for_normalises_every_spelling_of_covering() {
+        assert_eq!(Proving::Monolithic.chunk_len_for(1024), 1024);
+        assert_eq!(Proving::Monolithic.chunk_len_for(0), 1);
+        let streamed = |chunk_len| Proving::Streamed { chunk_len };
+        assert_eq!(streamed(64).chunk_len_for(1024), 64);
+        assert_eq!(streamed(0).chunk_len_for(1024), 1);
+        assert_eq!(streamed(usize::MAX).chunk_len_for(1024), 1024);
+        assert_eq!(streamed(7).chunk_len_for(0), 1);
     }
 }

@@ -76,7 +76,7 @@ pub struct ServerConfig {
     pub trim_to_bytes: usize,
     /// Per-tenant workspace budget: every leased workspace enforces
     /// this as a hard cap on each of its pools, so one tenant's
-    /// streaming session fails with a typed
+    /// session fails with a typed
     /// [`SessionError::BudgetExceeded`] instead of growing into the
     /// server-wide [`ServerConfig::max_footprint_bytes`] headroom other
     /// tenants depend on. [`MemBudget::unlimited`] (the default)
@@ -259,8 +259,8 @@ pub struct SessionServer<'p, F: PrimeField + HasGroup, D: EvalDomain<F>> {
     /// Per-tenant execution policy, derived once at construction from
     /// the largest configured circuit and
     /// [`ServerConfig::tenant_budget`], and stamped on every leased
-    /// workspace — the serving path streams commitments exactly when
-    /// the scheduler predicts the monolithic peak will not fit.
+    /// workspace — the serving path chunks its commitments exactly when
+    /// the scheduler's covering-chunk threshold does not fit the budget.
     tenant_policy: ExecPolicy,
 }
 
@@ -301,7 +301,7 @@ where
         let pool = WorkspacePool::new(config.pool_capacity);
         // One policy decision for the whole server: the serving loop
         // proves one instance per request (batch 1, workers moot), so
-        // the decision that matters is monolithic-vs-streamed — sized
+        // the decision that matters is the chunk length — sized
         // for the largest configured circuit against the per-tenant
         // budget, so every tenant's workspace serves every circuit.
         let scheduler = Scheduler::new(HostProfile::from_env(), MicroParams::paper_128().into());
@@ -673,9 +673,9 @@ mod tests {
     #[test]
     fn admit_stamps_the_tenant_policy_on_leased_workspaces() {
         let fx = zaatar_core::testutil::mul_fixture(&[[3, 7]]);
-        // A budget below the predicted monolithic peak for this circuit
-        // must yield a streaming policy; an unlimited one (tiny circuit,
-        // cache resident) must stay monolithic.
+        // A budget below the scheduler's covering-chunk threshold for
+        // this circuit must yield a chunked policy; an unlimited one
+        // (tiny circuit, cache resident) must keep the covering chunk.
         let shape = WorkloadShape {
             domain_size: fx.pcp.qap().degree(),
             batch: 1,

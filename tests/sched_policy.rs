@@ -1,12 +1,12 @@
-//! Scheduler policy lockdown: (1) the monolithic-vs-streaming decision
-//! is the policy's to make, with the boundary pinned where the bench
-//! measured it; (2) policy dispatch is **byte-transparent** — every
-//! combination of workers and proving pipeline produces transcripts
-//! identical to the serial monolithic reference.
+//! Scheduler policy lockdown: (1) the chunk-length decision is the
+//! policy's to make, with the covering/chunked boundary pinned where
+//! the bench measured it; (2) policy dispatch is **byte-transparent** —
+//! every combination of workers and chunk length produces transcripts
+//! identical to the serial covering-chunk reference.
 //! A policy changes where and when work happens (threads, chunks),
 //! never the field/group values that reach the wire.
 
-use zaatar::core::runtime::prove_batch_with_policy;
+use zaatar::core::runtime::{prove_batch_with_policy, prove_instance_policied};
 use zaatar::core::session::{SessionProver, SessionVerifier};
 use zaatar::core::testutil::mul_fixture;
 use zaatar::core::workspace::ProverWorkspace;
@@ -18,33 +18,32 @@ fn shape(domain_size: usize) -> WorkloadShape {
     WorkloadShape { domain_size, batch: 1, elem_bytes: 8 }
 }
 
-/// Satellite regression: under an unlimited budget the scheduler stays
-/// monolithic while the predicted working set is cache-resident
-/// (n = 1024, the bench's chain-160 stream size) and switches to
-/// streaming only past the residency threshold (n = 4096, chain 640) —
-/// and under a finite budget, streaming engages exactly when the
-/// predicted monolithic peak no longer fits.
+/// Under an unlimited budget the scheduler keeps the covering chunk
+/// while the predicted working set is cache-resident (n = 1024) and
+/// chunks only past the residency threshold (n = 4096) — and under a
+/// finite budget, chunking engages exactly when the scheduler's
+/// covering-chunk threshold no longer fits.
 #[test]
 fn policy_decides_monolithic_vs_streaming() {
     let sched = Scheduler::new(HostProfile::synthetic(1, 25_000.0), MicroCosts::paper_128());
 
-    // Unlimited budget, cache-resident working set: monolithic.
+    // Unlimited budget, cache-resident working set: covering chunk.
     assert_eq!(
         sched.policy(shape(1024), MemBudget::unlimited()).proving,
         Proving::Monolithic,
-        "chain-160 working set (80 KiB) is cache-resident; monolithic measured faster"
+        "an 80 KiB predicted working set is cache-resident"
     );
-    // Unlimited budget, working set past cache residency: streamed.
+    // Unlimited budget, working set past cache residency: chunked.
     assert!(
         matches!(
             sched.policy(shape(4096), MemBudget::unlimited()).proving,
             Proving::Streamed { .. }
         ),
-        "chain-640 working set (320 KiB) falls out of cache; streaming measured faster"
+        "a 320 KiB predicted working set falls out of cache"
     );
 
-    // A budget exactly at the predicted peak still runs monolithic;
-    // one byte less forces streaming with a sane chunk.
+    // A budget exactly at the threshold still gets the covering chunk;
+    // one byte less gets a sane smaller one.
     let peak = Scheduler::predicted_monolithic_peak_bytes(shape(1024));
     assert_eq!(
         sched.policy(shape(1024), MemBudget::bytes(peak)).proving,
@@ -53,7 +52,7 @@ fn policy_decides_monolithic_vs_streaming() {
     let Proving::Streamed { chunk_len } =
         sched.policy(shape(1024), MemBudget::bytes(peak - 1)).proving
     else {
-        panic!("budget below predicted peak must stream");
+        panic!("budget below the threshold must chunk");
     };
     assert!((16..=1024).contains(&chunk_len), "chunk_len {chunk_len} out of range");
 }
@@ -81,11 +80,11 @@ fn transcripts_byte_identical_across_policies() {
         let fx = mul_fixture(&inputs);
         let domain = fx.pcp.qap().degree();
 
-        // Reference: the serial monolithic pipeline over one workspace.
+        // Reference: the serial covering-chunk policy over one workspace.
         let reference = &fx.proofs;
 
-        // Both pipelines (streamed at a ragged and at a covering chunk),
-        // each serial and at four workers.
+        // A ragged and a covering chunk next to the default, each
+        // serial and at four workers.
         let covering = domain.next_power_of_two();
         let policies = [
             ExecPolicy::serial(),
@@ -113,7 +112,7 @@ fn transcripts_byte_identical_across_policies() {
             }
 
             // Session wire bytes: the policied serving path emits the
-            // same bytes a plain monolithic serve would.
+            // same bytes a default-policy serve would.
             let mut prg = ChaChaPrg::from_u64_seed(0xA11CE);
             let mut verifier = SessionVerifier::new(&fx.pcp, &mut prg);
             let setup = verifier.setup_message().expect("setup");
@@ -134,30 +133,75 @@ fn transcripts_byte_identical_across_policies() {
     }
 }
 
-/// A streaming policy under a budget that cannot even hold the
-/// streamed floor surfaces a typed budget error instead of allocating
-/// past the cap — and the same shape under an adequate budget proves
-/// identically to monolithic.
-#[test]
-fn policied_streaming_respects_the_budget() {
-    let fx = mul_fixture(&[[3, 7], [4, 9]]);
-    let starved = prove_batch_with_policy(
-        &fx.pcp,
-        &fx.witnesses,
-        &ExecPolicy::streamed(16),
-        MemBudget::bytes(8),
-    );
-    assert!(starved.is_err(), "an 8-byte budget cannot hold any stage buffer");
+/// Session setup plus every instance message, proved and served on one
+/// workspace under `proving`, and that workspace's peak residency.
+fn transcript_and_peak(
+    fx: &zaatar::core::testutil::CircuitFixture,
+    proving: Proving,
+    budget: MemBudget,
+) -> (Vec<Vec<u8>>, usize) {
+    let policy = ExecPolicy { proving, ..ExecPolicy::serial() };
+    let mut ws = ProverWorkspace::with_budget(budget).with_policy(policy);
+    let mut prg = ChaChaPrg::from_u64_seed(0xA11CE);
+    let mut verifier = SessionVerifier::new(&fx.pcp, &mut prg);
+    let setup = verifier.setup_message().expect("setup");
+    let mut prover = SessionProver::new(&fx.pcp);
+    prover.receive_setup(&setup).expect("valid setup");
+    let mut transcript = vec![setup];
+    for (w, io) in fx.witnesses.iter().zip(&fx.ios) {
+        let proof = prove_instance_policied(&fx.pcp, w, &mut ws)
+            .expect("budget admits the pipeline")
+            .expect("satisfying witness");
+        let msg = prover.instance_message_policied(&proof, &mut ws).expect("serve");
+        assert!(verifier.verify_instance(&msg, io).expect("well-formed message"));
+        transcript.push(msg);
+    }
+    (transcript, ws.high_water_bytes())
+}
 
-    let roomy = prove_batch_with_policy(
-        &fx.pcp,
-        &fx.witnesses,
-        &ExecPolicy::streamed(16),
-        MemBudget::bytes(1 << 20),
-    )
-    .expect("1 MiB fits the light fixture");
-    for (got, want) in roomy.iter().zip(fx.proofs.iter()) {
-        let got = got.as_ref().expect("satisfying witness");
-        assert_eq!((&got.z, &got.h), (&want.z, &want.h));
+/// Chunk length is normalised in one place: every spelling of "one
+/// covering chunk" — `Monolithic`, `Streamed { n }`, `Streamed { MAX }`
+/// — is the same schedule (same bytes, same peak), and `Streamed { 0 }`
+/// is chunk 1, not a panic.
+#[test]
+fn every_spelling_of_the_covering_chunk_is_one_schedule() {
+    let fx = mul_fixture(&[[3, 7], [4, 9]]);
+    let n = fx.pcp.qap().degree();
+    let unlimited = MemBudget::unlimited();
+    let (reference, peak) = transcript_and_peak(&fx, Proving::Monolithic, unlimited);
+    assert!(peak > 0);
+    for chunk_len in [n, 1 << 40, usize::MAX] {
+        let got = transcript_and_peak(&fx, Proving::Streamed { chunk_len }, unlimited);
+        assert_eq!(got, (reference.clone(), peak), "chunk_len={chunk_len}");
+    }
+    let (degenerate, _) = transcript_and_peak(&fx, Proving::Streamed { chunk_len: 0 }, unlimited);
+    assert_eq!(degenerate, reference);
+}
+
+/// Budgets are absolute: half the pipeline's 7-elements-per-point
+/// residency floor is refused with a typed error at any chunk length —
+/// never a panic, never an allocation past the cap — and an adequate
+/// budget proves identically to the default policy with measured
+/// high-water at or under it.
+#[test]
+fn policied_proving_respects_the_budget() {
+    let fx = mul_fixture(&[[3, 7], [4, 9]]);
+    let floor = Scheduler::predicted_streamed_floor_bytes(shape(fx.pcp.qap().degree()));
+    for policy in [ExecPolicy::serial(), ExecPolicy::streamed(16)] {
+        let starved = MemBudget::bytes(floor / 2);
+        let err = prove_batch_with_policy(&fx.pcp, &fx.witnesses, &policy, starved)
+            .expect_err("half the residency floor cannot hold the pipeline");
+        assert_eq!(err.limit_bytes, floor / 2, "{policy:?}");
+        let mut ws = ProverWorkspace::with_budget(starved).with_policy(policy);
+        assert!(prove_instance_policied(&fx.pcp, &fx.witnesses[0], &mut ws).is_err());
+        assert!(ws.high_water_bytes() <= floor / 2, "{policy:?} over-allocated");
+    }
+
+    let roomy = MemBudget::bytes(1 << 20);
+    let (reference, _) = transcript_and_peak(&fx, Proving::Monolithic, MemBudget::unlimited());
+    for proving in [Proving::Monolithic, Proving::Streamed { chunk_len: 16 }] {
+        let (transcript, peak) = transcript_and_peak(&fx, proving, roomy);
+        assert_eq!(transcript, reference, "{proving:?}");
+        assert!(peak <= 1 << 20, "{proving:?} peaked at {peak}");
     }
 }

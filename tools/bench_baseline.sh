@@ -1,30 +1,23 @@
 #!/usr/bin/env bash
-# Regenerates the committed performance baseline, `BENCH_pr10.json`,
-# then runs the in-tree `cargo bench` groups for eyeball comparison:
+# Emits a performance baseline (schema v10) to
+# `target/bench_baseline.json` — copy it to `BENCH_pr<N>.json` to freeze
+# a record — then runs the in-tree `cargo bench` groups for eyeball
+# comparison:
 #
 #   tools/bench_baseline.sh            # full baseline (seconds)
 #   tools/bench_baseline.sh --smoke    # CI-sized workload
 #
-# `BENCH_seed.json` (schema v1), `BENCH_pr3.json` (schema v2),
-# `BENCH_pr4.json` (schema v3), `BENCH_pr5.json` (schema v4),
-# `BENCH_pr6.json` (schema v5), `BENCH_pr7.json` (schema v6),
-# `BENCH_pr8.json` (schema v7), and `BENCH_pr9.json` (schema v8) are
-# frozen earlier records kept for before/after comparison; new
-# snapshots land in `BENCH_pr10.json` (schema v9, which adds the
-# `sched` section: the scheduler's worker choice and its
-# monolithic-vs-streaming pipeline choice next to ground-truth sweeps;
-# the validator requires the chosen worker count within 5% of the best
-# swept count and never behind serial, and the pipeline choice to
-# match the faster measured path). Note the
-# percentile semantics change introduced in v6 snapshots:
+# `BENCH_seed.json` (schema v1) through `BENCH_pr10.json` (schema v9)
+# are frozen earlier records kept for before/after comparison, each
+# valid only under its own schema id. Schema v10 drops v8's `stream`
+# and v9's `sched` sections — both compared a monolithic prover path
+# against a streaming one, and there is one pipeline now; `zbench` is
+# the instrument of record for residency and scheduler choices. Note
+# the percentile semantics change introduced in v6 snapshots:
 # `p50_ns`/`p99_ns` are bucket upper bounds clamped to the observed
 # max — and PR 9 fixes the nearest-rank selection so a skewed
 # distribution's p99 lands in the true tail bucket; older frozen
 # baselines carry the earlier semantics.
-#
-# The streaming measurement honors `ZAATAR_MEM_BUDGET` (e.g. `256k`,
-# `16m`): when set, the streaming workspace enforces it as a hard cap
-# and the run aborts if a lease would exceed it.
 #
 # The baseline is emitted and schema-checked by the `bench_baseline`
 # binary (see crates/bench/src/bin/bench_baseline.rs); timings come
@@ -34,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ARGS=("$@")
-OUT="BENCH_pr10.json"
+OUT="target/bench_baseline.json"
 
 echo "==> bench_baseline → ${OUT}"
 cargo run --release -q -p zaatar-bench --locked --bin bench_baseline -- \

@@ -91,13 +91,13 @@ filtered_test cargo test -q -p zaatar-crypto --test proptests --locked --release
 echo "==> compiler smoke (optimizer differential + hetero acceptance, release)"
 cargo test -q -p zaatar --test compiler_differential --locked --release
 
-# Streaming differential smoke: the chunked prover pipeline must
-# produce session wire transcripts byte-identical to the monolithic
-# path across batch sizes and chunk geometries (one covering chunk,
-# even split, ragged tail) under the release profile, and the 16×
-# leak guard must hold its budget across 100 sessions — these run in
-# step 3 too, but a failure here names the streaming pipeline
-# directly.
+# Chunk-geometry differential smoke: the prover pipeline must produce
+# session wire transcripts byte-identical to the default covering
+# chunk across batch sizes and chunk geometries (explicit covering
+# chunk, even split, ragged tail) under the release profile, and the
+# 16× leak guard must hold its absolute budget across 100 sessions —
+# these run in step 3 too, but a failure here names the chunked
+# pipeline directly.
 echo "==> streaming differential smoke (chunked prover, release)"
 filtered_test cargo test -q -p zaatar --test batch_differential --locked --release -- \
     streaming_prove_transcripts_byte_identical_across_chunk_sizes \
@@ -106,8 +106,9 @@ filtered_test cargo test -q -p zaatar --test batch_differential --locked --relea
 # Scheduler smoke: the zero-dep policy crate's deterministic unit
 # suite (injected MicroCosts, synthetic host profiles, no wall clock)
 # plus the root policy differential — transcripts must stay
-# byte-identical across every workers × proving policy, and the
-# mono/streamed boundary must sit where the bench measured it.
+# byte-identical across every workers × chunk-length policy, every
+# spelling of the covering chunk must be one schedule, and the
+# covering/chunked boundary must sit where the scheduler puts it.
 echo "==> sched smoke (policy units + transcript differential, release)"
 cargo test -q -p zaatar-sched --locked --release
 cargo test -q -p zaatar --test sched_policy --locked --release
@@ -131,22 +132,17 @@ ZAATAR_WORKERS=4 cargo test -q -p zaatar --test sched_policy --locked --release
 echo "==> zbench smoke (out-of-workspace benchmark builds and runs)"
 bash zbench/run.sh --smoke
 
-# The validator enforces the full v9 schema, including the `ntt` and
-# `pcp` sections (batch amortization must strictly reduce per-instance
-# query-setup cost), the `mem` section (the staged prover pipeline
-# must show a non-zero scratch-pool hit rate at batch size 16), the
-# `stream` section (the chunked streaming prover must hold a strictly
-# smaller peak residency than the monolithic path at the larger
-# measured circuit, with byte-identical proofs), the `server` section
-# (admissions must dominate rejections at nominal load; synthetic
-# overload must split deterministically), the `commit` section (the
-# bucket MSM must beat the per-element loop by ≥ 4× at the largest
-# measured oracle length), the `cc` section (the optimizer must
-# never grow a circuit and must strictly shrink at least three zoo
-# apps), and the `sched` section (the scheduler's worker choice must
-# be within 5% of the best swept count and never slower than serial,
-# and its mono/streamed pipeline choice must match the faster
-# measured path at each stream size).
+# The validator enforces the full v10 schema: the `ntt` and `pcp`
+# sections (batch amortization must strictly reduce per-instance
+# query-setup cost), the `mem` section (the prover pipeline must show
+# a non-zero scratch-pool hit rate at batch size 16), the `server`
+# section (admissions must dominate rejections at nominal load;
+# synthetic overload must split deterministically), the `commit`
+# section (the bucket MSM must beat the per-element loop by ≥ 4× at
+# the largest measured oracle length), and the `cc` section (the
+# optimizer must never grow a circuit and must strictly shrink at
+# least three zoo apps). Residency and scheduler choices are
+# measured by `zbench` (the step above), not here.
 echo "==> bench smoke (baseline emit + schema validation)"
 cargo run --release -q -p zaatar-bench --locked --bin bench_baseline -- \
     --smoke --out target/bench_smoke.json
