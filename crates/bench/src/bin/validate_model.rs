@@ -57,9 +57,7 @@ fn main() {
         let z_construct = start.elapsed().as_secs_f64();
         let zres = run_batched_argument(&zpcp, &[zproof], &[io], 3);
         assert!(zres.accepted[0], "{}", app.name());
-        let z_measured = z_construct
-            + zres.prover.crypto.as_secs_f64()
-            + zres.prover.answer_queries.as_secs_f64();
+        let z_measured = z_construct + zres.prover_total.as_secs_f64();
 
         // --- Ginger, measured ---
         let lin = linearize_io(&art.compiled.ginger);
@@ -71,9 +69,7 @@ fn main() {
         let g_construct = start.elapsed().as_secs_f64();
         let gres = run_batched_ginger_argument(&gpcp, &[gproof], &[gio], 4);
         assert!(gres.accepted[0], "{} (ginger)", app.name());
-        let g_measured = g_construct
-            + gres.prover.crypto.as_secs_f64()
-            + gres.prover.answer_queries.as_secs_f64();
+        let g_measured = g_construct + gres.prover_total.as_secs_f64();
 
         // --- Model predictions ---
         let spec = spec(&art, &app);

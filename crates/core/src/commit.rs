@@ -151,7 +151,7 @@ pub struct Decommitment<F> {
 /// **Prover side**: answers PCP queries and the consistency query for
 /// proof vector `u` — the serial reference path (one dense dot product
 /// per query). Production callers decommit through
-/// [`decommit_packed`]'s blocked kernel.
+/// [`decommit_packed_into`]'s blocked kernel.
 pub fn decommit<F: Field>(u: &[F], queries: &[&[F]], t: &[F]) -> Decommitment<F> {
     let dot = |q: &[F]| -> F { q.iter().zip(u.iter()).map(|(a, b)| *a * *b).sum() };
     Decommitment {
@@ -164,20 +164,11 @@ pub fn decommit<F: Field>(u: &[F], queries: &[&[F]], t: &[F]) -> Decommitment<F>
 /// blocked pass over `u` answers every query, sharded across up to
 /// `workers` threads. Output is identical to [`decommit`] on the same
 /// queries (exact field arithmetic commutes with re-association).
-pub fn decommit_packed<F: Field>(
-    u: &[F],
-    queries: &QueryMatrix<F>,
-    t: &[F],
-    workers: usize,
-) -> Decommitment<F> {
-    decommit_packed_into(u, queries, t, workers, Vec::new())
-}
-
-/// [`decommit_packed`] reusing a caller-supplied answer buffer (the
-/// Answer stage leases it from a [`crate::ProverWorkspace`] and returns
-/// it after encoding). The buffer is cleared and refilled; its capacity
-/// — not its contents — is what carries over between instances, so the
-/// output is identical to [`decommit_packed`].
+///
+/// `answers` is a caller-supplied buffer (the Answer stage leases it
+/// from a [`crate::ProverWorkspace`] and returns it after encoding; pass
+/// `Vec::new()` for a one-off). It is cleared and refilled: its capacity
+/// — not its contents — is what carries over between instances.
 pub fn decommit_packed_into<F: Field>(
     u: &[F],
     queries: &QueryMatrix<F>,
@@ -272,7 +263,7 @@ mod tests {
         let matrix = QueryMatrix::pack(&qrefs);
         let serial = decommit(&u, &qrefs, &t);
         for workers in [1usize, 4] {
-            let packed = decommit_packed(&u, &matrix, &t, workers);
+            let packed = decommit_packed_into(&u, &matrix, &t, workers, Vec::new());
             assert_eq!(packed.answers, serial.answers, "workers={workers}");
             assert_eq!(packed.t_answer, serial.t_answer);
             assert!(key.verify(&commitment, &packed.answers, packed.t_answer, &alphas));

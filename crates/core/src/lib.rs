@@ -16,9 +16,11 @@
 //! * [`commit`] — Ginger's linear commitment primitive
 //!   (commit + multidecommit) over exponential ElGamal, which turns either
 //!   PCP into an efficient argument (§2.2);
-//! * [`argument`] — the batched end-to-end argument system: the verifier
-//!   amortizes query construction over β instances of the same
-//!   computation (§2.2), and per-phase timings feed the Fig. 5 table;
+//! * [`session`] — the batched end-to-end argument system as encoded
+//!   byte messages: the verifier amortizes query construction over β
+//!   instances of the same computation (§2.2); [`argument`] drives it in
+//!   one process, and the `zaatar_obs` spans it records feed the Fig. 5
+//!   table;
 //! * [`cost`] — the analytic cost model of Fig. 3 for both systems,
 //!   parameterized by measured microbenchmarks (§5.1), used to estimate
 //!   Ginger at scales where running it is infeasible — exactly as the
@@ -42,10 +44,7 @@ pub mod testutil;
 pub mod wire;
 pub mod workspace;
 
-pub use argument::{
-    run_batched_argument, run_batched_ginger_argument, ArgumentParams, BatchResult, Prover,
-    ProverTimings, Verifier,
-};
+pub use argument::{run_batched_argument, run_batched_ginger_argument, BatchResult};
 pub use commit::{CommitmentKey, Decommitment};
 pub use cost::{measure_micro_params, ComputationSpec, CostModel, MicroParams, ProtocolParams};
 pub use ginger::{GingerPcp, GingerProof};

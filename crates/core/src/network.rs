@@ -12,7 +12,7 @@ use zaatar_crypto::ChaChaPrg;
 use zaatar_field::PrimeField;
 use zaatar_poly::domain::EvalDomain;
 
-use crate::pcp::{PcpParams, QuerySet, ZaatarPcp};
+use crate::pcp::{QuerySet, ZaatarPcp};
 
 /// Bytes on the wire in each direction for one batch.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -91,14 +91,10 @@ pub fn fresh_seed(prg: &mut ChaChaPrg) -> [u8; 32] {
     seed
 }
 
-/// Convenience: a `PcpParams`-only estimate of total query count `µ`.
-pub fn total_queries(params: PcpParams) -> usize {
-    params.total_queries()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pcp::PcpParams;
     use crate::qap::Qap;
     use zaatar_cc::{ginger_to_quad, Builder};
     use zaatar_field::F61;

@@ -339,8 +339,8 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
 
     /// The prover's response computation: the **serial reference path**,
     /// issuing one dense dot product per query. Production callers
-    /// ([`crate::argument`], [`crate::session`]) answer through
-    /// [`BatchQuerySet::answer`]'s blocked kernel instead; this path is
+    /// ([`crate::session`]) answer through the blocked kernel off a
+    /// [`BatchQuerySet`]'s packed matrices instead; this path is
     /// kept as the differential oracle the batched answers are locked
     /// against (`tests/batch_differential.rs`).
     pub fn answer(&self, proof: &ZaatarProof<F>, queries: &QuerySet<F>) -> PcpResponses<F> {
@@ -366,8 +366,13 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
         let rho_lin = self.params.rho_lin;
         let per_rep_z = 3 * rho_lin + 3;
         let per_rep_h = 3 * rho_lin + 1;
+        // Both come from outside (the wire, the caller's claim): a wrong
+        // answer count or a statement of the wrong arity is a rejection.
+        // `zip` below would otherwise ignore surplus io values and read
+        // missing ones as zero.
         if responses.z_answers.len() != queries.reps.len() * per_rep_z
             || responses.h_answers.len() != queries.reps.len() * per_rep_h
+            || queries.reps.iter().any(|rep| io.len() + 1 != rep.a_bound.len())
         {
             return false;
         }

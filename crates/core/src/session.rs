@@ -309,9 +309,8 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
             commit(&self.enc_r_z, &proof.z, ws),
             commit(&self.enc_r_h, &proof.h, ws),
         );
-        // Query answering — the same phase argument::Prover::respond
-        // times as `answer_queries`, through the blocked kernel off the
-        // batch-packed matrices.
+        // Query answering (Fig. 5's "answer queries" column reads this
+        // span), through the blocked kernel off the batch-packed matrices.
         let answer_span = zaatar_obs::time("pcp.answer");
         zaatar_obs::counter("pcp.batch.query_reuse").inc();
         let buf_z = ws.scratch().try_take(queries.z_matrix().num_rows(), F::ZERO)?;
@@ -626,16 +625,32 @@ mod tests {
 
     #[test]
     fn wrong_claimed_io_rejected_over_wire() {
-        let (pcp, proofs, mut ios) = fixture(&[[6, 6]]);
+        let (pcp, proofs, ios) = fixture(&[[6, 6], [3, 7], [0, 9]]);
         let mut prg = ChaChaPrg::from_u64_seed(0x5e57);
         let mut verifier = SessionVerifier::new(&pcp, &mut prg);
         let mut prover = SessionProver::new(&pcp);
         prover.receive_setup(&verifier.setup_message().unwrap()).unwrap();
         let mut ws = ProverWorkspace::new();
-        let msg = prover.instance_message_policied(&proofs[0], &mut ws).unwrap();
-        let last = ios[0].len() - 1;
-        ios[0][last] += F61::ONE;
-        assert!(!verifier.verify_instance(&msg, &ios[0]).unwrap());
+        let msgs: Vec<Vec<u8>> = proofs
+            .iter()
+            .map(|p| prover.instance_message_policied(p, &mut ws).unwrap())
+            .collect();
+        let mut lie = ios[0].clone();
+        *lie.last_mut().unwrap() += F61::ONE;
+        assert!(!verifier.verify_instance(&msgs[0], &lie).unwrap());
+        // A statement of the wrong arity is a wrong statement: trailing
+        // claimed values are not ignored...
+        let mut long = ios[1].clone();
+        long.extend([F61::from_u64(123_456), F61::from_u64(99)]);
+        assert!(!verifier.verify_instance(&msgs[1], &long).unwrap());
+        // ...and a missing output is not read as zero (the true output
+        // of (0, 9) *is* zero, so only the arity gives this one away).
+        assert_eq!(ios[2], [F61::ZERO, F61::from_u64(9), F61::ZERO]);
+        assert!(!verifier.verify_instance(&msgs[2], &ios[2][..2]).unwrap());
+        // The same messages under the true statements still accept.
+        for (msg, io) in msgs.iter().zip(&ios) {
+            assert!(verifier.verify_instance(msg, io).unwrap());
+        }
     }
 
     #[test]
@@ -742,6 +757,35 @@ mod tests {
             assert_eq!(msg, iso, "instance {i} transcript diverged from isolated session");
             assert!(verifier.verify_instance(i, &msg, io).unwrap());
         }
+    }
+
+    #[test]
+    fn hetero_io_with_the_other_circuits_arity_is_rejected() {
+        // Circuit 0 has io arity 3 (two inputs, one output); circuit 1,
+        // `y = x²`, has arity 2.
+        let (pcp_a, proofs_a, ios_a) = fixture(&[[0, 9]]);
+        let mut b = Builder::<F61>::new();
+        let x = b.alloc_input();
+        let y = b.square(&x);
+        b.bind_output(&y);
+        let (sys, solver) = b.finish();
+        let sq = crate::testutil::circuit_fixture(&sys, &solver, &[vec![F61::ZERO]]);
+        let pcps = [&pcp_a, &sq.pcp];
+        let circuit_ids = [0u32, 1];
+        let prg = ChaChaPrg::from_u64_seed(0x4e81);
+        let mut verifier = HeteroSessionVerifier::new(&pcps, &circuit_ids, &prg);
+        let mut prover = HeteroSessionProver::new(&pcps, &circuit_ids);
+        prover.receive_setup(&verifier.setup_message().unwrap()).unwrap();
+        let mut ws = ProverWorkspace::new();
+        let msg_a = prover.instance_message_policied(0, &proofs_a[0], &mut ws).unwrap();
+        let msg_sq = prover.instance_message_policied(1, &sq.proofs[0], &mut ws).unwrap();
+        assert!(verifier.verify_instance(0, &msg_a, &ios_a[0]).unwrap());
+        assert!(verifier.verify_instance(1, &msg_sq, &sq.ios[0]).unwrap());
+        // Each instance claimed with the other circuit's arity; the
+        // values agree on the common prefix and the surplus is zero, so
+        // only the arity check can tell.
+        assert!(!verifier.verify_instance(0, &msg_a, &ios_a[0][..2]).unwrap());
+        assert!(!verifier.verify_instance(1, &msg_sq, &[F61::ZERO; 3]).unwrap());
     }
 
     #[test]

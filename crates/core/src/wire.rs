@@ -266,10 +266,11 @@ pub fn decode_prover_message<F: HasGroup + PrimeField>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commit::{decommit, CommitmentKey};
     use crate::network::zaatar_network_costs;
     use crate::pcp::{PcpParams, ZaatarPcp};
     use crate::qap::Qap;
+    use crate::session::{SessionProver, SessionVerifier};
+    use crate::workspace::ProverWorkspace;
     use zaatar_cc::{ginger_to_quad, Builder};
     use zaatar_crypto::ChaChaPrg;
     use zaatar_field::{Field, F61};
@@ -331,27 +332,31 @@ mod tests {
         assert!(matches!(decode_proof::<F61>(&bytes), Err(WireError::TrailingBytes)));
     }
 
+    /// One instance's P → V message as a session produces it, plus the
+    /// verifier that can judge it.
+    fn session_message<'p>(
+        pcp: &'p ZaatarPcp<F61, zaatar_poly::Radix2Domain<F61>>,
+        proof: &ZaatarProof<F61>,
+        seed: u64,
+    ) -> (SessionVerifier<'p, F61, zaatar_poly::Radix2Domain<F61>>, Vec<u8>) {
+        let mut prg = ChaChaPrg::from_u64_seed(seed);
+        let mut verifier = SessionVerifier::new(pcp, &mut prg);
+        let mut prover = SessionProver::new(pcp);
+        prover.receive_setup(&verifier.setup_message().unwrap()).unwrap();
+        let message = prover
+            .instance_message_policied(proof, &mut ProverWorkspace::new())
+            .unwrap();
+        (verifier, message)
+    }
+
     #[test]
     fn prover_message_round_trips_and_verifies() {
         let (pcp, proof, io) = fixture();
-        let mut prg = ChaChaPrg::from_u64_seed(5);
-        let mut verifier = crate::argument::Verifier::setup(&pcp, &mut prg);
-        let (ez, eh) = {
-            let (a, b) = verifier.commit_request();
-            (a.to_vec(), b.to_vec())
-        };
-        let commitments = (
-            CommitmentKey::<F61>::commit(&ez, &proof.z),
-            CommitmentKey::<F61>::commit(&eh, &proof.h),
-        );
-        let req = verifier.decommit_request();
-        let dz = decommit(&proof.z, &req.z_queries, req.t_z);
-        let dh = decommit(&proof.h, &req.h_queries, req.t_h);
-        drop(req);
-        // Serialize, deserialize, verify.
-        let bytes = encode_prover_message(&commitments, &dz, &dh).unwrap();
-        let (c2, dz2, dh2) = decode_prover_message::<F61>(&bytes).unwrap();
-        assert!(verifier.check_instance(&c2, &dz2, &dh2, &io));
+        let (mut verifier, bytes) = session_message(&pcp, &proof, 5);
+        // Deserialize, serialize, verify.
+        let (c, dz, dh) = decode_prover_message::<F61>(&bytes).unwrap();
+        assert_eq!(encode_prover_message(&c, &dz, &dh).unwrap(), bytes);
+        assert!(verifier.verify_instance(&bytes, &io).unwrap());
     }
 
     #[test]
@@ -407,19 +412,7 @@ mod tests {
         // The analytic per-instance P→V byte count equals the real
         // encoded size, up to the length prefixes (4 bytes per vector).
         let (pcp, proof, _) = fixture();
-        let mut prg = ChaChaPrg::from_u64_seed(6);
-        let key_z = CommitmentKey::<F61>::generate(proof.z.len(), &mut prg);
-        let key_h = CommitmentKey::<F61>::generate(proof.h.len(), &mut prg);
-        let queries = pcp.generate_queries(&mut prg);
-        let (tz, _) = key_z.consistency_query(&queries.z_queries(), &mut prg);
-        let (th, _) = key_h.consistency_query(&queries.h_queries(), &mut prg);
-        let commitments = (
-            CommitmentKey::<F61>::commit(&key_z.enc_r, &proof.z),
-            CommitmentKey::<F61>::commit(&key_h.enc_r, &proof.h),
-        );
-        let dz = decommit(&proof.z, &queries.z_queries(), &tz);
-        let dh = decommit(&proof.h, &queries.h_queries(), &th);
-        let encoded = encode_prover_message(&commitments, &dz, &dh).unwrap().len() as u64;
+        let encoded = session_message(&pcp, &proof, 6).1.len() as u64;
         let model = zaatar_network_costs(&pcp, 1, 256, true).p_to_v;
         let prefixes = 2 * 4; // Two length-prefixed vectors.
         assert_eq!(encoded, model + prefixes);

@@ -82,7 +82,7 @@ fn main() {
     assert!(result.accepted[0]);
     println!(
         "verifier ACCEPTED (prover: {:?}, verifier setup: {:?})",
-        result.prover.total(),
-        result.verifier.setup_total()
+        result.prover_total,
+        result.verifier_setup
     );
 }

@@ -8,7 +8,7 @@
 //! and the session-prover wire path.
 
 use zaatar::cc::Builder;
-use zaatar::core::commit::{decommit, decommit_packed};
+use zaatar::core::commit::{decommit, decommit_packed_into};
 use zaatar::core::pcp::{PcpResponses, ZaatarPcp, ZaatarProof};
 use zaatar::core::qap::QapWitness;
 use zaatar::core::runtime::{prove_batch_with_policy, prove_instance_policied};
@@ -88,8 +88,10 @@ fn batched_answers_byte_identical_to_serial() {
     }
 }
 
-/// Packed decommitment answers (the argument prover's production path)
-/// are byte-identical to serial decommitment over the same queries.
+/// Packed decommitment answers (the session prover's Answer stage) are
+/// byte-identical to serial decommitment over the same queries at every
+/// worker count — the one pin of that identity now that the malicious-
+/// prover suite attacks the session path only.
 #[test]
 fn packed_decommit_byte_identical_to_serial() {
     let (pcp, proofs, _) = fixture(&[[4, 8]]);
@@ -99,9 +101,11 @@ fn packed_decommit_byte_identical_to_serial() {
     let t_h: Vec<F61> = prg.field_vec(proofs[0].h.len());
     let serial_z = decommit(&proofs[0].z, &batch.queries().z_queries(), &t_z);
     let serial_h = decommit(&proofs[0].h, &batch.queries().h_queries(), &t_h);
-    for workers in [1usize, 3] {
-        let packed_z = decommit_packed(&proofs[0].z, batch.z_matrix(), &t_z, workers);
-        let packed_h = decommit_packed(&proofs[0].h, batch.h_matrix(), &t_h, workers);
+    for workers in 1usize..=4 {
+        let packed_z =
+            decommit_packed_into(&proofs[0].z, batch.z_matrix(), &t_z, workers, Vec::new());
+        let packed_h =
+            decommit_packed_into(&proofs[0].h, batch.h_matrix(), &t_h, workers, Vec::new());
         let ser = |d: &zaatar::core::commit::Decommitment<F61>| -> Vec<u8> {
             d.answers
                 .iter()

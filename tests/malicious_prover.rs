@@ -1,8 +1,7 @@
-//! Malicious-prover soundness suite for the full argument system
-//! (commitment + decommitment + PCP checks), exercised over seeded
-//! batches in **both** answer paths: the serial per-query reference
-//! (`decommit`) and the amortized batched kernel (`decommit_packed`
-//! over the verifier's packed [`QueryMatrix`] pair).
+//! Malicious-prover soundness suite against the **deployed** verifier:
+//! every adversarial message is built at byte level and judged by
+//! [`SessionVerifier::verify_instance`] — the check a `SessionServer`
+//! client actually trusts — next to an honest neighbour.
 //!
 //! Four adversaries, mirroring the soundness analysis's attack surface:
 //!
@@ -19,298 +18,252 @@
 //!   after the commitment round and answers from the new proof; caught
 //!   like equivocation, plus the PCP checks on the flipped witness.
 //!
-//! Every attack rides in a batch next to an honest instance, asserting
-//! that batch amortization neither leaks rejections into honest
-//! instances nor lets a cheat hide behind an honest neighbour.
+//! plus messages whose answer vectors are one element short or long
+//! (a rejection, never a panic). Every attack rides in a batch next to
+//! an honest instance, asserting that batch amortization neither leaks
+//! rejections into honest instances nor lets a cheat hide behind an
+//! honest neighbour. The suite runs at a reduced profile on F61 across
+//! seeds and once at the paper's App. A.2 parameters on F128.
 
-use zaatar::core::argument::Verifier;
-use zaatar::core::commit::{decommit, decommit_packed, CommitmentKey, Decommitment};
-use zaatar::core::pcp::{PcpParams, ZaatarProof};
-use zaatar::core::qap::QapWitness;
-use zaatar::core::testutil::{circuit_fixture_with, CircuitFixture as Fixture, TestPcp as Pcp};
-use zaatar::cc::Builder;
-use zaatar::crypto::ChaChaPrg;
-use zaatar::field::{Field, F61};
+use zaatar::cc::{ginger_to_quad, Builder};
+use zaatar::core::commit::Decommitment;
+use zaatar::core::pcp::{PcpParams, ZaatarPcp, ZaatarProof};
+use zaatar::core::qap::{Qap, QapWitness};
+use zaatar::core::wire::{decode_prover_message, encode_prover_message, WireError};
+use zaatar::core::{ProverWorkspace, SessionProver, SessionVerifier};
+use zaatar::crypto::{ChaChaPrg, HasGroup};
+use zaatar::field::{Field, F128, F61};
+use zaatar::poly::Radix2Domain;
 
-fn f(x: i64) -> F61 {
-    F61::from_i64(x)
-}
+type Pcp<F> = ZaatarPcp<F, Radix2Domain<F>>;
 
-/// y = a·b + min(a, b), over a batch of inputs.
-fn fixture(inputs: &[[i64; 2]]) -> Fixture {
-    let mut b = Builder::<F61>::new();
+/// y = a·b + min(a, b) with one satisfying witness per input pair (the
+/// statement of witness `w` is `w.io`).
+fn fixture<F: HasGroup>(inputs: &[[i64; 2]], params: PcpParams) -> (Pcp<F>, Vec<QapWitness<F>>) {
+    let mut b = Builder::<F>::new();
     let a = b.alloc_input();
     let bb = b.alloc_input();
     let prod = b.mul(&a, &bb);
     let mn = b.min(&a, &bb, 10);
     b.bind_output(&prod.add(&mn));
     let (sys, solver) = b.finish();
-    let field_inputs: Vec<Vec<F61>> = inputs
+    let t = ginger_to_quad(&sys);
+    let pcp = ZaatarPcp::new(Qap::new(&t.system), params);
+    let witnesses = inputs
         .iter()
-        .map(|pair| vec![f(pair[0]), f(pair[1])])
+        .map(|pair| {
+            let asg = solver.solve(&[F::from_i64(pair[0]), F::from_i64(pair[1])]).expect("solves");
+            pcp.qap().witness(&t.extend_assignment(&asg))
+        })
         .collect();
-    circuit_fixture_with(&sys, &solver, &field_inputs, PcpParams { rho: 3, rho_lin: 4 })
+    (pcp, witnesses)
 }
 
-/// A per-answer warp applied to (z, h) decommitments, modelling a
-/// non-linear oracle.
-type AnswerWarp = fn(&mut Decommitment<F61>, &mut Decommitment<F61>);
+/// The reduced profile the F61 sweeps run at.
+const SUITE_PARAMS: PcpParams = PcpParams { rho: 3, rho_lin: 4 };
+
+/// A per-answer warp applied to the (z, h) decommitments before they
+/// are re-encoded.
+type AnswerWarp<F> = fn(&mut Decommitment<F>, &mut Decommitment<F>);
 
 /// One batch slot: what the prover commits to, what it answers from,
-/// and an optional per-answer warp modelling a non-linear oracle.
-struct Slot {
-    committed: ZaatarProof<F61>,
-    answering: ZaatarProof<F61>,
-    warp: Option<AnswerWarp>,
-    io: Vec<F61>,
+/// an optional warp of the answers, and the statement it claims.
+struct Slot<F> {
+    committed: ZaatarProof<F>,
+    answering: ZaatarProof<F>,
+    warp: Option<AnswerWarp<F>>,
+    io: Vec<F>,
 }
 
-impl Slot {
-    fn honest(pcp: &Pcp, w: &QapWitness<F61>, io: &[F61]) -> Self {
+/// `w` with its first unbound variable off by one: no longer satisfying.
+fn broken<F: Field>(w: &QapWitness<F>) -> QapWitness<F> {
+    let mut bad = w.clone();
+    bad.z[0] += F::ONE;
+    bad
+}
+
+impl<F: HasGroup> Slot<F> {
+    /// Commits to and answers from the honest proof, warping the answers.
+    fn warped(pcp: &Pcp<F>, w: &QapWitness<F>, warp: Option<AnswerWarp<F>>) -> Self {
         let proof = pcp.prove(w).expect("honest witness");
+        Slot { committed: proof.clone(), answering: proof, warp, io: w.io.clone() }
+    }
+
+    fn honest(pcp: &Pcp<F>, w: &QapWitness<F>) -> Self {
+        Self::warped(pcp, w, None)
+    }
+
+    /// (a) Nonzero-remainder quotient: break the witness, ship the
+    /// truncated quotient anyway.
+    fn bad_quotient(pcp: &Pcp<F>, w: &QapWitness<F>) -> Self {
+        let proof = pcp.prove_unchecked(&broken(w));
+        Slot { committed: proof.clone(), answering: proof, warp: None, io: w.io.clone() }
+    }
+
+    /// (c) Equivocation: commit to `u`, answer every query from `u′ ≠ u`.
+    fn equivocating(pcp: &Pcp<F>, w: &QapWitness<F>) -> Self {
+        let committed = pcp.prove(w).expect("honest witness");
+        let mut answering = committed.clone();
+        answering.z[0] += F::ONE;
+        answering.h[0] += F::ONE;
+        Slot { committed, answering, warp: None, io: w.io.clone() }
+    }
+
+    /// (d) Post-commit witness flip: commit to the honest proof, then
+    /// re-derive the proof from a flipped witness and answer from that.
+    fn witness_flip(pcp: &Pcp<F>, w: &QapWitness<F>) -> Self {
         Slot {
-            committed: proof.clone(),
-            answering: proof,
+            committed: pcp.prove(w).expect("honest witness"),
+            answering: pcp.prove_unchecked(&broken(w)),
             warp: None,
-            io: io.to_vec(),
+            io: w.io.clone(),
         }
     }
-}
-
-/// Drives the full argument for a batch of (possibly adversarial)
-/// slots; `batched` selects the amortized packed-matrix answer path
-/// versus the serial per-query reference.
-fn run_batch(fx: &Fixture, slots: &[Slot], seed: u64, batched: bool) -> Vec<bool> {
-    let mut prg = ChaChaPrg::from_u64_seed(seed);
-    let mut verifier = Verifier::setup(&fx.pcp, &mut prg);
-    let (enc_z, enc_h) = {
-        let (a, b) = verifier.commit_request();
-        (a.to_vec(), b.to_vec())
-    };
-    let commitments: Vec<_> = slots
-        .iter()
-        .map(|s| {
-            (
-                CommitmentKey::<F61>::commit(&enc_z, &s.committed.z),
-                CommitmentKey::<F61>::commit(&enc_h, &s.committed.h),
-            )
-        })
-        .collect();
-    let request = verifier.decommit_request();
-    let decommits: Vec<_> = slots
-        .iter()
-        .map(|s| {
-            let (mut dz, mut dh) = if batched {
-                (
-                    decommit_packed(&s.answering.z, request.z_matrix, request.t_z, 1),
-                    decommit_packed(&s.answering.h, request.h_matrix, request.t_h, 1),
-                )
-            } else {
-                (
-                    decommit(&s.answering.z, &request.z_queries, request.t_z),
-                    decommit(&s.answering.h, &request.h_queries, request.t_h),
-                )
-            };
-            if let Some(warp) = s.warp {
-                warp(&mut dz, &mut dh);
-            }
-            (dz, dh)
-        })
-        .collect();
-    drop(request);
-    commitments
-        .iter()
-        .zip(&decommits)
-        .zip(slots)
-        .map(|((c, (dz, dh)), s)| verifier.check_instance(c, dz, dh, &s.io))
-        .collect()
-}
-
-/// Asserts the slot zoo's verdicts in both answer paths across seeds:
-/// slot 0 is honest and must accept, every other slot must be rejected.
-fn assert_rejected_with_honest_neighbour(fx: &Fixture, slots: &[Slot], label: &str) {
-    for seed in [11u64, 29, 47] {
-        for batched in [false, true] {
-            let verdicts = run_batch(fx, slots, seed, batched);
-            assert!(
-                verdicts[0],
-                "{label}: honest neighbour rejected (seed {seed}, batched {batched})"
-            );
-            for (i, ok) in verdicts.iter().enumerate().skip(1) {
-                assert!(
-                    !ok,
-                    "{label}: adversary slot {i} accepted (seed {seed}, batched {batched})"
-                );
-            }
-        }
-    }
-}
-
-/// (a) Nonzero-remainder quotient: break the witness, ship the
-/// truncated quotient anyway.
-#[test]
-fn bad_quotient_prover_rejected() {
-    let fx = fixture(&[[3, 7], [10, 2]]);
-    let mut bad_w = fx.witnesses[1].clone();
-    bad_w.z[0] += F61::ONE;
-    let proof = fx.pcp.prove_unchecked(&bad_w);
-    let slots = vec![
-        Slot::honest(&fx.pcp, &fx.witnesses[0], &fx.ios[0]),
-        Slot {
-            committed: proof.clone(),
-            answering: proof,
-            warp: None,
-            io: fx.ios[1].clone(),
-        },
-    ];
-    assert_rejected_with_honest_neighbour(&fx, &slots, "bad-quotient");
 }
 
 /// (b) Non-linear oracle: answers `a² + a` per query instead of a
 /// linear function of the queries.
+fn square_warp<F: Field>(dz: &mut Decommitment<F>, dh: &mut Decommitment<F>) {
+    for a in dz.answers.iter_mut().chain(dh.answers.iter_mut()) {
+        *a = *a * *a + *a;
+    }
+    dz.t_answer = dz.t_answer * dz.t_answer + dz.t_answer;
+    dh.t_answer = dh.t_answer * dh.t_answer + dh.t_answer;
+}
+
+/// One z-answer short: the vector no longer matches the query count.
+fn short_warp<F: Field>(dz: &mut Decommitment<F>, _: &mut Decommitment<F>) {
+    dz.answers.pop();
+}
+
+/// One h-answer long.
+fn long_warp<F: Field>(_: &mut Decommitment<F>, dh: &mut Decommitment<F>) {
+    dh.answers.push(F::ZERO);
+}
+
+/// Runs one session over the slots. Each cheat is assembled the way a
+/// malicious peer would: take the session prover's message for the
+/// committed proof and the one for the answering proof, splice the
+/// first's commitments onto the second's decommitments, warp, re-encode
+/// — and hand those bytes to the deployed verifier.
+fn run_batch<F: HasGroup>(
+    pcp: &Pcp<F>,
+    slots: &[Slot<F>],
+    seed: u64,
+) -> Vec<Result<bool, WireError>> {
+    let mut prg = ChaChaPrg::from_u64_seed(seed);
+    let mut verifier = SessionVerifier::new(pcp, &mut prg);
+    let mut prover = SessionProver::new(pcp);
+    prover.receive_setup(&verifier.setup_message().unwrap()).unwrap();
+    let mut ws = ProverWorkspace::new();
+    slots
+        .iter()
+        .map(|s| {
+            let mut message = |proof: &ZaatarProof<F>| {
+                let bytes = prover.instance_message_policied(proof, &mut ws).unwrap();
+                decode_prover_message::<F>(&bytes).unwrap()
+            };
+            let (commitments, _, _) = message(&s.committed);
+            let (_, mut dz, mut dh) = message(&s.answering);
+            if let Some(warp) = s.warp {
+                warp(&mut dz, &mut dh);
+            }
+            let bytes = encode_prover_message(&commitments, &dz, &dh).unwrap();
+            verifier.verify_instance(&bytes, &s.io)
+        })
+        .collect()
+}
+
+/// Slot 0 is honest and must accept; every other slot must be a clean
+/// rejection (`Ok(false)`: not an acceptance, not a decode error).
+fn assert_rejected_with_honest_neighbour<F: HasGroup>(
+    pcp: &Pcp<F>,
+    slots: &[Slot<F>],
+    seeds: &[u64],
+    label: &str,
+) {
+    for &seed in seeds {
+        let verdicts = run_batch(pcp, slots, seed);
+        assert_eq!(verdicts[0], Ok(true), "{label}: honest neighbour rejected (seed {seed})");
+        for (i, verdict) in verdicts.iter().enumerate().skip(1) {
+            assert_eq!(*verdict, Ok(false), "{label}: adversary slot {i} (seed {seed})");
+        }
+    }
+}
+
+const SEEDS: [u64; 3] = [11, 29, 47];
+
+/// One adversary next to an honest neighbour, at the suite profile on
+/// F61 across the suite's seeds.
+fn assert_adversary_rejected(
+    inputs: [[i64; 2]; 2],
+    adversary: fn(&Pcp<F61>, &QapWitness<F61>) -> Slot<F61>,
+    label: &str,
+) {
+    let (pcp, ws) = fixture::<F61>(&inputs, SUITE_PARAMS);
+    let slots = [Slot::honest(&pcp, &ws[0]), adversary(&pcp, &ws[1])];
+    assert_rejected_with_honest_neighbour(&pcp, &slots, &SEEDS, label);
+}
+
+#[test]
+fn bad_quotient_prover_rejected() {
+    assert_adversary_rejected([[3, 7], [10, 2]], Slot::bad_quotient, "bad-quotient");
+}
+
 #[test]
 fn non_linear_oracle_rejected() {
-    fn square_warp(dz: &mut Decommitment<F61>, dh: &mut Decommitment<F61>) {
-        for a in dz.answers.iter_mut().chain(dh.answers.iter_mut()) {
-            *a = *a * *a + *a;
-        }
-        dz.t_answer = dz.t_answer * dz.t_answer + dz.t_answer;
-        dh.t_answer = dh.t_answer * dh.t_answer + dh.t_answer;
-    }
-    let fx = fixture(&[[5, 6], [8, 1]]);
-    let proof = fx.pcp.prove(&fx.witnesses[1]).unwrap();
-    let slots = vec![
-        Slot::honest(&fx.pcp, &fx.witnesses[0], &fx.ios[0]),
-        Slot {
-            committed: proof.clone(),
-            answering: proof,
-            warp: Some(square_warp),
-            io: fx.ios[1].clone(),
-        },
-    ];
-    assert_rejected_with_honest_neighbour(&fx, &slots, "non-linear");
+    let non_linear = |pcp: &Pcp<F61>, w: &QapWitness<F61>| Slot::warped(pcp, w, Some(square_warp));
+    assert_adversary_rejected([[5, 6], [8, 1]], non_linear, "non-linear");
 }
 
-/// (c) Equivocation: commit to `u`, answer every query from `u′ ≠ u`.
 #[test]
 fn commit_decommit_equivocation_rejected() {
-    let fx = fixture(&[[2, 9], [4, 4]]);
-    let honest = fx.pcp.prove(&fx.witnesses[1]).unwrap();
-    let mut other = honest.clone();
-    other.z[0] += F61::ONE;
-    other.h[0] += F61::ONE;
-    let slots = vec![
-        Slot::honest(&fx.pcp, &fx.witnesses[0], &fx.ios[0]),
-        Slot {
-            committed: honest,
-            answering: other,
-            warp: None,
-            io: fx.ios[1].clone(),
-        },
-    ];
-    assert_rejected_with_honest_neighbour(&fx, &slots, "equivocation");
+    assert_adversary_rejected([[2, 9], [4, 4]], Slot::equivocating, "equivocation");
 }
 
-/// (d) Post-commit witness flip: commit to the honest proof, then
-/// re-derive the proof from a flipped witness and answer from that.
 #[test]
 fn post_commit_witness_flip_rejected() {
-    let fx = fixture(&[[7, 3], [6, 5]]);
-    let honest = fx.pcp.prove(&fx.witnesses[1]).unwrap();
-    let mut flipped_w = fx.witnesses[1].clone();
-    flipped_w.z[0] += F61::ONE;
-    let flipped = fx.pcp.prove_unchecked(&flipped_w);
-    let slots = vec![
-        Slot::honest(&fx.pcp, &fx.witnesses[0], &fx.ios[0]),
-        Slot {
-            committed: honest,
-            answering: flipped,
-            warp: None,
-            io: fx.ios[1].clone(),
-        },
-    ];
-    assert_rejected_with_honest_neighbour(&fx, &slots, "witness-flip");
+    assert_adversary_rejected([[7, 3], [6, 5]], Slot::witness_flip, "witness-flip");
 }
 
-/// All four adversaries in ONE batch behind an honest instance: the
+/// Every adversary in ONE batch behind an honest instance: the
 /// batch-amortized query set must reject each independently.
+fn adversary_zoo<F: HasGroup>(params: PcpParams) -> (Pcp<F>, Vec<Slot<F>>) {
+    let (pcp, ws) =
+        fixture::<F>(&[[3, 7], [10, 2], [5, 6], [2, 9], [6, 5], [1, 8], [9, 9]], params);
+    let slots = vec![
+        Slot::honest(&pcp, &ws[0]),
+        Slot::bad_quotient(&pcp, &ws[1]),
+        Slot::warped(&pcp, &ws[2], Some(square_warp)),
+        Slot::equivocating(&pcp, &ws[3]),
+        Slot::witness_flip(&pcp, &ws[4]),
+        Slot::warped(&pcp, &ws[5], Some(short_warp)),
+        Slot::warped(&pcp, &ws[6], Some(long_warp)),
+    ];
+    (pcp, slots)
+}
+
 #[test]
 fn adversary_zoo_shares_one_batch() {
-    let fx = fixture(&[[3, 7], [10, 2], [5, 6], [2, 9], [6, 5]]);
+    let (pcp, slots) = adversary_zoo::<F61>(SUITE_PARAMS);
+    assert_rejected_with_honest_neighbour(&pcp, &slots, &SEEDS, "zoo");
+}
 
-    let mut bad_w = fx.witnesses[1].clone();
-    bad_w.z[0] += F61::ONE;
-    let bad_quotient = fx.pcp.prove_unchecked(&bad_w);
-
-    fn warp(dz: &mut Decommitment<F61>, dh: &mut Decommitment<F61>) {
-        for a in dz.answers.iter_mut().chain(dh.answers.iter_mut()) {
-            *a = *a * *a;
-        }
-        dz.t_answer = dz.t_answer * dz.t_answer;
-        dh.t_answer = dh.t_answer * dh.t_answer;
-    }
-    let honest2 = fx.pcp.prove(&fx.witnesses[2]).unwrap();
-
-    let honest3 = fx.pcp.prove(&fx.witnesses[3]).unwrap();
-    let mut other3 = honest3.clone();
-    other3.z[1] += F61::ONE;
-
-    let honest4 = fx.pcp.prove(&fx.witnesses[4]).unwrap();
-    let mut flipped_w = fx.witnesses[4].clone();
-    flipped_w.z[1] += F61::ONE;
-    let flipped4 = fx.pcp.prove_unchecked(&flipped_w);
-
-    let slots = vec![
-        Slot::honest(&fx.pcp, &fx.witnesses[0], &fx.ios[0]),
-        Slot {
-            committed: bad_quotient.clone(),
-            answering: bad_quotient,
-            warp: None,
-            io: fx.ios[1].clone(),
-        },
-        Slot {
-            committed: honest2.clone(),
-            answering: honest2,
-            warp: Some(warp),
-            io: fx.ios[2].clone(),
-        },
-        Slot {
-            committed: honest3,
-            answering: other3,
-            warp: None,
-            io: fx.ios[3].clone(),
-        },
-        Slot {
-            committed: honest4,
-            answering: flipped4,
-            warp: None,
-            io: fx.ios[4].clone(),
-        },
-    ];
-    assert_rejected_with_honest_neighbour(&fx, &slots, "zoo");
-
-    // The serial and batched paths must agree slot-for-slot.
-    for seed in [11u64, 29] {
-        assert_eq!(
-            run_batch(&fx, &slots, seed, false),
-            run_batch(&fx, &slots, seed, true),
-            "verdicts must not depend on the answer path (seed {seed})"
-        );
-    }
+/// ROADMAP item 4 (d): the same zoo at the paper's App. A.2 parameters
+/// (ρ = 8, ρ_lin = 20) on the paper's 128-bit field, one seed.
+/// `tools/ci.sh`'s soundness step names this test.
+#[test]
+fn paper_parameter_zoo_rejected_on_f128() {
+    let (pcp, slots) = adversary_zoo::<F128>(PcpParams::default());
+    assert_rejected_with_honest_neighbour(&pcp, &slots, &[0x5ec], "paper-parameter zoo");
 }
 
 /// The honest end of the same pipeline: every slot honest, every slot
-/// accepted, in both paths — completeness guard for the harness itself.
+/// accepted — completeness guard for the harness itself (a splice that
+/// broke honest messages would make every rejection above vacuous).
 #[test]
-fn honest_batch_accepts_in_both_paths() {
-    let fx = fixture(&[[1, 2], [3, 4], [0, 0]]);
-    let slots: Vec<Slot> = fx
-        .witnesses
-        .iter()
-        .zip(&fx.ios)
-        .map(|(w, io)| Slot::honest(&fx.pcp, w, io))
-        .collect();
-    for batched in [false, true] {
-        assert_eq!(run_batch(&fx, &slots, 5, batched), vec![true; 3]);
-    }
+fn honest_batch_accepts() {
+    let (pcp, ws) = fixture::<F61>(&[[1, 2], [3, 4], [0, 0]], SUITE_PARAMS);
+    let slots: Vec<_> = ws.iter().map(|w| Slot::honest(&pcp, w)).collect();
+    assert_eq!(run_batch(&pcp, &slots, 5), vec![Ok(true); 3]);
 }
