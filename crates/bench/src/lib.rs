@@ -200,7 +200,7 @@ pub fn measure_app<F: PrimeField + HasGroup>(
 
     // The argument is the session over in-memory messages; the Fig. 5
     // columns are cut from the spans that path records — the names
-    // `bench_baseline` and `zbench` read.
+    // `zbench` reads.
     let mut prg = ChaChaPrg::from_u64_seed(seed ^ 0xbead);
     let t0 = zaatar_obs::snapshot();
     let mut verifier = SessionVerifier::new(&pcp, &mut prg);

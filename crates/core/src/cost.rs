@@ -64,24 +64,6 @@ impl MicroParams {
     }
 }
 
-/// The scheduler's [`zaatar_sched::MicroCosts`] is this table under a
-/// different roof — `zaatar-sched` sits below `core` and cannot import
-/// it, so it carries its own copy and this conversion keeps the two in
-/// lockstep (a unit test pins the paper presets equal field-by-field).
-impl From<MicroParams> for zaatar_sched::MicroCosts {
-    fn from(p: MicroParams) -> Self {
-        zaatar_sched::MicroCosts {
-            e: p.e,
-            d: p.d,
-            h: p.h,
-            f: p.f,
-            f_lazy: p.f_lazy,
-            f_div: p.f_div,
-            c: p.c,
-        }
-    }
-}
-
 /// Protocol-level parameters for the model: repetition counts plus the
 /// query-count formulas of Fig. 3.
 #[derive(Copy, Clone, Debug)]
@@ -408,26 +390,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sched_micro_costs_mirror_the_paper_tables() {
-        // zaatar-sched carries its own copy of the §5.1 tables (it sits
-        // below core in the crate graph); the From conversion and this
-        // pin are what keep the copies honest.
-        for (params, costs) in [
-            (MicroParams::paper_128(), zaatar_sched::MicroCosts::paper_128()),
-            (MicroParams::paper_220(), zaatar_sched::MicroCosts::paper_220()),
-        ] {
-            let converted: zaatar_sched::MicroCosts = params.into();
-            assert_eq!(converted.e, costs.e);
-            assert_eq!(converted.d, costs.d);
-            assert_eq!(converted.h, costs.h);
-            assert_eq!(converted.f, costs.f);
-            assert_eq!(converted.f_lazy, costs.f_lazy);
-            assert_eq!(converted.f_div, costs.f_div);
-            assert_eq!(converted.c, costs.c);
-        }
-    }
 
     fn toy_spec() -> ComputationSpec {
         ComputationSpec {

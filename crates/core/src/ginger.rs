@@ -332,6 +332,7 @@ impl<F: PrimeField> GingerPcp<F> {
         let per2 = 3 * rho_lin + 3; // lin triples + outer,mm + γ2.
         if responses.a1.len() != queries.reps.len() * per1
             || responses.a2.len() != queries.reps.len() * per2
+            || io.len() != self.io_vars.len()
         {
             return false;
         }
@@ -427,6 +428,13 @@ mod tests {
         let (pcp, z, mut io) = setup(&[f(3), f(10)]);
         let proof = pcp.prove(z);
         let last = io.len() - 1;
+        // A statement of the wrong arity is rejected, not indexed: one
+        // value short, and the honest io with a value appended.
+        let queries = pcp.generate_queries(&mut ChaChaPrg::from_u64_seed(0));
+        let responses = pcp.answer(&proof, &queries);
+        assert!(!pcp.check(&queries, &responses, &io[..last]));
+        let long: Vec<F61> = io.iter().copied().chain([F61::ZERO]).collect();
+        assert!(!pcp.check(&queries, &responses, &long));
         io[last] += F61::ONE;
         let mut rejections = 0;
         for seed in 0..20u64 {

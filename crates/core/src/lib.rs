@@ -68,4 +68,4 @@ pub use workspace::ProverWorkspace;
 pub use zaatar_mem::{BudgetError, MemBudget};
 // Same for the scheduler types (`ProverWorkspace::with_policy`,
 // `prove_batch_with_policy`, the server's per-tenant policy stamp).
-pub use zaatar_sched::{ExecPolicy, HostProfile, MicroCosts, Proving, Scheduler, WorkloadShape};
+pub use zaatar_sched::{ExecPolicy, HostProfile, Proving, Scheduler, WorkloadShape};

@@ -9,9 +9,7 @@
 //! substitution).
 //!
 //! The thread primitives themselves ([`parallel_map`], [`shard_batch`])
-//! live in `zaatar_poly::parallel` since PR 3, where the NTT kernel layer
-//! also uses them for intra-transform parallelism; they are re-exported
-//! here unchanged for existing callers.
+//! live in `zaatar_poly::parallel` and are re-exported here unchanged.
 
 pub use zaatar_poly::parallel::{effective_workers, parallel_map, parallel_map_with, shard_batch};
 

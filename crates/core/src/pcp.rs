@@ -331,12 +331,6 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
         QuerySet { reps }
     }
 
-    /// Packs a freshly generated query set for batch amortization
-    /// (generate once per batch, answer every instance off it).
-    pub fn generate_batch_queries(&self, prg: &mut ChaChaPrg) -> BatchQuerySet<F> {
-        BatchQuerySet::new(self.generate_queries(prg))
-    }
-
     /// The prover's response computation: the **serial reference path**,
     /// issuing one dense dot product per query. Production callers
     /// ([`crate::session`]) answer through the blocked kernel off a
@@ -645,7 +639,7 @@ mod tests {
         let proof = pcp.prove(&w).expect("honest witness proves");
         for seed in [0u64, 3, 17] {
             let mut prg = ChaChaPrg::from_u64_seed(seed);
-            let batch = pcp.generate_batch_queries(&mut prg);
+            let batch = BatchQuerySet::new(pcp.generate_queries(&mut prg));
             let mut prg2 = ChaChaPrg::from_u64_seed(seed);
             let queries = pcp.generate_queries(&mut prg2);
             let serial = pcp.answer(&proof, &queries);
@@ -664,20 +658,22 @@ mod tests {
         let inputs: [[i64; 2]; 3] = [[2, 9], [5, 5], [-1, 8]];
         let mut prg = ChaChaPrg::from_u64_seed(0xbaac);
         let mut batchq = None;
+        let reuses_before = zaatar_obs::counter("pcp.batch.query_reuse").get();
         for pair in inputs {
             let (pcp, w, io) = setup(&[f(pair[0]), f(pair[1])]);
-            let batch = batchq.get_or_insert_with(|| pcp.generate_batch_queries(&mut prg));
+            let batch = batchq.get_or_insert_with(|| BatchQuerySet::new(pcp.generate_queries(&mut prg)));
             let proof = pcp.prove(&w).unwrap();
             let responses = batch.answer(&proof, 2);
             assert!(pcp.check(batch.queries(), &responses, &io), "{pair:?}");
         }
+        assert!(zaatar_obs::counter("pcp.batch.query_reuse").get() >= reuses_before + 3);
     }
 
     #[test]
     fn batch_matrices_mirror_canonical_order() {
         let (pcp, _, _) = setup(&[f(1), f(2)]);
         let mut prg = ChaChaPrg::from_u64_seed(23);
-        let batch = pcp.generate_batch_queries(&mut prg);
+        let batch = BatchQuerySet::new(pcp.generate_queries(&mut prg));
         let z = batch.queries().z_queries();
         let h = batch.queries().h_queries();
         assert_eq!(batch.z_matrix().num_rows(), z.len());

@@ -133,25 +133,6 @@ impl MemBudget {
     pub fn is_limited(&self) -> bool {
         self.limit.is_some()
     }
-
-    /// Parses a human-entered budget: a plain byte count with an
-    /// optional binary-unit suffix `k`/`m`/`g` (case-insensitive), e.g.
-    /// `"268435456"`, `"256m"`, `"4G"`. Returns `None` on malformed
-    /// input or overflow.
-    pub fn parse(s: &str) -> Option<MemBudget> {
-        let s = s.trim();
-        if s.is_empty() {
-            return None;
-        }
-        let (digits, shift) = match s.as_bytes()[s.len() - 1].to_ascii_lowercase() {
-            b'k' => (&s[..s.len() - 1], 10u32),
-            b'm' => (&s[..s.len() - 1], 20),
-            b'g' => (&s[..s.len() - 1], 30),
-            _ => (s, 0),
-        };
-        let n: usize = digits.trim().parse().ok()?;
-        n.checked_shl(shift).map(MemBudget::bytes)
-    }
 }
 
 /// A lease was rejected because it would push a [`Scratch`] pool's
@@ -644,19 +625,6 @@ mod tests {
         s.trim_to(0);
         assert_eq!(s.pooled(), 0);
         assert_eq!(s.retained_bytes(), 0);
-    }
-
-    #[test]
-    fn budget_parse_accepts_plain_and_suffixed_forms() {
-        assert_eq!(MemBudget::parse("4096"), Some(MemBudget::bytes(4096)));
-        assert_eq!(MemBudget::parse("64k"), Some(MemBudget::bytes(64 << 10)));
-        assert_eq!(MemBudget::parse("256M"), Some(MemBudget::bytes(256 << 20)));
-        assert_eq!(MemBudget::parse(" 2g "), Some(MemBudget::bytes(2 << 30)));
-        assert_eq!(MemBudget::parse(""), None);
-        assert_eq!(MemBudget::parse("lots"), None);
-        assert_eq!(MemBudget::parse("12q"), None);
-        assert!(!MemBudget::unlimited().is_limited());
-        assert_eq!(MemBudget::bytes(7).limit_bytes(), Some(7));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! per-phase cost — QAP construction, the `H(t)` quotient, commitment
 //! crypto, query answering, per-instance checking. This crate is the
 //! measurement substrate those figures anchor against: the protocol
-//! crates time their phases and count their events here, and the bench
-//! baseline (`tools/bench_baseline.sh`) snapshots the registry into
-//! `BENCH_seed.json` so every future change has a trajectory to beat.
+//! crates time their phases and count their events here, and the
+//! figure binaries and `zbench` cut their per-phase columns from
+//! registry snapshots.
 //!
 //! Design constraints, in order:
 //!
@@ -141,8 +141,8 @@ fn bucket_floor(b: usize) -> u64 {
 /// the observed max) rather than the floor: a log₂ bucket only tells us
 /// the sample is *somewhere* in `[2^(b−1), 2^b)`, and a percentile is a
 /// "no more than" statement, so the conservative bound is the upper one.
-/// The floor systematically under-reported — every `p50_ns`/`p99_ns` in
-/// early BENCH_*.json files is a power of two below the true quantile.
+/// The floor would systematically under-report: a power of two below the
+/// true quantile.
 fn bucket_ceil(b: usize) -> u64 {
     if b == 0 {
         0
@@ -583,8 +583,8 @@ mod tests {
 
     #[test]
     fn skewed_low_heavy_distribution_p99_reaches_the_tail() {
-        // Regression for the BENCH_pr8.json anomaly: `qap.evals_at`
-        // reported p99_ns = 131071 against max_ns = 53115274. With 99
+        // Regression: a recorded `qap.evals_at` timer once reported
+        // p99_ns = 131071 against max_ns = 53115274. With 99
         // samples in a low bucket and 1 huge outlier, the inclusive
         // rank ⌈100·0.99⌉ = 99 selected the low bucket; the exclusive
         // rank ⌊100·0.99⌋ + 1 = 100 must select the outlier.

@@ -16,8 +16,7 @@
 //! evaluation domains with barycentric machinery ([`domain`]), and
 //! asymptotically fast division/multipoint algorithms ([`fast`]) for
 //! domains that are not multiplicative subgroups. The [`parallel`] module
-//! holds the thread primitives shared by the kernel layer and the batch
-//! prover above it.
+//! holds the thread primitives of the batch prover above this crate.
 
 pub mod dense;
 pub mod domain;

@@ -1,10 +1,7 @@
-//! Shared-memory parallel primitives used by the NTT kernel layer and,
-//! via re-export, by `zaatar-core`'s batch prover (§5.2, Fig. 6).
-//!
-//! These used to live in `zaatar-core::parallel`, but the kernel layer
-//! in [`crate::plan`] needs them for intra-transform parallelism and
-//! `core` depends on `poly`, so the primitives live at the lower layer
-//! and `core::parallel` re-exports them unchanged.
+//! Shared-memory parallel primitives used, via re-export, by
+//! `zaatar-core`'s batch prover (§5.2, Fig. 6). No transform in this
+//! crate calls them: a transform runs on its caller's thread and
+//! parallelism is across the instances of a batch.
 //!
 //! Worker counts may be pinned globally with the `ZAATAR_WORKERS`
 //! environment variable (see [`effective_workers`]), which overrides

@@ -11,28 +11,21 @@
 //!
 //! The transform itself runs fused radix-4 butterfly passes (two classic
 //! radix-2 stages per memory sweep — same multiplication count, half the
-//! loads/stores) with a single radix-2 stage first when `log n` is odd, and
-//! shards butterfly passes of large transforms across threads with
-//! [`crate::parallel::parallel_map`].
+//! loads/stores) with a single radix-2 stage first when `log n` is odd.
+//! A transform runs on the calling thread; parallelism lives one level
+//! up, across the instances of a batch.
 //!
 //! Twiddle layout: `tw[m + k] = w_{2m}ᵏ` for every stage half-size `m`
 //! (a power of two `< n`) and `0 ≤ k < m`, packing all stages into one
 //! length-`n` vector. A fused pass at half-size `m` reads its first-stage
 //! twiddles from `tw[m..2m]` and its second-stage twiddles from
-//! `tw[2m..4m]` — both contiguous, both shared read-only across threads.
+//! `tw[2m..4m]` — both contiguous.
 
 use std::any::{Any, TypeId};
 use std::sync::Arc;
 
 use zaatar_field::PrimeField;
 use zaatar_mem::Interner;
-
-use crate::parallel::parallel_map;
-
-/// Transforms with at least this many points shard their butterfly passes
-/// across threads; smaller ones stay serial (thread spawn/join overhead
-/// exceeds the butterfly work below ~16k points).
-pub const PARALLEL_NTT_MIN_LOG2: u32 = 14;
 
 /// A reusable execution plan for size-`2^log_n` NTTs over `F`.
 ///
@@ -105,18 +98,13 @@ impl<F: PrimeField> NttPlan<F> {
     }
 
     /// In-place forward NTT: coefficients → evaluations at `{ωʲ}` in
-    /// natural order. Large transforms use all available cores.
+    /// natural order.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.len()`.
     pub fn forward(&self, a: &mut [F]) {
-        self.forward_with_workers(a, self.auto_workers());
-    }
-
-    /// [`NttPlan::forward`] with an explicit worker count (1 = serial).
-    pub fn forward_with_workers(&self, a: &mut [F], workers: usize) {
-        self.transform(a, &self.fwd, workers);
+        self.transform(a, &self.fwd);
     }
 
     /// In-place inverse NTT: evaluations at `{ωʲ}` (natural order) →
@@ -126,32 +114,14 @@ impl<F: PrimeField> NttPlan<F> {
     ///
     /// Panics if `a.len() != self.len()`.
     pub fn inverse(&self, a: &mut [F]) {
-        self.inverse_with_workers(a, self.auto_workers());
-    }
-
-    /// [`NttPlan::inverse`] with an explicit worker count (1 = serial).
-    pub fn inverse_with_workers(&self, a: &mut [F], workers: usize) {
-        self.transform(a, &self.inv, workers);
+        self.transform(a, &self.inv);
         let n_inv = self.n_inv;
         for x in a.iter_mut() {
             *x *= n_inv;
         }
     }
 
-    fn auto_workers(&self) -> usize {
-        if self.log_n >= PARALLEL_NTT_MIN_LOG2 {
-            // Route the default through the host profile so the
-            // ZAATAR_WORKERS override pins intra-NTT sharding exactly
-            // like every other parallel call site (pre-policy, this
-            // read available_parallelism directly and the override
-            // only applied downstream in parallel_map).
-            crate::parallel::effective_workers(usize::MAX)
-        } else {
-            1
-        }
-    }
-
-    fn transform(&self, a: &mut [F], tw: &[F], workers: usize) {
+    fn transform(&self, a: &mut [F], tw: &[F]) {
         assert_eq!(a.len(), self.n, "input length must match the plan size");
         if self.n <= 1 {
             return;
@@ -161,11 +131,11 @@ impl<F: PrimeField> NttPlan<F> {
         if self.log_n % 2 == 1 {
             // Odd log n: one radix-2 stage (half-size 1, twiddle 1 — no
             // multiplications), then fused radix-4 passes cover the rest.
-            radix2_stage(a, workers);
+            radix2_stage(a);
             m = 2;
         }
         while m < self.n {
-            radix4_pass(a, tw, m, workers);
+            radix4_pass(a, tw, m);
             m <<= 2;
         }
     }
@@ -198,86 +168,17 @@ fn twiddle_table<F: PrimeField>(n: usize, root: F) -> Vec<F> {
 
 /// The half-size-1 radix-2 stage: `(u, v) → (u + v, u − v)` on adjacent
 /// pairs. All twiddles are 1, so the pass is multiplication-free.
-fn radix2_stage<F: PrimeField>(a: &mut [F], workers: usize) {
-    let apply = |chunk: &mut [F]| {
-        for pair in chunk.chunks_exact_mut(2) {
-            let u = pair[0];
-            let v = pair[1];
-            pair[0] = u + v;
-            pair[1] = u - v;
-        }
-    };
-    if workers <= 1 {
-        apply(a);
-        return;
+fn radix2_stage<F: PrimeField>(a: &mut [F]) {
+    for pair in a.chunks_exact_mut(2) {
+        let u = pair[0];
+        let v = pair[1];
+        pair[0] = u + v;
+        pair[1] = u - v;
     }
-    // Chunks must hold whole pairs: round the per-worker span up to even.
-    let per = (a.len().div_ceil(workers) + 1) & !1;
-    let items: Vec<&mut [F]> = a.chunks_mut(per.max(2)).collect();
-    parallel_map(items, workers, apply);
 }
 
 /// One fused radix-4 pass at half-size `m`: equivalent to the radix-2
-/// stages at `m` and `2m`, but each span-`4m` block is swept once.
-fn radix4_pass<F: PrimeField>(a: &mut [F], tw: &[F], m: usize, workers: usize) {
-    let span = 4 * m;
-    let blocks = a.len() / span;
-    // First-stage twiddles w_{2m}ʲ and second-stage twiddles w_{4m}ʲ,
-    // contiguous in the flat table.
-    let w1 = &tw[m..2 * m];
-    let w2 = &tw[2 * m..4 * m];
-    if workers <= 1 {
-        for block in a.chunks_exact_mut(span) {
-            radix4_block(block, m, w1, w2);
-        }
-        return;
-    }
-    zaatar_obs::counter("poly.ntt.parallel_pass").inc();
-    if blocks >= workers {
-        // Early passes: many independent blocks — shard whole blocks.
-        let per = blocks.div_ceil(workers);
-        let items: Vec<&mut [F]> = a.chunks_mut(per * span).collect();
-        parallel_map(items, workers, |chunk| {
-            for block in chunk.chunks_exact_mut(span) {
-                radix4_block(block, m, w1, w2);
-            }
-        });
-    } else {
-        // Late passes: a few wide blocks — split each block's butterfly
-        // index range `0..m` across workers instead.
-        let per = m.div_ceil(workers);
-        let mut items: Vec<(usize, [&mut [F]; 4])> = Vec::new();
-        for block in a.chunks_exact_mut(span) {
-            let (h0, h1) = block.split_at_mut(2 * m);
-            let (q0, q1) = h0.split_at_mut(m);
-            let (q2, q3) = h1.split_at_mut(m);
-            let mut off = 0;
-            for (((c0, c1), c2), c3) in q0
-                .chunks_mut(per)
-                .zip(q1.chunks_mut(per))
-                .zip(q2.chunks_mut(per))
-                .zip(q3.chunks_mut(per))
-            {
-                let len = c0.len();
-                items.push((off, [c0, c1, c2, c3]));
-                off += len;
-            }
-        }
-        parallel_map(items, workers, |(off, quarters)| {
-            radix4_quarters(off, quarters, m, w1, w2);
-        });
-    }
-}
-
-fn radix4_block<F: PrimeField>(block: &mut [F], m: usize, w1: &[F], w2: &[F]) {
-    let (h0, h1) = block.split_at_mut(2 * m);
-    let (q0, q1) = h0.split_at_mut(m);
-    let (q2, q3) = h1.split_at_mut(m);
-    radix4_quarters(0, [q0, q1, q2, q3], m, w1, w2);
-}
-
-/// The fused butterfly over four quarter-slices of one block, starting at
-/// butterfly index `off` (nonzero when a block is split across workers):
+/// stages at `m` and `2m`, but each span-`4m` block is swept once:
 ///
 /// ```text
 /// stage 1 (half m):  u0,u1 = c0[j] ± c1[j]·w_{2m}ʲ
@@ -285,27 +186,29 @@ fn radix4_block<F: PrimeField>(block: &mut [F], m: usize, w1: &[F], w2: &[F]) {
 /// stage 2 (half 2m): c0[j],c2[j] = u0 ± u2·w_{4m}ʲ
 ///                    c1[j],c3[j] = u1 ± u3·w_{4m}^{j+m}
 /// ```
-fn radix4_quarters<F: PrimeField>(
-    off: usize,
-    [c0, c1, c2, c3]: [&mut [F]; 4],
-    m: usize,
-    w1: &[F],
-    w2: &[F],
-) {
-    for j in 0..c0.len() {
-        let jj = off + j;
-        let t1 = c1[j] * w1[jj];
-        let t3 = c3[j] * w1[jj];
-        let u0 = c0[j] + t1;
-        let u1 = c0[j] - t1;
-        let u2 = c2[j] + t3;
-        let u3 = c2[j] - t3;
-        let v2 = u2 * w2[jj];
-        let v3 = u3 * w2[jj + m];
-        c0[j] = u0 + v2;
-        c2[j] = u0 - v2;
-        c1[j] = u1 + v3;
-        c3[j] = u1 - v3;
+fn radix4_pass<F: PrimeField>(a: &mut [F], tw: &[F], m: usize) {
+    // First-stage twiddles w_{2m}ʲ and second-stage twiddles w_{4m}ʲ,
+    // contiguous in the flat table.
+    let w1 = &tw[m..2 * m];
+    let w2 = &tw[2 * m..4 * m];
+    for block in a.chunks_exact_mut(4 * m) {
+        let (h0, h1) = block.split_at_mut(2 * m);
+        let (c0, c1) = h0.split_at_mut(m);
+        let (c2, c3) = h1.split_at_mut(m);
+        for j in 0..m {
+            let t1 = c1[j] * w1[j];
+            let t3 = c3[j] * w1[j];
+            let u0 = c0[j] + t1;
+            let u1 = c0[j] - t1;
+            let u2 = c2[j] + t3;
+            let u3 = c2[j] - t3;
+            let v2 = u2 * w2[j];
+            let v3 = u3 * w2[j + m];
+            c0[j] = u0 + v2;
+            c2[j] = u0 - v2;
+            c1[j] = u1 + v3;
+            c3[j] = u1 - v3;
+        }
     }
 }
 
@@ -400,23 +303,6 @@ mod tests {
             plan.forward(&mut a);
             plan.inverse(&mut a);
             assert_eq!(a, coeffs, "log_n={log_n}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        // Force the parallel code paths (both the many-blocks and the
-        // split-block branches) regardless of host core count.
-        for log_n in [6u32, 7, 8, 11] {
-            let plan = NttPlan::<F61>::build(log_n);
-            let coeffs = test_vec(1 << log_n);
-            let mut serial = coeffs.clone();
-            plan.forward_with_workers(&mut serial, 1);
-            let mut parallel = coeffs.clone();
-            plan.forward_with_workers(&mut parallel, 4);
-            assert_eq!(serial, parallel, "forward log_n={log_n}");
-            plan.inverse_with_workers(&mut parallel, 3);
-            assert_eq!(parallel, coeffs, "inverse log_n={log_n}");
         }
     }
 

@@ -122,23 +122,3 @@ fn reuse_is_observable_as_cache_hits() {
         "expected ≥10 new cache hits, got {hits_before} → {hits_after}"
     );
 }
-
-/// The explicit-worker transforms (the paths the parallel cutover picks
-/// on big hosts) agree with serial execution on the same cached plan.
-#[test]
-fn parallel_workers_match_serial_on_cached_plan() {
-    let mut g = SplitMix64::new(17);
-    for log_n in [5u32, 8, 10, 12] {
-        let plan = plan_for::<F61>(log_n);
-        let coeffs = g.field_vec::<F61>(1 << log_n);
-        let mut serial = coeffs.clone();
-        plan.forward_with_workers(&mut serial, 1);
-        for workers in [2usize, 4, 7] {
-            let mut par = coeffs.clone();
-            plan.forward_with_workers(&mut par, workers);
-            assert_eq!(par, serial, "forward log_n={log_n} workers={workers}");
-            plan.inverse_with_workers(&mut par, workers);
-            assert_eq!(par, coeffs, "inverse log_n={log_n} workers={workers}");
-        }
-    }
-}

@@ -1,11 +1,5 @@
-//! Execution policy layer: one calibrated object for every decision the
-//! stack used to hardcode or read from scattered globals.
-//!
-//! The paper evaluates Zaatar *through* an analytic cost model (Fig. 3);
-//! `core::cost` reproduces that model, but until this crate nothing
-//! consumed it at runtime — worker counts came from a process-global env
-//! cache and callers hand-picked the prover's chunk length. This crate
-//! turns those choices into one explicit seam:
+//! Execution policy layer: worker counts and the prover's chunk length
+//! as one explicit object instead of scattered globals.
 //!
 //! * [`HostProfile`] — what the machine can do: parallelism, a one-time
 //!   measured thread spawn/join overhead, and the operator's
@@ -15,14 +9,13 @@
 //!   the chunk length of the (single) prover pipeline.
 //! * [`Scheduler`] — derives an [`ExecPolicy`] from the workload shape
 //!   (circuit size, batch size β, element width), a
-//!   [`zaatar_mem::MemBudget`], the host profile, and §5.1 micro costs.
+//!   [`zaatar_mem::MemBudget`] and the host profile.
 //!
 //! Every decision is a pure function of its inputs, so the scheduler is
-//! testable with synthetic profiles and paper-table costs — no wall
-//! clock anywhere in the decision path. Policy dispatch is
-//! byte-transparent to transcripts: a policy changes *where* and *when*
-//! work happens (threads, chunks), never the field/group values that
-//! reach the wire.
+//! testable with synthetic profiles — no wall clock anywhere in the
+//! decision path. Policy dispatch is byte-transparent to transcripts: a
+//! policy changes *where* and *when* work happens (threads, chunks),
+//! never the field/group values that reach the wire.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -63,6 +56,7 @@ const DEFAULT_SPAWN_OVERHEAD_NS: f64 = 25_000.0;
 /// What the machine running this process can do: measured once, cached
 /// for the process lifetime, and injectable for tests (every field is
 /// plain data — no global state is consulted after construction).
+/// All four fields stay public because `zbench/src/host.rs` prints them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HostProfile {
     /// Hardware threads available to this process
@@ -73,8 +67,7 @@ pub struct HostProfile {
     /// verbatim. `None` when unset or unparsable (the bad parse is
     /// counted, not silently dropped).
     pub worker_override: Option<usize>,
-    /// Measured cost of one thread spawn + join, in nanoseconds — the
-    /// calibration probe behind every "is forking worth it" decision.
+    /// Measured cost of one thread spawn + join, in nanoseconds.
     pub spawn_overhead_ns: f64,
     /// Working-set size above which [`Scheduler::proving_for`] chunks
     /// the pipeline on this host even without a budget.
@@ -248,57 +241,6 @@ impl Default for ExecPolicy {
     }
 }
 
-/// The §5.1 microbenchmark costs the scheduler prices work with, in
-/// seconds per operation — a mirror of `core::cost::MicroParams`
-/// (this crate sits below `core`, so it carries its own copy of the
-/// paper-table constants; `core` provides a lossless `From` conversion
-/// and a test pinning the two tables equal).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MicroCosts {
-    /// Encryption (Enc) cost.
-    pub e: f64,
-    /// Decryption (Dec) cost.
-    pub d: f64,
-    /// Ciphertext-add + scalar-multiply (homomorphic op) cost.
-    pub h: f64,
-    /// Field multiplication cost.
-    pub f: f64,
-    /// Lazy (deferred-reduction) field multiply-accumulate cost.
-    pub f_lazy: f64,
-    /// Field division cost.
-    pub f_div: f64,
-    /// PRG cost per pseudorandom field element.
-    pub c: f64,
-}
-
-impl MicroCosts {
-    /// The paper's measured 128-bit-field column (§5.1).
-    pub fn paper_128() -> MicroCosts {
-        MicroCosts {
-            e: 65e-6,
-            d: 170e-6,
-            h: 91e-6,
-            f: 210e-9,
-            f_lazy: 68e-9,
-            f_div: 2e-6,
-            c: 160e-9,
-        }
-    }
-
-    /// The paper's measured 220-bit-field column (§5.1).
-    pub fn paper_220() -> MicroCosts {
-        MicroCosts {
-            e: 88e-6,
-            d: 170e-6,
-            h: 130e-6,
-            f: 320e-9,
-            f_lazy: 90e-9,
-            f_div: 3e-6,
-            c: 260e-9,
-        }
-    }
-}
-
 /// The inputs a scheduling decision depends on, per workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkloadShape {
@@ -319,30 +261,27 @@ impl WorkloadShape {
     }
 }
 
-/// Derives an [`ExecPolicy`] from workload shape, memory budget, host
-/// profile, and micro costs. Every method is a pure function of the
-/// constructor inputs and its arguments.
+/// Derives an [`ExecPolicy`] from workload shape, memory budget and
+/// host profile. Every method is a pure function of the constructor
+/// input and its arguments.
 #[derive(Clone, Copy, Debug)]
 pub struct Scheduler {
     host: HostProfile,
-    micro: MicroCosts,
 }
 
 impl Scheduler {
-    /// A scheduler for `host` pricing work with `micro`.
-    pub fn new(host: HostProfile, micro: MicroCosts) -> Scheduler {
-        Scheduler { host, micro }
+    /// A scheduler for `host`.
+    pub fn new(host: HostProfile) -> Scheduler {
+        Scheduler { host }
     }
 
-    /// The host profile decisions are made against.
-    pub fn host(&self) -> &HostProfile {
-        &self.host
-    }
-
-    /// The full policy for one workload under `budget`.
+    /// The full policy for one workload under `budget`: one worker per
+    /// batch instance up to the host's parallelism (an operator
+    /// `ZAATAR_WORKERS` pin wins outright), and
+    /// [`Scheduler::proving_for`]'s chunk length.
     pub fn policy(&self, shape: WorkloadShape, budget: MemBudget) -> ExecPolicy {
         ExecPolicy {
-            workers: self.workers_for(shape),
+            workers: self.host.effective_workers(shape.batch),
             proving: self.proving_for(shape, budget),
         }
     }
@@ -360,39 +299,6 @@ impl Scheduler {
     /// this, never below).
     pub fn predicted_streamed_floor_bytes(shape: WorkloadShape) -> usize {
         STREAM_FLOOR_ELEMS_PER_POINT * shape.padded_domain() * shape.elem_bytes
-    }
-
-    /// Predicted proof-construction work for one instance, in
-    /// nanoseconds: the Fig. 3 Zaatar prover interpolation term
-    /// `3 f |C_z| log2 |C_z|` over the padded domain. Absolute accuracy
-    /// is irrelevant — only the comparison against measured spawn
-    /// overhead is consumed.
-    pub fn predicted_instance_ns(&self, shape: WorkloadShape) -> f64 {
-        let n = shape.padded_domain() as f64;
-        3.0 * self.micro.f * 1e9 * n * n.log2().max(1.0)
-    }
-
-    /// Worker count for `shape`: the candidate count minimizing
-    /// predicted batch time, where `w` workers split the per-instance
-    /// work but pay one spawn/join each. Serial (`w = 1`) is always a
-    /// candidate, so the chosen count is never predicted slower than
-    /// serial — the ROADMAP "never slower than serial on any host"
-    /// rule by construction (on a 1-core host the only candidate is 1).
-    /// An operator `ZAATAR_WORKERS` pin wins outright.
-    pub fn workers_for(&self, shape: WorkloadShape) -> usize {
-        if let Some(w) = self.host.worker_override {
-            return w.max(1);
-        }
-        let max_w = self.host.parallelism.min(shape.batch.max(1));
-        let total_ns = self.predicted_instance_ns(shape) * shape.batch.max(1) as f64;
-        let mut best = (1usize, total_ns);
-        for w in 2..=max_w {
-            let est = total_ns / w as f64 + self.host.spawn_overhead_ns * w as f64;
-            if est < best.1 {
-                best = (w, est);
-            }
-        }
-        best.0
     }
 
     /// Covering chunk vs smaller chunks for `shape` under `budget`:
@@ -470,53 +376,16 @@ mod tests {
     }
 
     #[test]
-    fn single_core_host_always_schedules_serial() {
-        let s = Scheduler::new(HostProfile::synthetic(1, 20_000.0), MicroCosts::paper_128());
-        for batch in [1usize, 4, 16, 64] {
-            assert_eq!(s.workers_for(shape(1024, batch)), 1);
-        }
-    }
-
-    #[test]
-    fn batch_work_beats_spawn_overhead_on_multicore() {
-        // Paper-cost 128-bit field, 8-way host, realistic spawn cost:
-        // a beta=16 batch at n=1024 carries ~100 ms of predicted work,
-        // so the scheduler uses the cores.
-        let s = Scheduler::new(HostProfile::synthetic(8, 20_000.0), MicroCosts::paper_128());
-        let w = s.workers_for(shape(1024, 16));
-        assert!(w > 1, "expected parallel, got {w}");
-        // And never more workers than instances.
-        assert_eq!(s.workers_for(shape(1024, 1)), 1);
-    }
-
-    #[test]
-    fn absurd_spawn_cost_forces_serial_even_on_multicore() {
-        // If forking costs more than the whole batch, serial wins: the
-        // BENCH_pr5 regression (speedup 0.849 at workers=8) can no
-        // longer be scheduled.
-        let s = Scheduler::new(HostProfile::synthetic(8, 1e12), MicroCosts::paper_128());
-        assert_eq!(s.workers_for(shape(1024, 16)), 1);
-    }
-
-    #[test]
-    fn worker_override_pins_the_scheduled_count() {
-        let host = HostProfile::synthetic(8, 20_000.0).with_override_str(Some("2"));
-        let s = Scheduler::new(host, MicroCosts::paper_128());
-        assert_eq!(s.workers_for(shape(1024, 16)), 2);
-    }
-
-    #[test]
     fn unlimited_budget_stays_monolithic_while_cache_resident() {
-        // The bench's smaller stream size: n = 1024, predicted peak
-        // 80 KiB — inside the 256 KiB cache threshold, so monolithic
-        // (which BENCH_pr9 measured ~13% faster there).
-        let s = Scheduler::new(HostProfile::synthetic(1, 20_000.0), MicroCosts::paper_128());
+        // n = 1024: predicted peak 80 KiB — inside the 256 KiB cache
+        // threshold, so monolithic.
+        let s = Scheduler::new(HostProfile::synthetic(1, 20_000.0));
         assert_eq!(
             s.proving_for(shape(1024, 16), MemBudget::unlimited()),
             Proving::Monolithic
         );
-        // The larger size: n = 4096, predicted peak 320 KiB — past the
-        // cache threshold, so streamed even with no budget in force.
+        // n = 4096: predicted peak 320 KiB — past the cache threshold,
+        // so streamed even with no budget in force.
         assert!(matches!(
             s.proving_for(shape(4096, 16), MemBudget::unlimited()),
             Proving::Streamed { .. }
@@ -525,7 +394,7 @@ mod tests {
 
     #[test]
     fn budget_pressure_forces_streaming_with_bounded_chunk() {
-        let s = Scheduler::new(HostProfile::synthetic(1, 20_000.0), MicroCosts::paper_128());
+        let s = Scheduler::new(HostProfile::synthetic(1, 20_000.0));
         let sh = shape(1024, 1);
         let peak = Scheduler::predicted_monolithic_peak_bytes(sh);
         assert_eq!(peak, 10 * 1024 * 8);
@@ -547,7 +416,7 @@ mod tests {
 
     #[test]
     fn chunk_len_grows_with_headroom_and_caps_at_domain() {
-        let s = Scheduler::new(HostProfile::synthetic(1, 20_000.0), MicroCosts::paper_128());
+        let s = Scheduler::new(HostProfile::synthetic(1, 20_000.0));
         let sh = shape(1024, 1);
         let floor = Scheduler::predicted_streamed_floor_bytes(sh);
         let tight = s.chunk_len(sh, MemBudget::bytes(floor + 64 * 8));
@@ -562,12 +431,17 @@ mod tests {
 
     #[test]
     fn policy_assembles_all_decisions() {
-        let s = Scheduler::new(HostProfile::synthetic(8, 20_000.0), MicroCosts::paper_128());
+        let host = HostProfile::synthetic(8, 20_000.0);
+        let s = Scheduler::new(host);
         let p = s.policy(shape(1024, 16), MemBudget::unlimited());
-        assert!(p.workers > 1);
+        assert_eq!(p.workers, 8);
         assert_eq!(p.proving, Proving::Monolithic);
-        let p1 = s.policy(shape(1024, 1), MemBudget::unlimited());
-        assert_eq!(p1.workers, 1);
+        // Never more workers than instances.
+        assert_eq!(s.policy(shape(1024, 1), MemBudget::unlimited()).workers, 1);
+        // An operator pin wins over both.
+        let pinned = Scheduler::new(host.with_override_str(Some("2")));
+        assert_eq!(pinned.policy(shape(1024, 16), MemBudget::unlimited()).workers, 2);
+        assert_eq!(pinned.policy(shape(1024, 1), MemBudget::unlimited()).workers, 2);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use zaatar_core::runtime::{errcode, msg};
 use zaatar_core::{
-    ExecPolicy, HostProfile, MemBudget, MicroParams, ProverMachine, ProverStep, ProverWorkspace,
+    ExecPolicy, HostProfile, MemBudget, ProverMachine, ProverStep, ProverWorkspace,
     Scheduler, SessionError, WorkloadShape, ZaatarProof,
 };
 use zaatar_core::pcp::ZaatarPcp;
@@ -304,7 +304,7 @@ where
         // the decision that matters is the chunk length — sized
         // for the largest configured circuit against the per-tenant
         // budget, so every tenant's workspace serves every circuit.
-        let scheduler = Scheduler::new(HostProfile::from_env(), MicroParams::paper_128().into());
+        let scheduler = Scheduler::new(HostProfile::from_env());
         let shape = WorkloadShape {
             domain_size: pcps.iter().map(|p| p.qap().degree()).max().unwrap_or(1),
             batch: 1,
@@ -698,7 +698,30 @@ mod tests {
         let ws = server.sessions.get(&id).unwrap().ws.as_ref().unwrap();
         assert_eq!(ws.policy(), server.tenant_policy());
 
-        let roomy = SessionServer::new(&fx.pcp, &fx.proofs, ServerConfig::default());
-        assert_eq!(roomy.tenant_policy().proving, zaatar_core::Proving::Monolithic);
+        // The derived policy itself, pinned on a 61-gate chain (padded
+        // domain n = 128; floor 7·n, covering threshold 10·n) for an
+        // unlimited, an 8·n and a sub-floor budget.
+        let mut b = zaatar_cc::Builder::<F61>::new();
+        let x = b.alloc_input();
+        let mut acc = b.mul(&x, &x);
+        for _ in 0..60 {
+            acc = b.mul(&acc, &x);
+        }
+        b.bind_output(&acc);
+        let (sys, solver) = b.finish();
+        let chain = zaatar_core::testutil::circuit_fixture(&sys, &solver, &[vec![F61::from_i64(3)]]);
+        let policy_under = |tenant_budget| {
+            let config = ServerConfig { tenant_budget, ..ServerConfig::default() };
+            SessionServer::new(&chain.pcp, &chain.proofs, config).tenant_policy()
+        };
+        let workers = HostProfile::from_env().effective_workers(1);
+        let streamed = |chunk_len| ExecPolicy {
+            workers,
+            proving: zaatar_core::Proving::Streamed { chunk_len },
+        };
+        assert_eq!(chain.pcp.qap().degree().next_power_of_two(), 128);
+        assert_eq!(policy_under(MemBudget::unlimited()), ExecPolicy::with_workers(workers));
+        assert_eq!(policy_under(MemBudget::bytes(8 * 128 * shape.elem_bytes)), streamed(64));
+        assert_eq!(policy_under(MemBudget::bytes(6 * 128 * shape.elem_bytes)), streamed(16));
     }
 }

@@ -9,7 +9,7 @@
 
 use zaatar::cc::Builder;
 use zaatar::core::commit::{decommit, decommit_packed_into};
-use zaatar::core::pcp::{PcpResponses, ZaatarPcp, ZaatarProof};
+use zaatar::core::pcp::{BatchQuerySet, PcpResponses, ZaatarPcp, ZaatarProof};
 use zaatar::core::qap::QapWitness;
 use zaatar::core::runtime::{prove_batch_with_policy, prove_instance_policied};
 use zaatar::core::session::{SessionProver, SessionVerifier};
@@ -75,7 +75,7 @@ fn batched_answers_byte_identical_to_serial() {
         // Batched path: same seed, one packed generation for the batch.
         for workers in [1usize, 2, 8] {
             let mut prg = ChaChaPrg::from_u64_seed(seed);
-            let batch = pcp.generate_batch_queries(&mut prg);
+            let batch = BatchQuerySet::new(pcp.generate_queries(&mut prg));
             for (p, reference) in proofs.iter().zip(&serial) {
                 let batched = batch.answer(p, workers);
                 assert_eq!(
@@ -96,7 +96,7 @@ fn batched_answers_byte_identical_to_serial() {
 fn packed_decommit_byte_identical_to_serial() {
     let (pcp, proofs, _) = fixture(&[[4, 8]]);
     let mut prg = ChaChaPrg::from_u64_seed(0x0dd);
-    let batch = pcp.generate_batch_queries(&mut prg);
+    let batch = BatchQuerySet::new(pcp.generate_queries(&mut prg));
     let t_z: Vec<F61> = prg.field_vec(proofs[0].z.len());
     let t_h: Vec<F61> = prg.field_vec(proofs[0].h.len());
     let serial_z = decommit(&proofs[0].z, &batch.queries().z_queries(), &t_z);
@@ -127,7 +127,7 @@ fn check_verdicts_agree_between_paths() {
     proofs[1].z[0] += F61::ONE; // Corrupt the second instance.
     for seed in [2u64, 21, 0xfeed] {
         let mut prg = ChaChaPrg::from_u64_seed(seed);
-        let batch = pcp.generate_batch_queries(&mut prg);
+        let batch = BatchQuerySet::new(pcp.generate_queries(&mut prg));
         for (p, io) in proofs.iter().zip(&ios) {
             let serial = pcp.answer(p, batch.queries());
             let batched = batch.answer(p, 2);
@@ -332,9 +332,8 @@ fn streaming_prove_transcripts_byte_identical_across_chunk_sizes() {
     }
 }
 
-/// The multiplication-chain circuit the bench baseline measures
-/// (`build_workload` in `bench_baseline.rs`), parameterized so the
-/// leak guard can scale it 16×.
+/// A multiplication-chain circuit (three constraints per link),
+/// parameterized so the leak guard can pick its domain size.
 fn bench_chain_fixture(chain: usize, batch: usize) -> (Pcp, Vec<QapWitness<F61>>, Vec<Vec<F61>>) {
     let mut b = Builder::<F61>::new();
     let x = b.alloc_input();
@@ -352,9 +351,8 @@ fn bench_chain_fixture(chain: usize, batch: usize) -> (Pcp, Vec<QapWitness<F61>>
     (fx.pcp, fx.witnesses, fx.ios)
 }
 
-/// Leak + budget guard at scale: a circuit ≥ 16× the bench baseline's
-/// workload (bench runs chain = 160 → domain 512; this runs
-/// chain = 2560 → domain 8192) proves at chunk 512 under a hard budget
+/// Leak + budget guard at scale: a chain = 2560 circuit (domain 8192,
+/// 16 chunks) proves at chunk 512 under a hard budget
 /// half a domain point above the pipeline's 7-elements-per-point
 /// residency floor, across 100 back-to-back sessions on one workspace
 /// — no `BudgetExceeded`, no footprint creep, measured high-water never
@@ -365,7 +363,7 @@ fn bench_chain_fixture(chain: usize, batch: usize) -> (Pcp, Vec<QapWitness<F61>>
 fn streaming_leak_guard_high_water_under_budget_at_16x_bench() {
     let (pcp, witnesses, ios) = bench_chain_fixture(2560, 1);
     let n = pcp.qap().degree();
-    assert!(n >= 16 * 512, "must be ≥ 16× the bench domain, got {n}");
+    assert!(n >= 16 * 512, "must span ≥ 16 chunks of 512, got {n}");
     let chunk_len = 512usize;
     let elem = std::mem::size_of::<F61>();
     let floor = 7 * n * elem;

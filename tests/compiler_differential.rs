@@ -6,8 +6,8 @@
 //! through the full PCP pipeline twice, once from the raw Ginger system
 //! and once from the optimized one. Across query seeds both sides must
 //! accept, the public `(inputs ‖ outputs)` vectors must be identical,
-//! and the optimized encoding must never grow in constraints or
-//! witness variables.
+//! the optimized encoding must never grow in constraints or witness
+//! variables, and at least three suite apps must strictly shrink.
 //!
 //! Part 2 — the heterogeneous acceptance test: one [`SessionServer`]
 //! session carries a β = 9 batch over three distinct circuits, and every
@@ -67,12 +67,13 @@ fn prove_side(name: &str, sys: &GingerSystem<F61>, assignments: &[Assignment<F61
 
 /// Proves `input_batches` through both the raw and the optimized
 /// system and checks the two pipelines agree everywhere they must.
+/// Returns whether the optimizer strictly shrank the constraint count.
 fn optimizer_differential(
     name: &str,
     sys: &GingerSystem<F61>,
     solver: &WitnessSolver<F61>,
     input_batches: &[Vec<F61>],
-) {
+) -> bool {
     let opt = optimize(sys);
     assert!(
         opt.report.after.num_constraints <= opt.report.before.num_constraints,
@@ -113,15 +114,20 @@ fn optimizer_differential(
             }
         }
     }
+    opt.report.after.num_constraints < opt.report.before.num_constraints
 }
 
 #[test]
 fn optimizer_differential_all_suite_apps() {
+    let mut shrunk = 0;
     for app in Suite::all_small() {
         let art = build_suite::<F61>(&app);
         let batches: Vec<Vec<F61>> = (0..2).map(|seed| app.gen_inputs(seed)).collect();
-        optimizer_differential(app.name(), &art.compiled.ginger, &art.compiled.solver, &batches);
+        let ginger = &art.compiled.ginger;
+        shrunk += usize::from(optimizer_differential(app.name(), ginger, &art.compiled.solver, &batches));
     }
+    // Never growing is not enough: the pass pipeline must pay for itself.
+    assert!(shrunk >= 3, "optimizer strictly shrank only {shrunk} of the suite apps");
 }
 
 #[test]

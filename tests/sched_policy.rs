@@ -1,8 +1,8 @@
 //! Scheduler policy lockdown: (1) the chunk-length decision is the
-//! policy's to make, with the covering/chunked boundary pinned where
-//! the bench measured it; (2) policy dispatch is **byte-transparent** —
-//! every combination of workers and chunk length produces transcripts
-//! identical to the serial covering-chunk reference.
+//! policy's to make, with the covering/chunked boundary pinned;
+//! (2) policy dispatch is **byte-transparent** — every combination of
+//! workers and chunk length produces transcripts identical to the
+//! serial covering-chunk reference.
 //! A policy changes where and when work happens (threads, chunks),
 //! never the field/group values that reach the wire.
 
@@ -12,7 +12,7 @@ use zaatar::core::testutil::mul_fixture;
 use zaatar::core::workspace::ProverWorkspace;
 use zaatar::crypto::ChaChaPrg;
 use zaatar::mem::MemBudget;
-use zaatar::sched::{ExecPolicy, HostProfile, MicroCosts, Proving, Scheduler, WorkloadShape};
+use zaatar::sched::{ExecPolicy, HostProfile, Proving, Scheduler, WorkloadShape};
 
 fn shape(domain_size: usize) -> WorkloadShape {
     WorkloadShape { domain_size, batch: 1, elem_bytes: 8 }
@@ -25,7 +25,7 @@ fn shape(domain_size: usize) -> WorkloadShape {
 /// covering-chunk threshold no longer fits.
 #[test]
 fn policy_decides_monolithic_vs_streaming() {
-    let sched = Scheduler::new(HostProfile::synthetic(1, 25_000.0), MicroCosts::paper_128());
+    let sched = Scheduler::new(HostProfile::synthetic(1, 25_000.0));
 
     // Unlimited budget, cache-resident working set: covering chunk.
     assert_eq!(
@@ -57,11 +57,11 @@ fn policy_decides_monolithic_vs_streaming() {
     assert!((16..=1024).contains(&chunk_len), "chunk_len {chunk_len} out of range");
 }
 
-/// The scheduler's worker decision can never be slower than serial by
-/// construction, and honors the batch as a ceiling.
+/// The scheduler's worker decision honors the batch and the host as
+/// ceilings.
 #[test]
 fn scheduled_workers_never_exceed_batch_or_host() {
-    let sched = Scheduler::new(HostProfile::synthetic(8, 25_000.0), MicroCosts::paper_128());
+    let sched = Scheduler::new(HostProfile::synthetic(8, 25_000.0));
     for beta in [1usize, 4, 16] {
         let p = sched.policy(
             WorkloadShape { domain_size: 1024, batch: beta, elem_bytes: 8 },

@@ -184,6 +184,9 @@ fn rejected_client_gets_typed_refusal_frame() {
     )
     .unwrap_err();
     assert_eq!(err, SessionError::Peer(errcode::BUSY));
+    // The overload split is exact: three offers to a one-session server
+    // are one admission and two refusals, nothing lost or double-counted.
+    assert_eq!((server.stats().accepted, server.stats().rejected), (1, 2));
 }
 
 /// 100 sequential session churns through one server: the pool's

@@ -12,8 +12,8 @@
 # 4. clippy over every target (libs, tests, benches, examples) with
 #    warnings promoted to errors;
 # 5. named smoke steps re-running the slices whose failure should name
-#    a subsystem, the out-of-workspace `zbench` package, and the bench
-#    baseline's schema validator.
+#    a subsystem, and the out-of-workspace `zbench` package;
+# 6. the size ledger ROADMAP.md tracks.
 #
 # CI and pre-commit hooks should run exactly this script; anything it
 # accepts is mergeable by the repo's own standard.
@@ -116,7 +116,7 @@ filtered_test cargo test -q -p zaatar --test batch_differential --locked --relea
     streaming_leak_guard_high_water_under_budget_at_16x_bench
 
 # Scheduler smoke: the zero-dep policy crate's deterministic unit
-# suite (injected MicroCosts, synthetic host profiles, no wall clock)
+# suite (synthetic host profiles, no wall clock)
 # plus the root policy differential — transcripts must stay
 # byte-identical across every workers × chunk-length policy, every
 # spelling of the covering chunk must be one schedule, and the
@@ -144,21 +144,17 @@ ZAATAR_WORKERS=4 cargo test -q -p zaatar --test sched_policy --locked --release
 echo "==> zbench smoke (out-of-workspace benchmark builds and runs)"
 bash zbench/run.sh --smoke
 
-# The validator enforces the full v10 schema: the `ntt` and `pcp`
-# sections (batch amortization must strictly reduce per-instance
-# query-setup cost), the `mem` section (the prover pipeline must show
-# a non-zero scratch-pool hit rate at batch size 16), the `server`
-# section (admissions must dominate rejections at nominal load;
-# synthetic overload must split deterministically), the `commit`
-# section (the bucket MSM must beat the per-element loop by ≥ 4× at
-# the largest measured oracle length), and the `cc` section (the
-# optimizer must never grow a circuit and must strictly shrink at
-# least three zoo apps). Residency and scheduler choices are
-# measured by `zbench` (the step above), not here.
-echo "==> bench smoke (baseline emit + schema validation)"
-cargo run --release -q -p zaatar-bench --locked --bin bench_baseline -- \
-    --smoke --out target/bench_smoke.json
-cargo run --release -q -p zaatar-bench --locked --bin bench_baseline -- \
-    --validate target/bench_smoke.json
+# The size ledger the ROADMAP's targets are read off (`core` `pub fn`
+# count; non-test `*.rs` lines per crate, i.e. `src/` up to the first
+# `#[cfg(test)]` of each file).
+echo "==> size ledger"
+echo "core pub fn: $(cat crates/core/src/*.rs | grep -cE '^\s*pub fn ')"
+for crate in crates/*/; do
+    find "$crate/src" -name '*.rs' -print0 | xargs -0 awk -v crate="$(basename "$crate")" '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { lines++ }
+        END { printf "%-10s %6d non-test lines\n", crate, lines }'
+done
 
 echo "==> tier-1 green"
