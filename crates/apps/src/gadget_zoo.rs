@@ -6,11 +6,10 @@
 //! Unlike [`crate::suite::Suite`], whose five members reproduce the
 //! paper's Fig. 9 benchmarks, these circuits are chosen to be
 //! *heterogeneous* — three genuinely different constraint systems that
-//! one multi-tenant session can carry side by side — and to leave
-//! deliberate redundancy on the table for `cc::opt` to collect
-//! (shared bit products between XOR and MAJ, sign-mirrored mux
-//! products in compare-exchange, and the symmetric half of a Gram
-//! matrix).
+//! one multi-tenant session can carry side by side. They are emitted
+//! mechanically, redundancy included (shared bit products between XOR
+//! and MAJ, sign-mirrored mux products in compare-exchange, and the
+//! symmetric half of a Gram matrix): nothing downstream cleans it up.
 //!
 //! Each member provides `build` (Ginger system + witness solver),
 //! a deterministic input generator, and a native i64/u32 reference.
@@ -146,7 +145,7 @@ impl GadgetApp {
 
 /// Hash chain: each round is one ARX quarter round followed by a
 /// MAJ/XOR mixing step. MAJ(a,b,c) and a⊕b both materialize the 32 bit
-/// products `aᵢ·bᵢ`, so every round hands `cc::opt` 32 CSE hits.
+/// products `aᵢ·bᵢ`, so every round carries 32 of them twice.
 fn build_hash_chain<F: PrimeField>() -> (GingerSystem<F>, WitnessSolver<F>) {
     let mut bld = Builder::<F>::new();
     let mut a = bld.u32_input();
@@ -167,8 +166,8 @@ fn build_hash_chain<F: PrimeField>() -> (GingerSystem<F>, WitnessSolver<F>) {
 }
 
 /// Compare-exchange: both outputs go through `mux` on the same flag, so
-/// the two products `s·(a−b)` and `s·(b−a)` are sign mirrors — exactly
-/// the shape `cc::opt`'s scale-normalized CSE collapses to one.
+/// the two products `s·(a−b)` and `s·(b−a)` are sign mirrors of each
+/// other.
 fn compare_exchange<F: PrimeField>(
     bld: &mut Builder<F>,
     a: &LinComb<F>,
@@ -199,8 +198,7 @@ fn build_merge_sort_check<F: PrimeField>() -> (GingerSystem<F>, WitnessSolver<F>
 /// materialized as its own variable (one `mul` per product, the
 /// Fairplay-style encoding). `G` is symmetric, and the circuit encodes
 /// both `G[i][j]` and `G[j][i]` independently, so every off-diagonal
-/// product appears twice — nine identical defining constraints for the
-/// optimizer to unify.
+/// product appears twice — nine identical defining constraints.
 fn build_mat_mul<F: PrimeField>() -> (GingerSystem<F>, WitnessSolver<F>) {
     let n = MAT_N;
     let mut bld = Builder::<F>::new();
@@ -222,7 +220,6 @@ fn build_mat_mul<F: PrimeField>() -> (GingerSystem<F>, WitnessSolver<F>) {
 mod tests {
     use super::*;
     use zaatar_cc::numeric::decode_i64;
-    use zaatar_cc::{ginger_to_quad, optimize};
     use zaatar_field::F61;
 
     #[test]
@@ -243,36 +240,6 @@ mod tests {
                     .collect();
                 assert_eq!(outs, app.reference(&raw), "{} seed {seed}", app.name());
             }
-        }
-    }
-
-    #[test]
-    fn optimizer_shrinks_every_gadget_app() {
-        for app in GadgetApp::all() {
-            let (sys, _) = app.build::<F61>();
-            let opt = optimize(&sys);
-            assert!(
-                opt.report.after.num_constraints < opt.report.before.num_constraints,
-                "{}: {} -> {}",
-                app.name(),
-                opt.report.before.num_constraints,
-                opt.report.after.num_constraints
-            );
-            assert!(opt.report.cse_hits > 0, "{}", app.name());
-        }
-    }
-
-    #[test]
-    fn optimized_systems_still_transform_to_quad() {
-        for app in GadgetApp::all() {
-            let (sys, solver) = app.build::<F61>();
-            let opt = optimize(&sys);
-            let t = ginger_to_quad(&opt.system);
-            let inputs: Vec<F61> = app.gen_inputs(7);
-            let asg = solver.solve(&inputs).unwrap();
-            let mapped = opt.map_assignment(&asg);
-            let ext = t.extend_assignment(&mapped);
-            assert!(t.system.is_satisfied(&ext), "{}", app.name());
         }
     }
 }

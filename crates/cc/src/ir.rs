@@ -12,8 +12,6 @@
 //! Variables are globally indexed [`VarId`]s partitioned into inputs `X`,
 //! outputs `Y`, and unbound variables `Z` (§2.1).
 
-use core::fmt;
-
 use zaatar_field::Field;
 
 /// A variable index, global within one constraint system.
@@ -123,26 +121,6 @@ impl<F: Field> LinComb<F> {
                 terms: vec![(v, coeff)],
                 constant: F::ZERO,
             }
-        }
-    }
-
-    /// Builds a combination from arbitrary `(variable, coefficient)`
-    /// pairs, restoring the invariants: terms sorted by variable,
-    /// duplicates merged, zero coefficients dropped. Used by the
-    /// optimizer when rewriting constraints.
-    pub(crate) fn from_terms(mut terms: Vec<(VarId, F)>, constant: F) -> Self {
-        terms.sort_by_key(|(v, _)| *v);
-        let mut out: Vec<(VarId, F)> = Vec::with_capacity(terms.len());
-        for (v, c) in terms {
-            match out.last_mut() {
-                Some((lv, lc)) if *lv == v => *lc += c,
-                _ => out.push((v, c)),
-            }
-        }
-        out.retain(|(_, c)| !c.is_zero());
-        LinComb {
-            terms: out,
-            constant,
         }
     }
 
@@ -397,12 +375,6 @@ impl<F: Field> Assignment<F> {
     }
 }
 
-impl fmt::Display for VarId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "w{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,97 +491,5 @@ mod tests {
         let mut asg = Assignment::zeroed(3);
         asg.set(VarId(2), f(9));
         assert_eq!(asg.extract(&[VarId(2), VarId(0)]), vec![f(9), F61::ZERO]);
-    }
-}
-
-impl<F: Field> fmt::Display for LinComb<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (v, c) in &self.terms {
-            if !first {
-                write!(f, " + ")?;
-            }
-            first = false;
-            if *c == F::ONE {
-                write!(f, "{v}")?;
-            } else {
-                write!(f, "{c}*{v}")?;
-            }
-        }
-        if !self.constant.is_zero() || first {
-            if !first {
-                write!(f, " + ")?;
-            }
-            write!(f, "{}", self.constant)?;
-        }
-        Ok(())
-    }
-}
-
-impl<F: Field> fmt::Display for GingerConstraint<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (i, j, c) in &self.quad {
-            if !first {
-                write!(f, " + ")?;
-            }
-            first = false;
-            if *c == F::ONE {
-                write!(f, "{i}*{j}")?;
-            } else {
-                write!(f, "{c}*{i}*{j}")?;
-            }
-        }
-        if !first {
-            write!(f, " + ")?;
-        }
-        write!(f, "{} = 0", self.linear)
-    }
-}
-
-impl<F: Field> fmt::Display for QuadConstraint<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}) * ({}) = {}", self.a, self.b, self.c)
-    }
-}
-
-#[cfg(test)]
-mod display_tests {
-    use super::*;
-    use zaatar_field::F61;
-
-    fn f(x: u64) -> F61 {
-        F61::from_u64(x)
-    }
-
-    #[test]
-    fn lincomb_display() {
-        let lc = LinComb::var(VarId(0))
-            .add(&LinComb::scaled_var(VarId(3), f(2)))
-            .add_constant(f(7));
-        assert_eq!(format!("{lc}"), "w0 + 0x2*w3 + 0x7");
-        assert_eq!(format!("{}", LinComb::<F61>::zero()), "0x0");
-        assert_eq!(format!("{}", LinComb::<F61>::var(VarId(5))), "w5");
-    }
-
-    #[test]
-    fn ginger_constraint_display() {
-        let c = GingerConstraint {
-            quad: vec![(VarId(0), VarId(1), f(3))],
-            linear: LinComb::var(VarId(2)).add_constant(-f(6)),
-        };
-        let s = format!("{c}");
-        assert!(s.starts_with("0x3*w0*w1 + "), "{s}");
-        assert!(s.ends_with("= 0"), "{s}");
-    }
-
-    #[test]
-    fn quad_constraint_display() {
-        let c = QuadConstraint::<F61> {
-            a: LinComb::var(VarId(0)),
-            b: LinComb::constant(F61::ONE),
-            c: LinComb::var(VarId(1)),
-        };
-        assert_eq!(format!("{c}"), "(w0) * (0x1) = w1");
     }
 }

@@ -32,10 +32,8 @@
 
 pub mod ast;
 pub mod compile;
-pub mod format;
 pub mod parser;
 
 pub use ast::{BinOp, Expr, Program, Stmt, UnOp};
 pub use compile::{compile, Compiled, CompileError, CompileOptions};
-pub use format::{format_expr, format_program};
 pub use parser::parse;

@@ -28,18 +28,14 @@ pub mod gadgets;
 pub mod ir;
 pub mod lang;
 pub mod numeric;
-pub mod opt;
-pub mod serialize;
 pub mod stats;
 pub mod transform;
 
 pub use builder::{Builder, SolveError};
 pub use gadgets::U32Word;
-pub use opt::{optimize, OptReport, Optimized};
 pub use ir::{
     Assignment, GingerConstraint, GingerSystem, Kind, LinComb, QuadConstraint, QuadSystem, VarId,
 };
 pub use lang::compile as compile_zsl;
-pub use serialize::{ginger_from_zcs, ginger_to_zcs, quad_from_zcs, quad_to_zcs};
 pub use stats::{ginger_stats, quad_stats, EncodingStats};
 pub use transform::{ginger_to_quad, ginger_to_quad_optimized, linearize_io, IoLinearize, QuadTransform};

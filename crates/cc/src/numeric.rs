@@ -89,26 +89,6 @@ impl FixedPoint {
         let scaled = x * F::from_u64(2).pow(self.scale as u64);
         decode_i64(scaled)
     }
-
-    /// The numerator of this value when re-expressed at a finer scale:
-    /// `num/2^q = (num·2^(t−q))/2^t`. The *field encoding* is unchanged
-    /// (it represents the rational itself), so re-scaling is free in
-    /// constraints; only width accounting changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target < self.scale`.
-    pub fn numerator_at_scale(&self, num: i64, target: u32) -> i64 {
-        assert!(target >= self.scale, "can only rescale to finer precision");
-        num << (target - self.scale)
-    }
-}
-
-/// The width in bits needed to compare two fixed-point values with
-/// `num_width`-bit numerators at scale `q`: the comparison operates on
-/// numerators, so the width is just `num_width` (§5.1's accounting).
-pub fn comparison_width(num_width: u32, _scale: u32) -> usize {
-    num_width as usize
 }
 
 #[cfg(test)]

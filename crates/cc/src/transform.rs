@@ -51,41 +51,7 @@ impl<F: Field> QuadTransform<F> {
 /// `{3·Z₁Z₂ + 2·Z₃Z₄ + Z₅ − Z₆ = 0}` becomes
 /// `{(3·Z′₁ + 2·Z′₂ + Z₅)·(1) = Z₆, Z₁Z₂ = Z′₁, Z₃Z₄ = Z′₂}`).
 pub fn ginger_to_quad<F: Field>(sys: &GingerSystem<F>) -> QuadTransform<F> {
-    let mut vars = sys.vars.clone();
-    let mut term_var: HashMap<(VarId, VarId), VarId> = HashMap::new();
-    let mut product_vars = Vec::new();
-    let mut constraints = Vec::new();
-
-    for c in &sys.constraints {
-        let mut replaced = c.linear.clone();
-        for (i, j, coeff) in &c.quad {
-            let v = *term_var.entry((*i, *j)).or_insert_with(|| {
-                let v = vars.alloc(Kind::Aux);
-                product_vars.push((v, (*i, *j)));
-                v
-            });
-            replaced = replaced.add(&LinComb::scaled_var(v, *coeff));
-        }
-        // (degree-1 expression) · 1 = 0.
-        constraints.push(QuadConstraint {
-            a: replaced,
-            b: LinComb::constant(F::ONE),
-            c: LinComb::zero(),
-        });
-    }
-    // One product constraint per distinct degree-2 term: Zᵢ·Zⱼ = Z′.
-    for (v, (i, j)) in &product_vars {
-        constraints.push(QuadConstraint {
-            a: LinComb::var(*i),
-            b: LinComb::var(*j),
-            c: LinComb::var(*v),
-        });
-    }
-
-    QuadTransform {
-        system: QuadSystem { vars, constraints },
-        product_vars,
-    }
+    transform(sys, false)
 }
 
 /// A lightly optimized variant used for ablation: Ginger constraints whose
@@ -97,13 +63,20 @@ pub fn ginger_to_quad<F: Field>(sys: &GingerSystem<F>) -> QuadTransform<F> {
 /// measure how much of Zaatar's constraint growth the mechanical rule
 /// costs (DESIGN.md §5, "degenerate `K₂` regime").
 pub fn ginger_to_quad_optimized<F: Field>(sys: &GingerSystem<F>) -> QuadTransform<F> {
+    transform(sys, true)
+}
+
+/// The §4 replacement; with `direct_single_products`, a constraint with
+/// exactly one degree-2 term is emitted as is (it is already in
+/// quadratic form) instead of through a product variable.
+fn transform<F: Field>(sys: &GingerSystem<F>, direct_single_products: bool) -> QuadTransform<F> {
     let mut vars = sys.vars.clone();
     let mut term_var: HashMap<(VarId, VarId), VarId> = HashMap::new();
     let mut product_vars = Vec::new();
     let mut constraints = Vec::new();
 
     for c in &sys.constraints {
-        if c.quad.len() == 1 {
+        if direct_single_products && c.quad.len() == 1 {
             let (i, j, coeff) = c.quad[0];
             constraints.push(QuadConstraint {
                 a: LinComb::scaled_var(i, coeff),
@@ -121,12 +94,14 @@ pub fn ginger_to_quad_optimized<F: Field>(sys: &GingerSystem<F>) -> QuadTransfor
             });
             replaced = replaced.add(&LinComb::scaled_var(v, *coeff));
         }
+        // (degree-1 expression) · 1 = 0.
         constraints.push(QuadConstraint {
             a: replaced,
             b: LinComb::constant(F::ONE),
             c: LinComb::zero(),
         });
     }
+    // One product constraint per distinct degree-2 term: Zᵢ·Zⱼ = Z′.
     for (v, (i, j)) in &product_vars {
         constraints.push(QuadConstraint {
             a: LinComb::var(*i),

@@ -279,18 +279,3 @@ fn bit_decompose_recomposes() {
         assert_eq!(recomposed, v);
     }
 }
-
-/// The pretty-printer round-trips random expression programs.
-#[test]
-fn formatter_round_trips() {
-    use zaatar_cc::lang::{format_program, parse};
-    let mut g = Gen::new(7);
-    for _ in 0..128 {
-        let e = arb_expr(&mut g, 3);
-        let src = format!("input a; input b; output y; y = {};", e.to_zsl());
-        let ast1 = parse(&src).expect("parses");
-        let printed = format_program(&ast1);
-        let ast2 = parse(&printed).unwrap_or_else(|err| panic!("reparse failed: {err}\n{printed}"));
-        assert_eq!(ast1, ast2);
-    }
-}

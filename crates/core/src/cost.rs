@@ -271,12 +271,6 @@ impl CostModel {
             + self.zaatar_v_per_instance(s)
     }
 
-    /// Ginger verifier's amortized per-instance cost at batch size β.
-    pub fn ginger_v_amortized(&self, s: &ComputationSpec, beta: f64) -> f64 {
-        (self.ginger_v_specific_setup(s) + self.ginger_v_oblivious_setup(s)) / beta
-            + self.ginger_v_per_instance(s)
-    }
-
     /// The break-even batch size (§2.2): the smallest β at which the
     /// verifier's amortized cost drops below local execution. `None` if
     /// even β → ∞ never breaks even (per-instance cost ≥ `T`).

@@ -35,6 +35,26 @@ pub struct QueryMatrix<F> {
 }
 
 impl<F: Field> QueryMatrix<F> {
+    /// An empty matrix of `cols`-long rows with room for `rows` of them.
+    pub(crate) fn with_capacity(rows: usize, cols: usize) -> Self {
+        QueryMatrix {
+            data: Vec::with_capacity(rows * cols),
+            rows: 0,
+            cols,
+        }
+    }
+
+    /// Appends one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` does not yield exactly `cols` elements.
+    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = F>) {
+        self.data.extend(row);
+        self.rows += 1;
+        assert_eq!(self.data.len(), self.rows * self.cols, "query rows must have equal length");
+    }
+
     /// Packs `rows` (all of length `cols`) into a contiguous matrix.
     ///
     /// # Panics
@@ -42,16 +62,11 @@ impl<F: Field> QueryMatrix<F> {
     /// Panics if any row's length differs from the first row's.
     pub fn pack(rows: &[&[F]]) -> Self {
         let cols = rows.first().map_or(0, |r| r.len());
-        let mut data = Vec::with_capacity(rows.len() * cols);
+        let mut m = Self::with_capacity(rows.len(), cols);
         for row in rows {
-            assert_eq!(row.len(), cols, "query rows must have equal length");
-            data.extend_from_slice(row);
+            m.push_row(row.iter().copied());
         }
-        QueryMatrix {
-            data,
-            rows: rows.len(),
-            cols,
-        }
+        m
     }
 
     /// Number of queries (rows).

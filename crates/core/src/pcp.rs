@@ -20,7 +20,7 @@ use zaatar_field::{Field, PrimeField};
 use zaatar_poly::domain::EvalDomain;
 
 use crate::matvec::QueryMatrix;
-use crate::qap::{Qap, QapWitness};
+use crate::qap::{fold_bound, Qap, QapWitness};
 use crate::workspace::ProverWorkspace;
 
 /// PCP repetition parameters (App. A.2).
@@ -100,18 +100,10 @@ fn dot<F: Field>(a: &[F], b: &[F]) -> F {
     a.iter().zip(b.iter()).map(|(x, y)| *x * *y).sum()
 }
 
-/// One repetition's queries (verifier secrets included).
+/// What [`ZaatarPcp::check`] needs of one repetition beyond the
+/// prover's answers (verifier secrets).
 #[derive(Clone, Debug)]
 struct Rep<F> {
-    /// `ρ_lin` triples for the z-oracle: `[q₅, q₆, q₇]`.
-    lin_z: Vec<[Vec<F>; 3]>,
-    /// `ρ_lin` triples for the h-oracle: `[q₈, q₉, q₁₀]`.
-    lin_h: Vec<[Vec<F>; 3]>,
-    /// Self-corrected divisibility queries.
-    q1: Vec<F>,
-    q2: Vec<F>,
-    q3: Vec<F>,
-    q4: Vec<F>,
     /// `D(τ)`.
     d_tau: F,
     /// Bound-variable evaluations (`A₀(τ)` and io rows), for the check.
@@ -121,9 +113,15 @@ struct Rep<F> {
 }
 
 /// A full query set (`ρ` repetitions). Built once per batch; the same
-/// queries verify every instance (§2.2).
+/// queries verify every instance (§2.2). The queries live packed, one
+/// per row in canonical order, in the two matrices the prover answers
+/// from — there is no second copy.
 #[derive(Clone, Debug)]
 pub struct QuerySet<F> {
+    /// The z-oracle queries, in [`QuerySet::z_queries`] order.
+    z: QueryMatrix<F>,
+    /// The h-oracle queries, in [`QuerySet::h_queries`] order.
+    h: QueryMatrix<F>,
     reps: Vec<Rep<F>>,
 }
 
@@ -131,33 +129,13 @@ impl<F: Field> QuerySet<F> {
     /// All z-oracle queries in canonical order (per repetition: the
     /// linearity triples flattened, then `q₁, q₂, q₃`).
     pub fn z_queries(&self) -> Vec<&[F]> {
-        let mut out = Vec::new();
-        for rep in &self.reps {
-            for triple in &rep.lin_z {
-                for q in triple {
-                    out.push(q.as_slice());
-                }
-            }
-            out.push(rep.q1.as_slice());
-            out.push(rep.q2.as_slice());
-            out.push(rep.q3.as_slice());
-        }
-        out
+        (0..self.z.num_rows()).map(|r| self.z.row(r)).collect()
     }
 
     /// All h-oracle queries in canonical order (per repetition: the
     /// linearity triples flattened, then `q₄`).
     pub fn h_queries(&self) -> Vec<&[F]> {
-        let mut out = Vec::new();
-        for rep in &self.reps {
-            for triple in &rep.lin_h {
-                for q in triple {
-                    out.push(q.as_slice());
-                }
-            }
-            out.push(rep.q4.as_slice());
-        }
-        out
+        (0..self.h.num_rows()).map(|r| self.h.row(r)).collect()
     }
 
     /// Number of repetitions.
@@ -166,10 +144,10 @@ impl<F: Field> QuerySet<F> {
     }
 }
 
-/// A query set prepared for batch amortization: the queries of a
-/// [`QuerySet`] packed into contiguous [`QueryMatrix`] form, built once
-/// per batch and reused for every instance (§2.2's amortization model —
-/// the per-instance `τ` consistency data stays inside the wrapped
+/// A query set prepared for batch amortization: the prover-side view
+/// of a [`QuerySet`]'s packed [`QueryMatrix`] pair, built once per batch
+/// and reused for every instance (§2.2's amortization model — the
+/// per-repetition `τ` consistency data stays inside the wrapped
 /// [`QuerySet`], so [`ZaatarPcp::check`] works unchanged against batched
 /// answers).
 ///
@@ -183,20 +161,12 @@ impl<F: Field> QuerySet<F> {
 #[derive(Clone, Debug)]
 pub struct BatchQuerySet<F> {
     queries: QuerySet<F>,
-    z_matrix: QueryMatrix<F>,
-    h_matrix: QueryMatrix<F>,
 }
 
 impl<F: Field> BatchQuerySet<F> {
-    /// Packs a query set's queries into matrix form.
+    /// Wraps a query set (a move: the queries are already packed).
     pub fn new(queries: QuerySet<F>) -> Self {
-        let z_matrix = QueryMatrix::pack(&queries.z_queries());
-        let h_matrix = QueryMatrix::pack(&queries.h_queries());
-        BatchQuerySet {
-            queries,
-            z_matrix,
-            h_matrix,
-        }
+        BatchQuerySet { queries }
     }
 
     /// The wrapped query set (for [`ZaatarPcp::check`], consistency
@@ -207,12 +177,12 @@ impl<F: Field> BatchQuerySet<F> {
 
     /// The packed z-oracle queries, canonical order.
     pub fn z_matrix(&self) -> &QueryMatrix<F> {
-        &self.z_matrix
+        &self.queries.z
     }
 
     /// The packed h-oracle queries, canonical order.
     pub fn h_matrix(&self) -> &QueryMatrix<F> {
-        &self.h_matrix
+        &self.queries.h
     }
 
     /// Answers every query for one instance via the blocked kernel,
@@ -223,8 +193,8 @@ impl<F: Field> BatchQuerySet<F> {
         let _span = zaatar_obs::time("pcp.answer.matvec");
         zaatar_obs::counter("pcp.batch.query_reuse").inc();
         PcpResponses {
-            z_answers: self.z_matrix.matvec(&proof.z, workers),
-            h_answers: self.h_matrix.matvec(&proof.h, workers),
+            z_answers: self.queries.z.matvec(&proof.z, workers),
+            h_answers: self.queries.h.matvec(&proof.h, workers),
         }
     }
 }
@@ -284,51 +254,46 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
     /// randomness from `prg`.
     pub fn generate_queries(&self, prg: &mut ChaChaPrg) -> QuerySet<F> {
         let _span = zaatar_obs::time("pcp.generate_queries");
+        let PcpParams { rho, rho_lin } = self.params;
         let n_prime = self.qap.var_map().num_unbound();
         let n_h = self.qap.degree() + 1;
-        let mut reps = Vec::with_capacity(self.params.rho);
-        for _ in 0..self.params.rho {
-            let mut lin_z = Vec::with_capacity(self.params.rho_lin);
-            let mut lin_h = Vec::with_capacity(self.params.rho_lin);
-            for _ in 0..self.params.rho_lin {
-                let q5: Vec<F> = prg.field_vec(n_prime);
-                let q6: Vec<F> = prg.field_vec(n_prime);
-                let q7 = add_vecs(&q5, &q6);
-                lin_z.push([q5, q6, q7]);
-                let q8: Vec<F> = prg.field_vec(n_h);
-                let q9: Vec<F> = prg.field_vec(n_h);
-                let q10 = add_vecs(&q8, &q9);
-                lin_h.push([q8, q9, q10]);
+        let mut z = QueryMatrix::with_capacity(rho * (3 * rho_lin + 3), n_prime);
+        let mut h = QueryMatrix::with_capacity(rho * (3 * rho_lin + 1), n_h);
+        let mut reps = Vec::with_capacity(rho);
+        for _ in 0..rho {
+            // This repetition's `q₅` and `q₈`: the first rows it appends.
+            let (q5, q8) = (z.num_rows(), h.num_rows());
+            for _ in 0..rho_lin {
+                // Draw order is part of the transcript: `q₅, q₆` for z,
+                // then `q₈, q₉` for h, triple by triple.
+                for m in [&mut z, &mut h] {
+                    let (r, n) = (m.num_rows(), m.num_cols());
+                    m.push_row((0..n).map(|_| prg.field_element()));
+                    m.push_row((0..n).map(|_| prg.field_element()));
+                    m.push_row(add_vecs(m.row(r), m.row(r + 1)));
+                }
             }
             // Divisibility correction queries.
             let tau: F = prg.field_element();
             let evals = self.qap.evals_at(tau);
-            let q5 = &lin_z[0][0];
-            let q8 = &lin_h[0][0];
-            let q1 = add_vecs(&evals.qa, q5);
-            let q2 = add_vecs(&evals.qb, q5);
-            let q3 = add_vecs(&evals.qc, q5);
+            for q in [&evals.qa, &evals.qb, &evals.qc] {
+                z.push_row(add_vecs(q, z.row(q5)));
+            }
             let mut qd = Vec::with_capacity(n_h);
             let mut acc = F::ONE;
             for _ in 0..n_h {
                 qd.push(acc);
                 acc *= tau;
             }
-            let q4 = add_vecs(&qd, q8);
+            h.push_row(add_vecs(&qd, h.row(q8)));
             reps.push(Rep {
-                lin_z,
-                lin_h,
-                q1,
-                q2,
-                q3,
-                q4,
                 d_tau: evals.d_tau,
                 a_bound: evals.a_bound,
                 b_bound: evals.b_bound,
                 c_bound: evals.c_bound,
             });
         }
-        QuerySet { reps }
+        QuerySet { z, h, reps }
     }
 
     /// The prover's response computation: the **serial reference path**,
@@ -387,16 +352,9 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
             let ph_q8 = h[0];
             let (r1, r2, r3) = (z[3 * rho_lin], z[3 * rho_lin + 1], z[3 * rho_lin + 2]);
             let r4 = h[3 * rho_lin];
-            let bound = |b: &[F]| -> F {
-                b[0] + io
-                    .iter()
-                    .zip(&b[1..])
-                    .map(|(w, a)| *w * *a)
-                    .sum::<F>()
-            };
-            let a_tau = r1 - pz_q5 + bound(&rep.a_bound);
-            let b_tau = r2 - pz_q5 + bound(&rep.b_bound);
-            let c_tau = r3 - pz_q5 + bound(&rep.c_bound);
+            let a_tau = r1 - pz_q5 + fold_bound(&rep.a_bound, io);
+            let b_tau = r2 - pz_q5 + fold_bound(&rep.b_bound, io);
+            let c_tau = r3 - pz_q5 + fold_bound(&rep.c_bound, io);
             if rep.d_tau * (r4 - ph_q8) != a_tau * b_tau - c_tau {
                 return false;
             }
@@ -678,11 +636,14 @@ mod tests {
         let h = batch.queries().h_queries();
         assert_eq!(batch.z_matrix().num_rows(), z.len());
         assert_eq!(batch.h_matrix().num_rows(), h.len());
+        // One storage: the matrix rows *are* the canonical queries.
         for (i, q) in z.iter().enumerate() {
             assert_eq!(batch.z_matrix().row(i), *q);
+            assert_eq!(batch.z_matrix().row(i).as_ptr(), q.as_ptr());
         }
         for (i, q) in h.iter().enumerate() {
             assert_eq!(batch.h_matrix().row(i), *q);
+            assert_eq!(batch.h_matrix().row(i).as_ptr(), q.as_ptr());
         }
     }
 }

@@ -138,34 +138,11 @@ pub struct QapEvals<F> {
     pub d_tau: F,
 }
 
-impl<F: PrimeField> QapEvals<F> {
-    /// `A₀(τ) + Σ_{bound i} wᵢ·Aᵢ(τ)` for io values `w` (the verifier's
-    /// three-operations-per-input-and-output cost, §4).
-    pub fn bound_a(&self, io: &[F]) -> F {
-        self.a_bound[0]
-            + io.iter()
-                .zip(&self.a_bound[1..])
-                .map(|(w, a)| *w * *a)
-                .sum::<F>()
-    }
-
-    /// Bound part for `B`.
-    pub fn bound_b(&self, io: &[F]) -> F {
-        self.b_bound[0]
-            + io.iter()
-                .zip(&self.b_bound[1..])
-                .map(|(w, a)| *w * *a)
-                .sum::<F>()
-    }
-
-    /// Bound part for `C`.
-    pub fn bound_c(&self, io: &[F]) -> F {
-        self.c_bound[0]
-            + io.iter()
-                .zip(&self.c_bound[1..])
-                .map(|(w, a)| *w * *a)
-                .sum::<F>()
-    }
+/// `b₀ + Σᵢ wᵢ·bᵢ₊₁`: a bound row of [`QapEvals`] (`A₀(τ)`, then the io
+/// columns at `τ`) folded with the io values `w` — the verifier's
+/// three-operations-per-input-and-output cost (§4).
+pub(crate) fn fold_bound<F: PrimeField>(bound: &[F], io: &[F]) -> F {
+    bound[0] + io.iter().zip(&bound[1..]).map(|(w, b)| *w * *b).sum::<F>()
 }
 
 /// A QAP instance: the sparse variable-constraint matrices of App. A.1
@@ -483,17 +460,10 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
     /// `(⟨qa,z⟩ + bound_a)·(⟨qb,z⟩ + bound_b) − (⟨qc,z⟩ + bound_c)`.
     pub fn p_at(&self, evals: &QapEvals<F>, witness: &QapWitness<F>) -> F {
         let dot = |q: &[F], z: &[F]| -> F { q.iter().zip(z).map(|(a, b)| *a * *b).sum() };
-        let a = dot(&evals.qa, &witness.z) + evals.bound_a(&witness.io);
-        let b = dot(&evals.qb, &witness.z) + evals.bound_b(&witness.io);
-        let c = dot(&evals.qc, &witness.z) + evals.bound_c(&witness.io);
+        let a = dot(&evals.qa, &witness.z) + fold_bound(&evals.a_bound, &witness.io);
+        let b = dot(&evals.qb, &witness.z) + fold_bound(&evals.b_bound, &witness.io);
+        let c = dot(&evals.qc, &witness.z) + fold_bound(&evals.c_bound, &witness.io);
         a * b - c
-    }
-
-    /// Total non-zero entries across the three matrices (bounded by
-    /// `K + 3K₂` per App. A.3).
-    pub fn nonzeros(&self) -> usize {
-        let count = |rows: &[SparsePoly<F>]| rows.iter().map(|r| r.weight()).sum::<usize>();
-        count(&self.a_rows) + count(&self.b_rows) + count(&self.c_rows)
     }
 }
 

@@ -9,7 +9,6 @@ use zaatar_crypto::{Ciphertext, HasGroup};
 use zaatar_field::PrimeField;
 
 use crate::commit::Decommitment;
-use crate::pcp::ZaatarProof;
 
 /// Encoding/decoding errors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -202,24 +201,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encodes a Zaatar proof (for storage/transport; the prover normally
-/// keeps it local and ships only commitments and answers).
-pub fn encode_proof<F: PrimeField>(proof: &ZaatarProof<F>) -> Result<Vec<u8>, WireError> {
-    let mut w = Writer::new();
-    w.put_field_vec(&proof.z)?;
-    w.put_field_vec(&proof.h)?;
-    Ok(w.finish())
-}
-
-/// Decodes a Zaatar proof.
-pub fn decode_proof<F: PrimeField>(bytes: &[u8]) -> Result<ZaatarProof<F>, WireError> {
-    let mut r = Reader::new(bytes);
-    let z = r.get_field_vec()?;
-    let h = r.get_field_vec()?;
-    r.finish()?;
-    Ok(ZaatarProof { z, h })
-}
-
 /// Encodes the prover's per-instance message (step 2 + step 4):
 /// commitments plus both decommitments.
 pub fn encode_prover_message<F: HasGroup + PrimeField>(
@@ -267,7 +248,7 @@ pub fn decode_prover_message<F: HasGroup + PrimeField>(
 mod tests {
     use super::*;
     use crate::network::zaatar_network_costs;
-    use crate::pcp::{PcpParams, ZaatarPcp};
+    use crate::pcp::{PcpParams, ZaatarPcp, ZaatarProof};
     use crate::qap::Qap;
     use crate::session::{SessionProver, SessionVerifier};
     use crate::workspace::ProverWorkspace;
@@ -304,34 +285,6 @@ mod tests {
         (pcp, proof, io)
     }
 
-    #[test]
-    fn proof_round_trips() {
-        let (_, proof, _) = fixture();
-        let bytes = encode_proof(&proof).unwrap();
-        let back: ZaatarProof<F61> = decode_proof(&bytes).unwrap();
-        assert_eq!(back.z, proof.z);
-        assert_eq!(back.h, proof.h);
-    }
-
-    #[test]
-    fn proof_decode_rejects_corruption() {
-        let (_, proof, _) = fixture();
-        let mut bytes = encode_proof(&proof).unwrap();
-        // Truncation.
-        bytes.pop();
-        assert!(decode_proof::<F61>(&bytes).is_err());
-        // Unreduced element: all-ones word exceeds the 61-bit modulus.
-        let mut bytes = encode_proof(&proof).unwrap();
-        for b in bytes.iter_mut().skip(4).take(8) {
-            *b = 0xff;
-        }
-        assert!(matches!(decode_proof::<F61>(&bytes), Err(WireError::Invalid)));
-        // Trailing garbage.
-        let mut bytes = encode_proof(&proof).unwrap();
-        bytes.push(0);
-        assert!(matches!(decode_proof::<F61>(&bytes), Err(WireError::TrailingBytes)));
-    }
-
     /// One instance's P → V message as a session produces it, plus the
     /// verifier that can judge it.
     fn session_message<'p>(
@@ -357,6 +310,31 @@ mod tests {
         let (c, dz, dh) = decode_prover_message::<F61>(&bytes).unwrap();
         assert_eq!(encode_prover_message(&c, &dz, &dh).unwrap(), bytes);
         assert!(verifier.verify_instance(&bytes, &io).unwrap());
+    }
+
+    #[test]
+    fn prover_message_decode_rejects_corruption() {
+        let (pcp, proof, _) = fixture();
+        let bytes = session_message(&pcp, &proof, 5).1;
+        let elem = F61::group().elem_bytes();
+        // Truncation.
+        let cut = &bytes[..bytes.len() - 1];
+        assert!(matches!(decode_prover_message::<F61>(cut), Err(WireError::Truncated)));
+        // The zero residue is not a group element: an all-zero first
+        // commitment component must not reach the verifier's arithmetic.
+        let mut zeroed = bytes.clone();
+        zeroed[..elem].fill(0);
+        assert!(matches!(decode_prover_message::<F61>(&zeroed), Err(WireError::Invalid)));
+        // Unreduced field element: the first z-answer (after the four
+        // commitment components and the length prefix) set to all-ones
+        // exceeds the 61-bit modulus.
+        let mut unreduced = bytes.clone();
+        unreduced[4 * elem + 4..][..8].fill(0xff);
+        assert!(matches!(decode_prover_message::<F61>(&unreduced), Err(WireError::Invalid)));
+        // Trailing garbage.
+        let mut long = bytes;
+        long.push(0);
+        assert!(matches!(decode_prover_message::<F61>(&long), Err(WireError::TrailingBytes)));
     }
 
     #[test]

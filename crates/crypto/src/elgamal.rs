@@ -94,32 +94,13 @@ impl<F: HasGroup> ElGamal<F> {
     /// Randomness consumption is identical either way, so ciphertexts
     /// match [`Self::encrypt`] element-for-element on the same PRG state.
     pub fn encrypt_vec(pk: &GroupElem, ms: &[F], prg: &mut ChaChaPrg) -> Vec<Ciphertext> {
-        let mut out = Vec::new();
-        Self::encrypt_vec_into(pk, ms, prg, &mut out);
-        out
-    }
-
-    /// [`Self::encrypt_vec`] writing into a caller-owned buffer: `out` is
-    /// cleared and refilled, so the staged prover's per-worker workspace
-    /// can reuse one ciphertext allocation across batch instances. PRG
-    /// consumption and the fixed-base threshold are identical to the
-    /// allocating path, keeping transcripts byte-for-byte equal.
-    pub fn encrypt_vec_into(
-        pk: &GroupElem,
-        ms: &[F],
-        prg: &mut ChaChaPrg,
-        out: &mut Vec<Ciphertext>,
-    ) {
-        out.clear();
-        out.reserve(ms.len());
         if ms.len() >= FIXED_BASE_MIN_BATCH {
             let table = Self::group().fixed_base_table(pk);
-            out.extend(
-                ms.iter()
-                    .map(|m| Self::encrypt_inner(pk, Some(&table), *m, prg)),
-            );
+            ms.iter()
+                .map(|m| Self::encrypt_inner(pk, Some(&table), *m, prg))
+                .collect()
         } else {
-            out.extend(ms.iter().map(|m| Self::encrypt(pk, *m, prg)));
+            ms.iter().map(|m| Self::encrypt(pk, *m, prg)).collect()
         }
     }
 
@@ -401,24 +382,6 @@ mod tests {
         let batched = Eg::encrypt_vec(kp.public(), &ms, &mut p1);
         let serial: Vec<_> = ms.iter().map(|m| Eg::encrypt(kp.public(), *m, &mut p2)).collect();
         assert_eq!(batched, serial);
-    }
-
-    #[test]
-    fn encrypt_vec_into_reuses_buffer_and_matches() {
-        let (kp, _) = setup();
-        let ms: Vec<F61> = (0..8u64).map(|i| F61::from_u64(i + 2)).collect();
-        let mut p1 = ChaChaPrg::from_u64_seed(0xab);
-        let mut p2 = ChaChaPrg::from_u64_seed(0xab);
-        let fresh = Eg::encrypt_vec(kp.public(), &ms, &mut p1);
-        let mut buf = Vec::new();
-        Eg::encrypt_vec_into(kp.public(), &ms, &mut p2, &mut buf);
-        assert_eq!(fresh, buf);
-        let cap = buf.capacity();
-        // Refilling an already-sized buffer must not regrow it, and must
-        // replace (not append to) the previous contents.
-        Eg::encrypt_vec_into(kp.public(), &ms, &mut p2, &mut buf);
-        assert_eq!(buf.len(), ms.len());
-        assert_eq!(buf.capacity(), cap);
     }
 
     #[test]

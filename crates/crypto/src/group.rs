@@ -52,7 +52,10 @@ impl SchnorrGroup {
     }
 
     /// Deserializes an element from canonical little-endian bytes;
-    /// `None` on wrong length or unreduced value.
+    /// `None` on wrong length, an unreduced value, or the zero residue —
+    /// zero is not in `Z_p*`, and the MSM buckets use it as their empty
+    /// sentinel. (Subgroup membership is not checked: that would cost a
+    /// full exponentiation per element.)
     pub fn elem_from_bytes(&self, bytes: &[u8]) -> Option<GroupElem> {
         if bytes.len() != 8 * self.ctx.width() {
             return None;
@@ -61,7 +64,7 @@ impl SchnorrGroup {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
             .collect();
-        if crate::mp::geq(&words, self.ctx.modulus()) {
+        if is_zero(&words) || crate::mp::geq(&words, self.ctx.modulus()) {
             return None;
         }
         Some(GroupElem {

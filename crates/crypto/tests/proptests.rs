@@ -6,7 +6,7 @@
 use zaatar_crypto::mp::MontCtx;
 use zaatar_crypto::{ChaChaPrg, ElGamal, HasGroup, KeyPair};
 use zaatar_field::testutil::SplitMix64;
-use zaatar_field::{Field, PrimeField, F61};
+use zaatar_field::{Field, PrimeField, F128, F61};
 
 /// The Mersenne prime 2^127 − 1 gives an exact u128 reference.
 const P: u128 = (1 << 127) - 1;
@@ -323,6 +323,13 @@ fn group_serialization_round_trips() {
         let bytes = g.elem_to_bytes(&x);
         assert_eq!(bytes.len(), g.elem_bytes());
         assert_eq!(g.elem_from_bytes(&bytes), Some(x));
+    }
+    // The zero residue is not a group element, on either group width;
+    // the identity (the residue 1) is.
+    for g in [F61::group(), F128::group()] {
+        assert_eq!(g.elem_from_bytes(&vec![0; g.elem_bytes()]), None);
+        let one = g.elem_to_bytes(&g.identity());
+        assert_eq!(g.elem_from_bytes(&one), Some(g.identity()));
     }
 }
 

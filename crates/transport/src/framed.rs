@@ -49,14 +49,9 @@ pub struct FramedTransport<L: Link> {
 impl<L: Link> FramedTransport<L> {
     /// Wraps `link` with the default 16 MiB payload cap.
     pub fn new(link: L) -> Self {
-        Self::with_max_payload(link, DEFAULT_MAX_PAYLOAD)
-    }
-
-    /// Wraps `link` with an explicit payload cap.
-    pub fn with_max_payload(link: L, max_payload: u32) -> Self {
         FramedTransport {
             link,
-            decoder: FrameDecoder::new(max_payload),
+            decoder: FrameDecoder::new(DEFAULT_MAX_PAYLOAD),
             stats: TransportStats::default(),
         }
     }

@@ -11,8 +11,11 @@
 #    optimizations on, not just under the checked dev profile;
 # 4. clippy over every target (libs, tests, benches, examples) with
 #    warnings promoted to errors;
-# 5. named smoke steps re-running the slices whose failure should name
-#    a subsystem, and the out-of-workspace `zbench` package;
+# 5. smoke steps re-running, under the release profile, the slices
+#    whose failure should name a subsystem — soundness, server soak,
+#    MSM differential, hetero acceptance, streaming differential,
+#    scheduler, the ZAATAR_WORKERS matrix — and the out-of-workspace
+#    `zbench` package;
 # 6. the size ledger ROADMAP.md tracks.
 #
 # CI and pre-commit hooks should run exactly this script; anything it
@@ -93,15 +96,15 @@ filtered_test cargo test -q -p zaatar-crypto --test proptests --locked --release
     msm_matches_reference_across_widths_and_lengths \
     elgamal_inner_product_matches_naive
 
-# Compiler smoke: every workload in the zoo (five suite apps + three
-# gadget apps) is rebuilt, run through the cc::opt pass pipeline, and
-# proved on both sides of the differential under the release profile —
-# the step fails if the optimizer ever increases a constraint or
-# witness count, if public IO drifts, or if the heterogeneous
-# SessionServer transcript stops matching isolated per-circuit
-# sessions byte for byte.
-echo "==> compiler smoke (optimizer differential + hetero acceptance, release)"
-cargo test -q -p zaatar --test compiler_differential --locked --release
+# Hetero acceptance smoke: one SessionServer session carries a
+# beta = 9 batch over the three gadget-zoo circuits under the release
+# profile — the step fails if an instance is rejected or if the
+# heterogeneous transcript stops matching isolated per-circuit
+# sessions byte for byte. Named: a renamed or deleted test fails the
+# step instead of shrinking it.
+echo "==> hetero acceptance smoke (SessionServer vs isolated sessions, release)"
+filtered_test cargo test -q -p zaatar --test hetero_acceptance --locked --release -- \
+    hetero_batch_through_session_server_matches_isolated_sessions
 
 # Chunk-geometry differential smoke: the prover pipeline must produce
 # session wire transcripts byte-identical to the default covering
