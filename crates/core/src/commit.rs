@@ -20,6 +20,7 @@ use zaatar_crypto::{ChaChaPrg, Ciphertext, ElGamal, HasGroup, KeyPair};
 use zaatar_field::Field;
 
 use crate::matvec::QueryMatrix;
+use crate::parallel::{effective_workers, parallel_map, shard_batch};
 
 /// The verifier's commitment key for one linear oracle of a fixed
 /// length: the ElGamal keypair, the secret vector `r`, and the
@@ -32,12 +33,31 @@ pub struct CommitmentKey<F: HasGroup> {
 }
 
 impl<F: HasGroup> CommitmentKey<F> {
-    /// Generates a key for oracles of length `len`.
+    /// Generates a key for oracles of length `len`, encrypting `r`
+    /// across the host's workers (`ZAATAR_WORKERS` honoured).
     pub fn generate(len: usize, prg: &mut ChaChaPrg) -> Self {
+        Self::generate_sharded(len, prg, effective_workers(usize::MAX))
+    }
+
+    /// [`Self::generate`] over `shards` contiguous ranges of `r`. Every
+    /// PRG draw — the secret key, `r`, then one `k` per element — is
+    /// made here, serially, in the order a one-thread keygen makes them;
+    /// the shards only evaluate the pure `(rᵢ, kᵢ) → Enc(rᵢ)`
+    /// ([`ElGamal::encrypt_with`]). So the key, the ciphertexts and the
+    /// PRG's position afterwards are the same at every shard count.
+    fn generate_sharded(len: usize, prg: &mut ChaChaPrg, shards: usize) -> Self {
         let _span = zaatar_obs::time("commit.keygen");
         let kp = KeyPair::generate(prg);
         let r: Vec<F> = prg.field_vec(len);
-        let enc_r = ElGamal::<F>::encrypt_vec(kp.public(), &r, prg);
+        let ks: Vec<F> = prg.field_vec(len);
+        let pk_table = F::group().fixed_base_table_for(kp.public(), len);
+        let ranges: Vec<_> = shard_batch(len, shards).into_iter().filter(|s| !s.is_empty()).collect();
+        let enc_r = parallel_map(ranges, shards, |s| {
+            ElGamal::<F>::encrypt_with(&pk_table, &r[s.clone()], &ks[s])
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         CommitmentKey { kp, r, enc_r }
     }
 
@@ -80,6 +100,11 @@ impl<F: HasGroup> CommitmentKey<F> {
     /// `u.len()` is one covering chunk. A zero-length oracle commits to
     /// the identity ciphertext `Enc(0)` — pinned behavior, not a panic.
     ///
+    /// When the workspace's policy has two or more workers, the two
+    /// ciphertext components — independent MSMs over the same scalars —
+    /// run concurrently ([`ElGamal::inner_product_split`]), each on its
+    /// own bucket buffer leased from `ws` before the split.
+    ///
     /// # Panics
     ///
     /// Panics if the lengths differ or `chunk_len == 0`.
@@ -90,7 +115,8 @@ impl<F: HasGroup> CommitmentKey<F> {
         ws: &mut crate::ProverWorkspace<F>,
     ) -> Ciphertext {
         let _span = zaatar_obs::time("commit.commit");
-        ElGamal::<F>::inner_product_chunked(enc_r, u, chunk_len, ws.group_scratch())
+        let workers = effective_workers(ws.policy().workers);
+        ElGamal::<F>::inner_product_split(enc_r, u, chunk_len, workers, ws.group_scratch())
     }
 
     /// **Verifier side**: builds the consistency query
@@ -195,6 +221,35 @@ mod tests {
         let u: Vec<F61> = prg.field_vec(n);
         let queries: Vec<Vec<F61>> = (0..nq).map(|_| prg.field_vec(n)).collect();
         (key, u, queries, prg)
+    }
+
+    #[test]
+    fn keygen_is_identical_at_every_shard_count() {
+        // 40 elements: past the public-key table's break-even, ragged
+        // against 3 shards. Equal serialized Enc(r), equal r, and an
+        // equal *next* PRG draw — so the query seed and every α a
+        // session draws after keygen are unmoved. Fails if a shard ever
+        // draws its own k.
+        let g = F61::group();
+        let keygen = |shards: usize| {
+            let mut prg = ChaChaPrg::from_u64_seed(0x5a4d);
+            let key = CommitmentKey::<F61>::generate_sharded(40, &mut prg, shards);
+            let enc_r: Vec<u8> = key
+                .enc_r
+                .iter()
+                .flat_map(|ct| [g.elem_to_bytes(&ct.c1), g.elem_to_bytes(&ct.c2)].concat())
+                .collect();
+            (enc_r, key.r, prg.field_element::<F61>())
+        };
+        let serial = keygen(1);
+        assert_eq!(serial.0.len(), 40 * 2 * g.elem_bytes());
+        for shards in [2usize, 3, 4] {
+            assert_eq!(keygen(shards), serial, "shards={shards}");
+        }
+        // The public entry is the same function at the host's count.
+        let mut prg = ChaChaPrg::from_u64_seed(0x5a4d);
+        let public = CommitmentKey::<F61>::generate(40, &mut prg);
+        assert_eq!((public.r, prg.field_element::<F61>()), (serial.1, serial.2));
     }
 
     #[test]

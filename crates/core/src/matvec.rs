@@ -111,25 +111,26 @@ impl<F: Field> QueryMatrix<F> {
     pub fn matvec_into(&self, v: &[F], workers: usize, out: &mut Vec<F>) {
         assert_eq!(v.len(), self.cols, "vector length mismatch");
         out.clear();
-        if self.rows == 0 {
-            return;
+        out.resize(self.rows, F::ZERO);
+        // Each shard of rows accumulates straight into its own stretch
+        // of `out`: the caller's buffer is the only answer storage.
+        let mut rest = out.as_mut_slice();
+        let mut shards = Vec::new();
+        for rows in shard_batch(self.rows, workers.max(1)) {
+            let (part, tail) = rest.split_at_mut(rows.len());
+            rest = tail;
+            if !rows.is_empty() {
+                shards.push((rows, part));
+            }
         }
-        let shards: Vec<std::ops::Range<usize>> = shard_batch(self.rows, workers.max(1))
-            .into_iter()
-            .filter(|r| !r.is_empty())
-            .collect();
-        let parts = parallel_map(shards, workers, |rows| self.matvec_rows(v, rows));
-        out.reserve(self.rows);
-        for part in parts {
-            out.extend(part);
-        }
+        parallel_map(shards, workers, |(rows, part)| self.matvec_rows(v, rows, part));
     }
 
-    /// The kernel proper, for one shard of rows: column-blocked so each
-    /// stripe of `v` is loaded once and consumed by every row in the
-    /// shard before moving on.
-    fn matvec_rows(&self, v: &[F], rows: std::ops::Range<usize>) -> Vec<F> {
-        let mut acc = vec![F::ZERO; rows.len()];
+    /// The kernel proper, for one shard of rows accumulating into the
+    /// zeroed `acc` (one slot per row): column-blocked so each stripe of
+    /// `v` is loaded once and consumed by every row in the shard before
+    /// moving on.
+    fn matvec_rows(&self, v: &[F], rows: std::ops::Range<usize>, acc: &mut [F]) {
         let mut col = 0;
         while col < self.cols {
             let end = (col + BLOCK).min(self.cols);
@@ -144,7 +145,6 @@ impl<F: Field> QueryMatrix<F> {
             }
             col = end;
         }
-        acc
     }
 }
 

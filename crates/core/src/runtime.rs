@@ -35,7 +35,7 @@ use zaatar_poly::domain::EvalDomain;
 use zaatar_sched::ExecPolicy;
 use zaatar_transport::{exchange, Frame, RetryPolicy, Transport, TransportError};
 
-use crate::parallel::parallel_map_with;
+use crate::parallel::{effective_workers, parallel_map_with};
 use crate::pcp::{ZaatarPcp, ZaatarProof};
 use crate::qap::QapWitness;
 use crate::session::{
@@ -519,7 +519,11 @@ where
 /// verifier sends DONE, the channel closes, or `idle_timeout` passes
 /// without any valid frame — the blocking pump of a [`ProverMachine`]
 /// over one workspace, every instance response leasing its Commit- and
-/// Answer-stage buffers from the same pool. `proofs[i]` belongs to
+/// Answer-stage buffers from the same pool. The verifier asks for one
+/// instance at a time, so the workspace is stamped with the worker count
+/// the scheduler would give this batch
+/// (`effective_workers(proofs.len())`) and each response spends it
+/// inside the instance. `proofs[i]` belongs to
 /// circuit `circuit_ids[i]`. Accepts [`msg::HSETUP`]; a legacy
 /// [`msg::SETUP`] is accepted only when the batch carries exactly one
 /// circuit.
@@ -539,7 +543,8 @@ where
         return Err(SessionError::Protocol("one circuit id per proof"));
     }
     let mut machine = ProverMachine::new(pcps, circuit_ids, proofs);
-    let mut ws = ProverWorkspace::new();
+    let mut ws = ProverWorkspace::new()
+        .with_policy(ExecPolicy::with_workers(effective_workers(proofs.len())));
     loop {
         let frame = match transport.recv(Instant::now() + idle_timeout) {
             Ok(frame) => frame,

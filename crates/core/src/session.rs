@@ -290,11 +290,16 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
     /// The workspace's stamped [`zaatar_sched::ExecPolicy`] gives the
     /// chunk length the commitment MSM is fed at
     /// ([`zaatar_sched::Proving::chunk_len_for`]), so bucket storage
-    /// tracks the chunk instead of the oracle length. The Answer-stage
-    /// buffers are hard `try_take` leases — identical to `take` under an
-    /// unlimited budget, a typed [`SessionError::BudgetExceeded`] instead
-    /// of an allocation past the cap under a finite one. Bytes on the
-    /// wire are identical under every policy.
+    /// tracks the chunk instead of the oracle length, and the worker
+    /// count: with two or more, each commitment's two ciphertext
+    /// components run concurrently and each oracle's query rows are
+    /// answered in that many shards; with one, everything runs on the
+    /// calling thread. The Answer-stage buffers are hard `try_take`
+    /// leases — identical to `take` under an unlimited budget, a typed
+    /// [`SessionError::BudgetExceeded`] instead of an allocation past
+    /// the cap under a finite one — and, like the bucket buffers, are
+    /// leased from `ws` before any thread splits off. Bytes on the wire
+    /// are identical under every policy.
     pub fn instance_message_policied(
         &self,
         proof: &ZaatarProof<F>,
@@ -321,10 +326,11 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
                 return Err(e.into());
             }
         };
+        let workers = ws.policy().workers;
         let dz: Decommitment<F> =
-            decommit_packed_into(&proof.z, queries.z_matrix(), &self.t_z, 1, buf_z);
+            decommit_packed_into(&proof.z, queries.z_matrix(), &self.t_z, workers, buf_z);
         let dh: Decommitment<F> =
-            decommit_packed_into(&proof.h, queries.h_matrix(), &self.t_h, 1, buf_h);
+            decommit_packed_into(&proof.h, queries.h_matrix(), &self.t_h, workers, buf_h);
         drop(answer_span);
         let bytes = crate::wire::encode_prover_message(&commitments, &dz, &dh)?;
         ws.scratch().put(dh.answers);

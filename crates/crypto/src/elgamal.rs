@@ -12,12 +12,6 @@ use crate::chacha::ChaChaPrg;
 use crate::group::{FixedBaseTable, GroupElem, HasGroup, MsmAccumulator, SchnorrGroup};
 use zaatar_mem::Scratch;
 
-/// Minimum vector length at which [`ElGamal::encrypt_vec`] builds a
-/// per-public-key fixed-base table. Building costs ~15 multiplications
-/// per 4-bit window while each use saves ~1.5 bits-worth of them, so the
-/// table pays for itself within a handful of encryptions.
-const FIXED_BASE_MIN_BATCH: usize = 4;
-
 /// An ElGamal ciphertext `(gᵏ, gᵐ·hᵏ)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ciphertext {
@@ -65,43 +59,49 @@ impl<F: HasGroup> ElGamal<F> {
     /// interned fixed-base table; `hᵏ` pays square-and-multiply since
     /// `pk` is a one-off base here (see [`Self::encrypt_vec`]).
     pub fn encrypt(pk: &GroupElem, m: F, prg: &mut ChaChaPrg) -> Ciphertext {
-        Self::encrypt_inner(pk, None, m, prg)
+        Self::encrypt_vec(pk, &[m], prg).pop().expect("one ciphertext per message")
     }
 
-    fn encrypt_inner(
-        pk: &GroupElem,
-        pk_table: Option<&FixedBaseTable>,
-        m: F,
-        prg: &mut ChaChaPrg,
-    ) -> Ciphertext {
+    /// The ciphertexts `(gᵏ, gᵐ·hᵏ)` of the given `(m, k)` pairs under
+    /// the public key `pk_table` was built for
+    /// ([`SchnorrGroup::fixed_base_table_for`]) — a pure function: no
+    /// PRG, no shared state beyond one lookup of the interned generator
+    /// table per call, so a caller that has drawn every `k` may evaluate
+    /// disjoint ranges of one vector on different threads and
+    /// concatenate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn encrypt_with(pk_table: &FixedBaseTable, ms: &[F], ks: &[F]) -> Vec<Ciphertext> {
+        assert_eq!(ms.len(), ks.len(), "length mismatch");
         let g = Self::group();
-        let k: F = prg.field_element();
-        let c1 = g.gen_pow(&k.exponent_words());
-        let gm = g.gen_pow(&m.exponent_words());
-        let hk = match pk_table {
-            Some(table) => g.pow_fixed(table, &k.exponent_words()),
-            None => g.pow(pk, &k.exponent_words()),
-        };
-        Ciphertext {
-            c1,
-            c2: g.mul(&gm, &hk),
-        }
+        let gen_table = g.generator_table();
+        ms.iter()
+            .zip(ks)
+            .map(|(m, k)| {
+                let k = k.exponent_words();
+                // gᵐ·hᵏ accumulates both tables' windows in one product.
+                let mut c2 = None;
+                g.mul_pow_fixed(&mut c2, gen_table, &m.exponent_words());
+                g.mul_pow_fixed(&mut c2, pk_table, &k);
+                Ciphertext {
+                    c1: g.pow_fixed(gen_table, &k),
+                    c2: c2.unwrap_or_else(|| g.identity()),
+                }
+            })
+            .collect()
     }
 
-    /// Encrypts a whole vector (the commitment's `Enc(r)` step). For
-    /// batches of [`FIXED_BASE_MIN_BATCH`] or more the public key gets
-    /// its own fixed-base window table, amortized across the vector.
-    /// Randomness consumption is identical either way, so ciphertexts
-    /// match [`Self::encrypt`] element-for-element on the same PRG state.
+    /// Encrypts a whole vector (the commitment's `Enc(r)` step): draws
+    /// one `k` per element from `prg`, in order, then
+    /// [`Self::encrypt_with`]. Vectors long enough to amortize it get a
+    /// fixed-base window table for the public key; ciphertexts are the
+    /// same group elements either way, so they match [`Self::encrypt`]
+    /// element-for-element on the same PRG state.
     pub fn encrypt_vec(pk: &GroupElem, ms: &[F], prg: &mut ChaChaPrg) -> Vec<Ciphertext> {
-        if ms.len() >= FIXED_BASE_MIN_BATCH {
-            let table = Self::group().fixed_base_table(pk);
-            ms.iter()
-                .map(|m| Self::encrypt_inner(pk, Some(&table), *m, prg))
-                .collect()
-        } else {
-            ms.iter().map(|m| Self::encrypt(pk, *m, prg)).collect()
-        }
+        let ks: Vec<F> = prg.field_vec(ms.len());
+        Self::encrypt_with(&Self::group().fixed_base_table_for(pk, ms.len()), ms, &ks)
     }
 
     /// Decrypts to the *group encoding* `gᵐ` of the message.
@@ -158,26 +158,43 @@ impl<F: HasGroup> ElGamal<F> {
         Self::inner_product_chunked(cts, scalars, usize::MAX, scratch)
     }
 
-    /// The commitment engine: consumes the scalar vector `chunk_len`
-    /// entries at a time (any length ≥ the vector's is one covering
-    /// chunk). Each chunk's surviving (nonzero-scalar) pairs run through
-    /// the Pippenger bucket MSM once per ciphertext component, leasing
-    /// the bucket accumulators from `scratch`, and the per-chunk products
-    /// fold together via [`MsmAccumulator`]. The group product over
-    /// ordered chunks equals the one-shot product, so the ciphertext is
-    /// **equal** (byte-identical once serialized) at every chunk length
-    /// — while peak transient memory is bounded by the chunk: the
-    /// gathered word-slice vectors and the bucket buffer are chunk-sized.
-    /// A zero-length oracle commits to the identity ciphertext
-    /// ([`Self::zero`]), never a panic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or `chunk_len == 0`.
+    /// [`Self::inner_product_split`] on the calling thread alone.
     pub fn inner_product_chunked(
         cts: &[Ciphertext],
         scalars: &[F],
         chunk_len: usize,
+        scratch: &mut Scratch<u64>,
+    ) -> Ciphertext {
+        Self::inner_product_split(cts, scalars, chunk_len, 1, scratch)
+    }
+
+    /// The commitment engine: consumes the scalar vector `chunk_len`
+    /// entries at a time (any length ≥ the vector's is one covering
+    /// chunk). Each chunk's surviving (nonzero-scalar) pairs run through
+    /// the Pippenger bucket MSM once per ciphertext component, and the
+    /// per-chunk products fold together via [`MsmAccumulator`]. The
+    /// group product over ordered chunks equals the one-shot product, so
+    /// the ciphertext is **equal** (byte-identical once serialized) at
+    /// every chunk length — while peak transient memory is bounded by
+    /// the chunk: the gathered slices and the bucket buffers are
+    /// chunk-sized. A zero-length oracle commits to the identity
+    /// ciphertext ([`Self::zero`]), never a panic.
+    ///
+    /// The two components are independent MSMs over the same scalars:
+    /// with `workers ≥ 2` each chunk's `c1` product runs on a second
+    /// thread while the caller's computes `c2` — the same group elements,
+    /// in half the wall time. Bucket buffers are leased from `scratch`
+    /// *before* the threads split and returned after they join (one per
+    /// concurrent component), so the pool's owner sees every byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or `chunk_len == 0`.
+    pub fn inner_product_split(
+        cts: &[Ciphertext],
+        scalars: &[F],
+        chunk_len: usize,
+        workers: usize,
         scratch: &mut Scratch<u64>,
     ) -> Ciphertext {
         assert!(chunk_len > 0, "chunk_len must be positive");
@@ -188,7 +205,7 @@ impl<F: HasGroup> ElGamal<F> {
         let reserve = chunk_len.min(cts.len());
         let mut c1s: Vec<&[u64]> = Vec::with_capacity(reserve);
         let mut c2s: Vec<&[u64]> = Vec::with_capacity(reserve);
-        let mut exps: Vec<Vec<u64>> = Vec::with_capacity(reserve);
+        let mut exps: Vec<u64> = Vec::with_capacity(reserve * F::NUM_WORDS);
         for (ct_chunk, s_chunk) in cts.chunks(chunk_len).zip(scalars.chunks(chunk_len)) {
             c1s.clear();
             c2s.clear();
@@ -199,11 +216,25 @@ impl<F: HasGroup> ElGamal<F> {
                 }
                 c1s.push(ct.c1.words());
                 c2s.push(ct.c2.words());
-                exps.push(s.exponent_words());
+                exps.extend(s.exponent_words());
             }
-            let exp_refs: Vec<&[u64]> = exps.iter().map(|e| e.as_slice()).collect();
-            g.msm_words_accumulate(&mut acc1, &c1s, &exp_refs, scratch);
-            g.msm_words_accumulate(&mut acc2, &c2s, &exp_refs, scratch);
+            if c1s.is_empty() {
+                continue;
+            }
+            let bucket_len = g.msm_bucket_len(c1s.len());
+            let mut buckets = scratch.take(bucket_len, 0u64);
+            if workers >= 2 {
+                let mut buckets1 = scratch.take(bucket_len, 0u64);
+                std::thread::scope(|s| {
+                    s.spawn(|| g.msm_words_accumulate(&mut acc1, &c1s, &exps, &mut buckets1));
+                    g.msm_words_accumulate(&mut acc2, &c2s, &exps, &mut buckets);
+                });
+                scratch.put(buckets1);
+            } else {
+                g.msm_words_accumulate(&mut acc1, &c1s, &exps, &mut buckets);
+                g.msm_words_accumulate(&mut acc2, &c2s, &exps, &mut buckets);
+            }
+            scratch.put(buckets);
         }
         Ciphertext {
             c1: g.msm_accumulator_finish(acc1),
@@ -373,15 +404,24 @@ mod tests {
 
     #[test]
     fn encrypt_vec_matches_scalar_encrypt() {
-        // The fixed-base batch path must produce byte-identical
-        // ciphertexts to per-element encryption on the same PRG state.
+        // The batch path must produce byte-identical ciphertexts to
+        // per-element encryption on the same PRG state — below the
+        // public-key table's break-even batch (25 on this group), where
+        // hᵏ is square-and-multiply, exactly at it and above it.
         let (kp, _) = setup();
-        let ms: Vec<F61> = (0..9u64).map(|i| F61::from_u64(i * i + 1)).collect();
-        let mut p1 = ChaChaPrg::from_u64_seed(0x77);
-        let mut p2 = ChaChaPrg::from_u64_seed(0x77);
-        let batched = Eg::encrypt_vec(kp.public(), &ms, &mut p1);
-        let serial: Vec<_> = ms.iter().map(|m| Eg::encrypt(kp.public(), *m, &mut p2)).collect();
-        assert_eq!(batched, serial);
+        let g = F61::group();
+        assert_eq!(g.fixed_base_table_for(kp.public(), 24).num_windows(), 0);
+        assert_eq!(g.fixed_base_table_for(kp.public(), 25).num_windows(), 8);
+        for len in [0u64, 1, 5, 24, 25, 40] {
+            let ms: Vec<F61> = (0..len).map(|i| F61::from_u64(i * i + 1)).collect();
+            let mut p1 = ChaChaPrg::from_u64_seed(0x77);
+            let mut p2 = ChaChaPrg::from_u64_seed(0x77);
+            let batched = Eg::encrypt_vec(kp.public(), &ms, &mut p1);
+            let serial: Vec<_> =
+                ms.iter().map(|m| Eg::encrypt(kp.public(), *m, &mut p2)).collect();
+            assert_eq!(batched, serial, "len={len}");
+            assert_eq!(p1.next_u64(), p2.next_u64(), "len={len}: PRG positions diverged");
+        }
     }
 
     #[test]

@@ -16,27 +16,34 @@ use std::sync::OnceLock;
 use zaatar_field::{PrimeField, F128, F220, F61};
 use zaatar_mem::{Interner, Scratch};
 
-use crate::mp::{is_zero, MontCtx};
+use crate::mp::{geq, is_zero, MontCtx, MAX_WIDTH};
 
-/// An element of a [`SchnorrGroup`], stored in Montgomery form at the
-/// group's width. Elements are only meaningful relative to the group that
-/// produced them.
+/// An element of a [`SchnorrGroup`], stored inline in Montgomery form at
+/// the group's width — a value, not an allocation, so the kernels keep
+/// their running products on the stack. Elements are only meaningful
+/// relative to the group that produced them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupElem {
-    mont: Vec<u64>,
+    /// Only the first `width` words are meaningful; the rest stay zero,
+    /// so the derived equality is equality of residues.
+    mont: [u64; MAX_WIDTH],
+    width: usize,
 }
 
 impl GroupElem {
     /// Raw Montgomery words (used for serialization and hashing).
     pub fn words(&self) -> &[u64] {
-        &self.mont
+        &self.mont[..self.width]
     }
 
-    /// Wraps raw Montgomery words produced by this crate's own kernels
-    /// (the MSM hands back bare word vectors to avoid intermediate
-    /// copies).
-    pub(crate) fn from_mont_words(mont: Vec<u64>) -> Self {
-        GroupElem { mont }
+    fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.mont[..self.width]
+    }
+
+    fn from_words(words: &[u64]) -> Self {
+        let mut mont = [0u64; MAX_WIDTH];
+        mont[..words.len()].copy_from_slice(words);
+        GroupElem { mont, width: words.len() }
     }
 }
 
@@ -44,11 +51,13 @@ impl SchnorrGroup {
     /// Serializes an element to canonical little-endian bytes
     /// (`8 × width` bytes).
     pub fn elem_to_bytes(&self, e: &GroupElem) -> Vec<u8> {
-        self.ctx
-            .from_mont(&e.mont)
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .collect()
+        let mut canonical = e.clone();
+        self.ctx.from_mont(canonical.words_mut());
+        let mut bytes = Vec::with_capacity(self.elem_bytes());
+        for w in canonical.words() {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+        bytes
     }
 
     /// Deserializes an element from canonical little-endian bytes;
@@ -57,19 +66,18 @@ impl SchnorrGroup {
     /// sentinel. (Subgroup membership is not checked: that would cost a
     /// full exponentiation per element.)
     pub fn elem_from_bytes(&self, bytes: &[u8]) -> Option<GroupElem> {
-        if bytes.len() != 8 * self.ctx.width() {
+        if bytes.len() != self.elem_bytes() {
             return None;
         }
-        let words: Vec<u64> = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
-        if is_zero(&words) || crate::mp::geq(&words, self.ctx.modulus()) {
+        let mut e = GroupElem { mont: [0u64; MAX_WIDTH], width: self.ctx.width() };
+        for (w, c) in e.words_mut().iter_mut().zip(bytes.chunks_exact(8)) {
+            *w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        }
+        if is_zero(e.words()) || geq(e.words(), self.ctx.modulus()) {
             return None;
         }
-        Some(GroupElem {
-            mont: self.ctx.to_mont(&words),
-        })
+        self.ctx.to_mont(e.words_mut());
+        Some(e)
     }
 
     /// Serialized element size in bytes.
@@ -97,21 +105,15 @@ impl SchnorrGroup {
     /// `g^q == 1` and `g != 1`).
     pub fn new(modulus: Vec<u64>, generator: Vec<u64>, order: Vec<u64>) -> Self {
         let ctx = MontCtx::new(modulus);
-        let gen_mont = ctx.to_mont(&generator);
-        let group = SchnorrGroup {
-            generator: GroupElem {
-                mont: gen_mont.clone(),
-            },
-            order,
-            ctx,
-        };
+        let mut generator = GroupElem::from_words(&generator);
+        ctx.to_mont(generator.words_mut());
+        let group = SchnorrGroup { generator, order, ctx };
         assert!(
-            group.generator.mont != group.ctx.one(),
+            group.generator != group.identity(),
             "generator must not be the identity"
         );
-        let gq = group.ctx.mont_pow(&gen_mont, &group.order);
         assert!(
-            gq == group.ctx.one(),
+            group.pow(&group.generator, &group.order) == group.identity(),
             "generator order does not divide the subgroup order"
         );
         group
@@ -124,9 +126,7 @@ impl SchnorrGroup {
 
     /// The identity element.
     pub fn identity(&self) -> GroupElem {
-        GroupElem {
-            mont: self.ctx.one(),
-        }
+        GroupElem::from_words(self.ctx.one())
     }
 
     /// The subgroup order (equal to the paired field's modulus).
@@ -148,21 +148,33 @@ impl SchnorrGroup {
 
     /// Group operation: `a · b mod p`.
     pub fn mul(&self, a: &GroupElem, b: &GroupElem) -> GroupElem {
-        GroupElem {
-            mont: self.ctx.mont_mul(&a.mont, &b.mont),
+        let mut out = a.clone();
+        self.ctx.mont_mul_assign(out.words_mut(), b.words());
+        out
+    }
+
+    /// `acc ← acc · x` for raw Montgomery words `x`, where `None` is the
+    /// identity not yet materialised — so empty leading windows, empty
+    /// buckets and zero digits cost no multiplication.
+    fn fold(&self, acc: &mut Option<GroupElem>, x: &[u64]) {
+        match acc {
+            Some(a) => self.ctx.mont_mul_assign(a.words_mut(), x),
+            None => *acc = Some(GroupElem::from_words(x)),
         }
     }
 
     /// Exponentiation by a multi-word exponent (canonical words,
     /// typically a field element's canonical representation).
     pub fn pow(&self, base: &GroupElem, exp: &[u64]) -> GroupElem {
-        GroupElem {
-            mont: self.ctx.mont_pow(&base.mont, exp),
-        }
+        let mut out = base.clone();
+        self.ctx.mont_pow(out.words_mut(), exp);
+        out
     }
 
     /// `g^exp` for the group generator, served by the interned
     /// fixed-base window table (built once per process per group).
+    /// Loops should look [`Self::generator_table`] up once and call
+    /// [`Self::pow_fixed`] themselves.
     pub fn gen_pow(&self, exp: &[u64]) -> GroupElem {
         self.pow_fixed(self.generator_table(), exp)
     }
@@ -248,50 +260,71 @@ impl SchnorrGroup {
     }
 
     /// [`Self::msm`] leasing its bucket accumulators from a
-    /// caller-owned [`Scratch`] pool, so a prover committing to many
-    /// instances pays for the bucket storage once per worker (the
-    /// staged pipeline threads its `ProverWorkspace` pool through
-    /// here).
+    /// caller-owned [`Scratch`] pool.
     pub fn msm_scratch(
         &self,
         bases: &[GroupElem],
         scalars: &[&[u64]],
         scratch: &mut Scratch<u64>,
     ) -> GroupElem {
-        let refs: Vec<&[u64]> = bases.iter().map(|b| b.mont.as_slice()).collect();
-        GroupElem::from_mont_words(self.msm_words(&refs, scalars, scratch))
+        assert_eq!(bases.len(), scalars.len(), "length mismatch");
+        let refs: Vec<&[u64]> = bases.iter().map(GroupElem::words).collect();
+        // The kernel reads scalars at one stride: pad to the widest.
+        let stride = scalars.iter().map(|s| s.len()).max().unwrap_or(0).max(1);
+        let mut flat = vec![0u64; stride * scalars.len()];
+        for (slot, s) in flat.chunks_exact_mut(stride).zip(scalars) {
+            slot[..s.len()].copy_from_slice(s);
+        }
+        let mut buckets = scratch.take(self.msm_bucket_len(bases.len()), 0u64);
+        let product = self.msm_words(&refs, &flat, &mut buckets);
+        scratch.put(buckets);
+        product
+    }
+
+    /// Bucket words [`Self::msm_words`] needs for `n` bases: `2^c − 1`
+    /// slots of `width` words at the window width `n` selects.
+    pub(crate) fn msm_bucket_len(&self, n: usize) -> usize {
+        ((1usize << msm_window_bits(n)) - 1) * self.ctx.width()
     }
 
     /// The MSM kernel over raw Montgomery word slices (how the ElGamal
     /// layer feeds ciphertext components without gathering them into
-    /// owned `GroupElem` vectors).
+    /// owned `GroupElem` vectors) and one flat scalar buffer, scalar `i`
+    /// at words `[i·stride, (i+1)·stride)`.
     ///
-    /// Buckets live in one flat leased buffer, `2^c − 1` slots of
-    /// `width` words, with the all-zero block as the "empty" sentinel
-    /// (zero is not a group element, so no valid accumulation can
-    /// collide with it). Windows run most-significant first: between
-    /// windows the accumulator is squared `c` times
-    /// ([`MontCtx::mont_sqr`]), then each window's buckets drain via
-    /// running suffix products (`∏ bucket[d]^d` in `2·(2^c − 1)`
+    /// `buckets` is a caller-leased buffer of at least
+    /// [`Self::msm_bucket_len`] words (any contents), used as `2^c − 1`
+    /// slots of `width` words with the all-zero block as the "empty"
+    /// sentinel (zero is not a group element, so no valid accumulation
+    /// can collide with it); every bucket operation multiplies straight
+    /// into its slot, and the running products live on the stack — no
+    /// allocation anywhere below this call. Windows run
+    /// most-significant first: between windows the accumulator is
+    /// squared `c` times, then each window's buckets drain via running
+    /// suffix products (`∏ bucket[d]^d` in `2·(2^c − 1)`
     /// multiplications, skipping empty prefixes).
     pub(crate) fn msm_words(
         &self,
         bases: &[&[u64]],
-        scalars: &[&[u64]],
-        scratch: &mut Scratch<u64>,
-    ) -> Vec<u64> {
-        assert_eq!(bases.len(), scalars.len(), "length mismatch");
+        scalars: &[u64],
+        buckets: &mut [u64],
+    ) -> GroupElem {
         let n = bases.len();
-        let max_bits = scalars.iter().map(|s| bit_len(s)).max().unwrap_or(0);
-        if n == 0 || max_bits == 0 {
-            return self.ctx.one();
+        if n == 0 || scalars.is_empty() {
+            return self.identity();
+        }
+        assert_eq!(scalars.len() % n, 0, "length mismatch");
+        let stride = scalars.len() / n;
+        let max_bits = scalars.chunks_exact(stride).map(bit_len).max().unwrap_or(0);
+        if max_bits == 0 {
+            return self.identity();
         }
         let width = self.ctx.width();
         let c = msm_window_bits(n);
         let num_windows = max_bits.div_ceil(c);
         let num_buckets = (1usize << c) - 1;
-        let mut buckets = scratch.take(num_buckets * width, 0u64);
-        let mut acc: Option<Vec<u64>> = None;
+        let buckets = &mut buckets[..num_buckets * width];
+        let mut acc: Option<GroupElem> = None;
         let mut bucket_ops = 0u64;
         let mut doublings = 0u64;
         for w in (0..num_windows).rev() {
@@ -299,14 +332,12 @@ impl SchnorrGroup {
             // shifting, so the leading empty windows are free).
             if let Some(a) = acc.as_mut() {
                 for _ in 0..c {
-                    *a = self.ctx.mont_sqr(a);
+                    self.ctx.mont_sqr_assign(a.words_mut());
                 }
                 doublings += c as u64;
             }
-            for slot in buckets.iter_mut() {
-                *slot = 0;
-            }
-            for (base, scalar) in bases.iter().zip(scalars.iter()) {
+            buckets.fill(0);
+            for (base, scalar) in bases.iter().zip(scalars.chunks_exact(stride)) {
                 let d = window_digit(scalar, w * c, c);
                 if d == 0 {
                     continue;
@@ -315,42 +346,30 @@ impl SchnorrGroup {
                 if is_zero(slot) {
                     slot.copy_from_slice(base);
                 } else {
-                    let prod = self.ctx.mont_mul(slot, base);
-                    slot.copy_from_slice(&prod);
+                    self.ctx.mont_mul_assign(slot, base);
                 }
                 bucket_ops += 1;
             }
             // Drain: running = ∏_{e ≥ d} bucket[e], summed into
             // window = ∏ bucket[d]^d.
-            let mut running: Option<Vec<u64>> = None;
-            let mut window: Option<Vec<u64>> = None;
-            for d in (1..=num_buckets).rev() {
-                let slot = &buckets[(d - 1) * width..d * width];
+            let mut running: Option<GroupElem> = None;
+            let mut window: Option<GroupElem> = None;
+            for slot in buckets.chunks_exact(width).rev() {
                 if !is_zero(slot) {
-                    running = Some(match running {
-                        Some(r) => self.ctx.mont_mul(&r, slot),
-                        None => slot.to_vec(),
-                    });
+                    self.fold(&mut running, slot);
                 }
-                if let Some(r) = running.as_ref() {
-                    window = Some(match window {
-                        Some(acc) => self.ctx.mont_mul(&acc, r),
-                        None => r.clone(),
-                    });
+                if let Some(r) = &running {
+                    self.fold(&mut window, r.words());
                 }
             }
-            if let Some(win) = window {
-                acc = Some(match acc {
-                    Some(a) => self.ctx.mont_mul(&a, &win),
-                    None => win,
-                });
+            if let Some(win) = &window {
+                self.fold(&mut acc, win.words());
             }
         }
-        scratch.put(buckets);
         zaatar_obs::counter("commit.msm.windows").add(num_windows as u64);
         zaatar_obs::counter("commit.msm.buckets").add(bucket_ops);
         zaatar_obs::counter("commit.msm.doublings").add(doublings);
-        acc.unwrap_or_else(|| self.ctx.one())
+        acc.unwrap_or_else(|| self.identity())
     }
 }
 
@@ -362,11 +381,11 @@ impl SchnorrGroup {
 /// over the concatenated inputs — the same residue, hence byte-identical
 /// serialized commitments — while the leased bucket buffer is sized by
 /// the *chunk* length ([`msm_window_bits`]), not the full vector. This
-/// is how the commit stage feeds `msm_scratch` scalars
-/// chunk-at-a-time under a memory budget.
+/// is how the commit stage feeds the kernel scalars chunk-at-a-time
+/// under a memory budget.
 #[derive(Default)]
 pub struct MsmAccumulator {
-    acc: Option<Vec<u64>>,
+    acc: Option<GroupElem>,
 }
 
 impl MsmAccumulator {
@@ -377,63 +396,63 @@ impl MsmAccumulator {
 }
 
 impl SchnorrGroup {
-    /// Folds one chunk's MSM into `acc` (raw Montgomery word slices, the
-    /// same kernel interface the ElGamal layer feeds).
+    /// Folds one chunk's MSM into `acc` (the [`Self::msm_words`]
+    /// interface, bucket buffer included).
     pub(crate) fn msm_words_accumulate(
         &self,
         acc: &mut MsmAccumulator,
         bases: &[&[u64]],
-        scalars: &[&[u64]],
-        scratch: &mut Scratch<u64>,
+        scalars: &[u64],
+        buckets: &mut [u64],
     ) {
-        if bases.is_empty() {
-            return;
-        }
-        let part = self.msm_words(bases, scalars, scratch);
-        acc.acc = Some(match acc.acc.take() {
-            Some(a) => self.ctx.mont_mul(&a, &part),
-            None => part,
-        });
+        let part = self.msm_words(bases, scalars, buckets);
+        self.fold(&mut acc.acc, part.words());
     }
 
     /// Closes an accumulator into its group element (identity if nothing
     /// was accumulated).
     pub fn msm_accumulator_finish(&self, acc: MsmAccumulator) -> GroupElem {
-        GroupElem::from_mont_words(acc.acc.unwrap_or_else(|| self.ctx.one()))
+        acc.acc.unwrap_or_else(|| self.identity())
     }
 }
 
-/// Window width for fixed-base exponentiation. Four bits divides the
+/// Window width for fixed-base exponentiation. Eight bits divides the
 /// 64-bit word size, so windows never straddle word boundaries.
-const WINDOW_BITS: usize = 4;
+const WINDOW_BITS: usize = 8;
 
 /// Non-zero digits per window (`2^WINDOW_BITS − 1`).
 const DIGITS_PER_WINDOW: usize = (1 << WINDOW_BITS) - 1;
 
 /// A precomputed table for fixed-base windowed exponentiation: for every
-/// 4-bit window `w` and digit `d ∈ 1…15` it stores
-/// `base^(d · 2^(4w))`, so `base^e` becomes one table lookup and one
+/// 8-bit window `w` and digit `d ∈ 1…255` it stores
+/// `base^(d · 2^(8w))`, so `base^e` becomes one table lookup and one
 /// group multiplication per non-zero window of `e` — no squarings at
 /// all. The table covers every exponent below the subgroup order
 /// (rounded up to a whole window); larger exponents fall back to
 /// square-and-multiply on the stored base.
 ///
-/// Amortization: building the table costs `15 · ⌈bits/4⌉`
+/// Amortization: building the table costs `255 · ⌈bits/8⌉`
 /// multiplications, one-time per base, while each subsequent
 /// exponentiation drops from `~1.5 · bits` multiplications
-/// (square-and-multiply) to at most `⌈bits/4⌉`.
+/// (square-and-multiply) to at most `⌈bits/8⌉` — break-even after
+/// `255·⌈bits/8⌉ / (1.5·bits − ⌈bits/8⌉)` ≈ 24 uses at every shipped
+/// order ([`SchnorrGroup::fixed_base_table_for`]). At the 1024-bit width
+/// a table is `⌈bits/8⌉ · 255 · 128 B`: 522 KB for F128's group, 914 KB
+/// for F220's.
 #[derive(Clone, Debug)]
 pub struct FixedBaseTable {
-    /// `entries[w · 15 + (d − 1)] = base^(d · 2^(4w))`, Montgomery form.
-    entries: Vec<Vec<u64>>,
-    /// The base itself (Montgomery form), for the oversized-exponent
-    /// fallback.
-    base: Vec<u64>,
+    /// One flat buffer: the `width` words at entry index
+    /// `w · 255 + (d − 1)` are `base^(d · 2^(8w))`, Montgomery form.
+    entries: Vec<u64>,
+    /// The base itself, for the oversized-exponent fallback.
+    base: GroupElem,
     num_windows: usize,
 }
 
 impl FixedBaseTable {
-    /// Number of 4-bit windows the table covers.
+    /// Number of 8-bit windows the table covers (0 for a table built
+    /// below the break-even batch, which serves every exponent by the
+    /// fallback).
     pub fn num_windows(&self) -> usize {
         self.num_windows
     }
@@ -456,76 +475,87 @@ fn bit_len(words: &[u64]) -> usize {
         .unwrap_or(0)
 }
 
-/// True if `exp` has any bit set at or above `bits`.
-fn exceeds(exp: &[u64], bits: usize) -> bool {
-    bit_len(exp) > bits
-}
-
 impl SchnorrGroup {
+    /// Windows a table needs to cover any exponent below the subgroup
+    /// order (its bit length rounded up to whole windows).
+    fn fixed_base_windows(&self) -> usize {
+        bit_len(&self.order).max(1).div_ceil(WINDOW_BITS)
+    }
+
     /// Builds a fixed-base window table for `base`, sized to cover any
     /// exponent below the subgroup order. Use for bases that will be
     /// raised to many exponents (the generator, an ElGamal public key
     /// during vector encryption).
     pub fn fixed_base_table(&self, base: &GroupElem) -> FixedBaseTable {
         let _span = zaatar_obs::time("commit.fixed_base_build");
-        // Round the order's bit length up to whole windows; since
-        // WINDOW_BITS divides 64 this also guarantees whole-word
-        // coverage is a multiple of the window size.
-        let order_bits = bit_len(&self.order).max(1);
-        let num_windows = order_bits.div_ceil(WINDOW_BITS);
-        let mut entries = Vec::with_capacity(num_windows * DIGITS_PER_WINDOW);
-        // `cur` walks base^(2^(4w)); each window's entries are
-        // cur, cur², …, cur¹⁵ built with multiplications only.
-        let mut cur = base.mont.clone();
+        let width = self.ctx.width();
+        let num_windows = self.fixed_base_windows();
+        let mut entries = Vec::with_capacity(num_windows * DIGITS_PER_WINDOW * width);
+        // `cur` walks base^(2^(8w)); each window's entries are
+        // cur, cur², …, cur²⁵⁵, each the previous entry times cur.
+        let mut cur = base.clone();
         for _ in 0..num_windows {
-            let mut acc = cur.clone();
-            entries.push(acc.clone());
+            entries.extend_from_slice(cur.words());
             for _ in 2..=DIGITS_PER_WINDOW {
-                acc = self.ctx.mont_mul(&acc, &cur);
-                entries.push(acc.clone());
+                let at = entries.len();
+                entries.extend_from_within(at - width..);
+                self.ctx.mont_mul_assign(&mut entries[at..], cur.words());
             }
-            // acc == cur^15, so the next window's base cur^16 is one
-            // more multiplication.
-            cur = self.ctx.mont_mul(&acc, &cur);
+            // The last entry is cur²⁵⁵, so the next window's base
+            // cur²⁵⁶ is one more multiplication.
+            let last = entries.len() - width;
+            self.ctx.mont_mul_assign(cur.words_mut(), &entries[last..]);
         }
-        FixedBaseTable {
-            entries,
-            base: base.mont.clone(),
-            num_windows,
+        FixedBaseTable { entries, base: base.clone(), num_windows }
+    }
+
+    /// [`Self::fixed_base_table`] when `base` will be raised to at least
+    /// the break-even number of exponents
+    /// (`255·W / (1.5·bits − W)` for `W` windows over a `bits`-bit
+    /// order), and otherwise a window-less table that costs nothing to
+    /// build and serves [`Self::pow_fixed`] by square-and-multiply — so
+    /// a short vector never pays for a table it cannot amortize.
+    pub fn fixed_base_table_for(&self, base: &GroupElem, uses: usize) -> FixedBaseTable {
+        let windows = self.fixed_base_windows();
+        let saved_per_use = 3 * bit_len(&self.order).max(1) / 2 - windows;
+        if uses >= (DIGITS_PER_WINDOW * windows).div_ceil(saved_per_use.max(1)) {
+            self.fixed_base_table(base)
+        } else {
+            FixedBaseTable { entries: Vec::new(), base: base.clone(), num_windows: 0 }
         }
     }
 
-    /// `base^exp` via a precomputed [`FixedBaseTable`] for that base:
-    /// one lookup + multiplication per non-zero 4-bit window. Exponents
-    /// wider than the table's capacity (possible only for raw word
-    /// slices above the subgroup order) fall back to square-and-multiply
-    /// and stay correct.
-    pub fn pow_fixed(&self, table: &FixedBaseTable, exp: &[u64]) -> GroupElem {
-        if exceeds(exp, table.capacity_bits()) {
-            return GroupElem {
-                mont: self.ctx.mont_pow(&table.base, exp),
-            };
+    /// `acc ← acc · base^exp` via `table` (`None` is the identity, as in
+    /// [`Self::fold`]): one lookup + multiplication per non-zero 8-bit
+    /// window, straight into `acc`. Exponents wider than the table's
+    /// capacity (raw word slices above the subgroup order, or any
+    /// exponent on a window-less table) fall back to
+    /// square-and-multiply and stay correct.
+    pub(crate) fn mul_pow_fixed(
+        &self,
+        acc: &mut Option<GroupElem>,
+        table: &FixedBaseTable,
+        exp: &[u64],
+    ) {
+        if bit_len(exp) > table.capacity_bits() {
+            return self.fold(acc, self.pow(&table.base, exp).words());
         }
-        let mut acc: Option<Vec<u64>> = None;
-        for w in 0..table.num_windows {
+        let width = self.ctx.width();
+        for (w, window) in table.entries.chunks_exact(DIGITS_PER_WINDOW * width).enumerate() {
             let bit = w * WINDOW_BITS;
-            let word = bit / 64;
-            if word >= exp.len() {
-                break;
+            let Some(word) = exp.get(bit / 64) else { break };
+            let digit = (word >> (bit % 64)) as usize & DIGITS_PER_WINDOW;
+            if digit != 0 {
+                self.fold(acc, &window[(digit - 1) * width..digit * width]);
             }
-            let digit = ((exp[word] >> (bit % 64)) & ((1 << WINDOW_BITS) - 1)) as usize;
-            if digit == 0 {
-                continue;
-            }
-            let entry = &table.entries[w * DIGITS_PER_WINDOW + digit - 1];
-            acc = Some(match acc {
-                Some(a) => self.ctx.mont_mul(&a, entry),
-                None => entry.clone(),
-            });
         }
-        GroupElem {
-            mont: acc.unwrap_or_else(|| self.ctx.one()),
-        }
+    }
+
+    /// `base^exp` via a precomputed [`FixedBaseTable`] for that base.
+    pub fn pow_fixed(&self, table: &FixedBaseTable, exp: &[u64]) -> GroupElem {
+        let mut acc = None;
+        self.mul_pow_fixed(&mut acc, table, exp);
+        acc.unwrap_or_else(|| self.identity())
     }
 
     /// The interned fixed-base table for this group's generator.
@@ -534,13 +564,15 @@ impl SchnorrGroup {
     /// by `(modulus, generator)` — shared machinery with the
     /// `zaatar_poly::plan` registry — so the (at most a handful of)
     /// process-wide groups each pay the build cost once. Registry hits
-    /// are counted as `commit.fixed_base_hit`.
+    /// are counted as `commit.fixed_base_hit`; a lookup builds a key,
+    /// hashes it and takes the registry's read lock, so vector
+    /// operations look the table up once, not once per element.
     pub fn generator_table(&self) -> &'static FixedBaseTable {
         static REGISTRY: Interner<Vec<u64>, FixedBaseTable> = Interner::new();
         // Key on modulus ++ generator so hypothetical same-modulus
         // groups with different generators cannot collide.
         let mut key = self.ctx.modulus().to_vec();
-        key.extend_from_slice(&self.generator.mont);
+        key.extend_from_slice(self.generator.words());
         let (table, hit) =
             REGISTRY.intern_with(key, || self.fixed_base_table(&self.generator));
         zaatar_obs::counter(if hit {

@@ -66,7 +66,44 @@ pub fn is_zero(a: &[u64]) -> bool {
     a.iter().all(|&x| x == 0)
 }
 
-/// A Montgomery reduction context for an odd runtime modulus.
+/// Widest modulus, in words, a [`MontCtx`] supports (1024 bits): every
+/// multiplication builds its result in a stack temporary of this size,
+/// so no kernel call touches the heap.
+pub const MAX_WIDTH: usize = 16;
+
+/// The CIOS inner loops: `t ← a·b/R mod m` before the final conditional
+/// subtraction, returning the overflow word. Always inlined, so a call
+/// site that passes constant-length slices gets its own unrolled copy.
+#[inline(always)]
+fn cios(t: &mut [u64], a: &[u64], b: &[u64], m: &[u64], inv: u64) -> u64 {
+    let n = t.len();
+    let mut t_n: u64 = 0;
+    for &bi in b {
+        let mut carry = 0;
+        for j in 0..n {
+            let (lo, c) = mac(t[j], a[j], bi, carry);
+            t[j] = lo;
+            carry = c;
+        }
+        let (lo, t_n1) = adc(t_n, carry, 0);
+        t_n = lo;
+
+        let k = t[0].wrapping_mul(inv);
+        let (_, mut carry) = mac(t[0], k, m[0], 0);
+        for j in 1..n {
+            let (lo, c) = mac(t[j], k, m[j], carry);
+            t[j - 1] = lo;
+            carry = c;
+        }
+        let (lo, c) = adc(t_n, carry, 0);
+        t[n - 1] = lo;
+        t_n = t_n1 + c;
+    }
+    t_n
+}
+
+/// A Montgomery reduction context for an odd runtime modulus of at most
+/// [`MAX_WIDTH`] words.
 #[derive(Clone, Debug)]
 pub struct MontCtx {
     modulus: Vec<u64>,
@@ -84,9 +121,11 @@ impl MontCtx {
     ///
     /// # Panics
     ///
-    /// Panics if the modulus is even, zero, or has a zero top word.
+    /// Panics if the modulus is even, zero, has a zero top word, or is
+    /// wider than [`MAX_WIDTH`] words.
     pub fn new(modulus: Vec<u64>) -> Self {
         assert!(!modulus.is_empty(), "modulus must be non-empty");
+        assert!(modulus.len() <= MAX_WIDTH, "modulus wider than MAX_WIDTH words");
         assert!(modulus[0] & 1 == 1, "modulus must be odd");
         assert!(
             *modulus.last().expect("non-empty") != 0,
@@ -136,159 +175,89 @@ impl MontCtx {
     }
 
     /// Montgomery form of 1 (i.e. `R mod m`).
-    pub fn one(&self) -> Vec<u64> {
-        self.r.clone()
+    pub fn one(&self) -> &[u64] {
+        &self.r
     }
 
-    /// Converts a canonical value (`< m`) into Montgomery form.
-    pub fn to_mont(&self, a: &[u64]) -> Vec<u64> {
+    /// Converts a canonical value (`< m`) into Montgomery form, in place.
+    pub fn to_mont(&self, a: &mut [u64]) {
         debug_assert!(!geq(a, &self.modulus), "value must be reduced");
-        self.mont_mul(a, &self.r2)
+        self.mont_mul_assign(a, &self.r2);
     }
 
-    /// Converts a Montgomery-form value back to canonical form.
-    pub fn from_mont(&self, a: &[u64]) -> Vec<u64> {
-        let mut one = vec![0u64; self.width()];
+    /// Converts a Montgomery-form value back to canonical form, in place.
+    pub fn from_mont(&self, a: &mut [u64]) {
+        let mut one = [0u64; MAX_WIDTH];
         one[0] = 1;
-        self.mont_mul(a, &one)
+        self.mont_mul_assign(a, &one[..self.width()]);
     }
 
-    /// Montgomery multiplication (CIOS): `a·b/R mod m`.
-    pub fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    /// Montgomery multiplication (CIOS) `a·b/R mod m` into a stack
+    /// temporary — the one kernel every group operation bottoms out in.
+    /// The production width gets a copy of the loops specialised to it.
+    #[inline]
+    fn mul(&self, a: &[u64], b: &[u64]) -> [u64; MAX_WIDTH] {
         let n = self.width();
-        debug_assert_eq!(a.len(), n);
-        debug_assert_eq!(b.len(), n);
-        let m = &self.modulus;
-        let mut t = vec![0u64; n];
-        let mut t_n: u64 = 0;
-        for &bi in b.iter() {
-            let mut carry = 0;
-            for j in 0..n {
-                let (lo, c) = mac(t[j], a[j], bi, carry);
-                t[j] = lo;
-                carry = c;
-            }
-            let (lo, overflow) = adc(t_n, carry, 0);
-            t_n = lo;
-            let t_n1 = overflow;
-
-            let k = t[0].wrapping_mul(self.inv);
-            let (_, mut carry) = mac(t[0], k, m[0], 0);
-            for j in 1..n {
-                let (lo, c) = mac(t[j], k, m[j], carry);
-                t[j - 1] = lo;
-                carry = c;
-            }
-            let (lo, c) = adc(t_n, carry, 0);
-            t[n - 1] = lo;
-            t_n = t_n1 + c;
+        let m = &self.modulus[..];
+        let mut buf = [0u64; MAX_WIDTH];
+        let overflow = if n == MAX_WIDTH {
+            cios(&mut buf[..], &a[..MAX_WIDTH], &b[..MAX_WIDTH], &m[..MAX_WIDTH], self.inv)
+        } else {
+            cios(&mut buf[..n], &a[..n], &b[..n], m, self.inv)
+        };
+        let t = &mut buf[..n];
+        if overflow != 0 || geq(t, m) {
+            sub_assign(t, m);
         }
-        if t_n == 1 || geq(&t, m) {
-            sub_assign(&mut t, m);
-        }
-        t
+        buf
     }
 
-    /// Montgomery squaring (SOS): `a²/R mod m`, exploiting the symmetric
-    /// cross terms of the schoolbook product — each `aᵢ·aⱼ` with `i < j`
-    /// is computed once and doubled, so the product phase costs
-    /// `n(n−1)/2 + n` word multiplications against `mont_mul`'s `n²`.
-    /// With the `n²`-word reduction phase shared, a squaring lands at
-    /// roughly ⅔–¾ the cost of a general multiplication — and squarings
-    /// dominate both [`Self::mont_pow`] and the window shifts of the
-    /// bucket MSM (`zaatar_crypto::group`), which is why they get their
-    /// own kernel.
-    pub fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
+    /// In-place Montgomery multiplication: `a ← a·b/R mod m`.
+    pub fn mont_mul_assign(&self, a: &mut [u64], b: &[u64]) {
+        debug_assert_eq!(a.len(), self.width());
+        debug_assert_eq!(b.len(), self.width());
+        let t = self.mul(a, b);
+        a.copy_from_slice(&t[..a.len()]);
+    }
+
+    /// In-place Montgomery squaring: `a ← a²/R mod m`, through the
+    /// multiplication kernel (a dedicated squaring measured no faster
+    /// at the production width).
+    pub fn mont_sqr_assign(&self, a: &mut [u64]) {
+        debug_assert_eq!(a.len(), self.width());
+        let t = self.mul(a, a);
+        a.copy_from_slice(&t[..a.len()]);
+    }
+
+    /// In-place modular exponentiation with a multi-word exponent:
+    /// `a ← a^exp mod m`, Montgomery form in and out.
+    pub fn mont_pow(&self, a: &mut [u64], exp: &[u64]) {
         let n = self.width();
-        debug_assert_eq!(a.len(), n);
-        let m = &self.modulus;
-        // Product phase: t = a² over 2n words (one spare word absorbs
-        // the reduction phase's carries). Cross terms first…
-        let mut t = vec![0u64; 2 * n + 1];
-        for i in 0..n {
-            let mut carry = 0;
-            for j in (i + 1)..n {
-                let (lo, c) = mac(t[i + j], a[i], a[j], carry);
-                t[i + j] = lo;
-                carry = c;
-            }
-            t[i + n] = carry;
-        }
-        // …doubled (the cross sum is < a²/2, so the shift cannot carry
-        // out of word 2n−1)…
-        let mut carry = 0;
-        for word in t.iter_mut() {
-            let out = *word >> 63;
-            *word = (*word << 1) | carry;
-            carry = out;
-        }
-        debug_assert_eq!(carry, 0);
-        // …plus the diagonal squares aᵢ² at words (2i, 2i+1).
-        let mut carry = 0;
-        for i in 0..n {
-            let (lo, c) = mac(t[2 * i], a[i], a[i], carry);
-            t[2 * i] = lo;
-            let (lo, c) = adc(t[2 * i + 1], c, 0);
-            t[2 * i + 1] = lo;
-            carry = c;
-        }
-        debug_assert_eq!(carry, 0, "a² must fit in 2n words");
-        // Reduction phase: n rounds of t += k·m·2^(64i) zero the low
-        // half; the quotient lives in t[n..=2n].
-        for i in 0..n {
-            let k = t[i].wrapping_mul(self.inv);
-            let mut carry = 0;
-            for j in 0..n {
-                let (lo, c) = mac(t[i + j], k, m[j], carry);
-                t[i + j] = lo;
-                carry = c;
-            }
-            let mut idx = i + n;
-            while carry != 0 {
-                let (lo, c) = adc(t[idx], carry, 0);
-                t[idx] = lo;
-                carry = c;
-                idx += 1;
-            }
-        }
-        // Result = (a² + Σ kᵢ·m·2^(64i)) / 2^(64n) < 2m: one conditional
-        // subtraction settles it (t[2n] set means the value overflowed
-        // n words and is certainly ≥ m).
-        let mut out = t[n..2 * n].to_vec();
-        if t[2 * n] != 0 || geq(&out, m) {
-            sub_assign(&mut out, m);
-        }
-        out
-    }
-
-    /// Modular exponentiation with a multi-word exponent: returns
-    /// `base^exp mod m` in Montgomery form, given `base` in Montgomery
-    /// form. The square-per-bit rides [`Self::mont_sqr`].
-    pub fn mont_pow(&self, base: &[u64], exp: &[u64]) -> Vec<u64> {
-        let mut acc = self.one();
+        let mut base = [0u64; MAX_WIDTH];
+        base[..n].copy_from_slice(a);
+        a.copy_from_slice(&self.r);
         let high = exp
             .iter()
             .enumerate()
             .rev()
             .find(|(_, w)| **w != 0)
             .map(|(i, w)| i * 64 + 63 - w.leading_zeros() as usize);
-        let high = match high {
-            Some(h) => h,
-            None => return acc,
-        };
+        let Some(high) = high else { return };
         for i in (0..=high).rev() {
-            acc = self.mont_sqr(&acc);
+            self.mont_sqr_assign(a);
             if (exp[i / 64] >> (i % 64)) & 1 == 1 {
-                acc = self.mont_mul(&acc, base);
+                self.mont_mul_assign(a, &base[..n]);
             }
         }
-        acc
     }
 
     /// Full modular exponentiation on canonical values.
     pub fn pow(&self, base: &[u64], exp: &[u64]) -> Vec<u64> {
-        let b = self.to_mont(base);
-        self.from_mont(&self.mont_pow(&b, exp))
+        let mut acc = base.to_vec();
+        self.to_mont(&mut acc);
+        self.mont_pow(&mut acc, exp);
+        self.from_mont(&mut acc);
+        acc
     }
 }
 
@@ -314,15 +283,18 @@ mod tests {
         let ctx = MontCtx::new(words(P, 2));
         assert_eq!(ctx.width(), 2);
         // R mod p for R = 2^128, p = 2^127 − 1: R = 2p + 2 → R mod p = 2.
-        assert_eq!(ctx.one(), words(2, 2));
+        assert_eq!(ctx.one(), &words(2, 2)[..]);
     }
 
     #[test]
     fn mont_round_trip() {
         let ctx = MontCtx::new(words(P, 2));
         let a = words(0xdead_beef_cafe_f00d_1234u128, 2);
-        let m = ctx.to_mont(&a);
-        assert_eq!(ctx.from_mont(&m), a);
+        let mut m = a.clone();
+        ctx.to_mont(&mut m);
+        assert_ne!(m, a);
+        ctx.from_mont(&mut m);
+        assert_eq!(m, a);
     }
 
     #[test]
@@ -330,9 +302,11 @@ mod tests {
         let ctx = MontCtx::new(words(P, 2));
         let a = 0x0123_4567_89ab_cdef_1122_3344_5566_7788u128 % P;
         let b = 0x0fed_cba9_8765_4321_8877_6655_4433_2211u128 % P;
-        let am = ctx.to_mont(&words(a, 2));
-        let bm = ctx.to_mont(&words(b, 2));
-        let prod = ctx.from_mont(&ctx.mont_mul(&am, &bm));
+        let (mut prod, mut bm) = (words(a, 2), words(b, 2));
+        ctx.to_mont(&mut prod);
+        ctx.to_mont(&mut bm);
+        ctx.mont_mul_assign(&mut prod, &bm);
+        ctx.from_mont(&mut prod);
         // Reference via shift-and-add in u128 is awkward; use the identity
         // (a·b mod p) for Mersenne p: fold the 256-bit product.
         let expect = mulmod_mersenne127(a, b);
@@ -377,52 +351,20 @@ mod tests {
         let e = 0b1011_0110u64;
         let fast = ctx.pow(&base, &[e]);
         // Reference: repeated multiplication.
-        let bm = ctx.to_mont(&base);
-        let mut acc = ctx.one();
+        let mut bm = base.clone();
+        ctx.to_mont(&mut bm);
+        let mut acc = ctx.one().to_vec();
         for _ in 0..e {
-            acc = ctx.mont_mul(&acc, &bm);
+            ctx.mont_mul_assign(&mut acc, &bm);
         }
-        assert_eq!(fast, ctx.from_mont(&acc));
+        ctx.from_mont(&mut acc);
+        assert_eq!(fast, acc);
     }
 
     #[test]
-    fn sqr_matches_mul_by_self() {
-        let ctx = MontCtx::new(words(P, 2));
-        // Deterministic pseudo-random walk over Montgomery values: the
-        // differential identity mont_sqr(a) == mont_mul(a, a) must hold
-        // for every representable input, reduced or not-yet-normalized.
-        let mut a = ctx.to_mont(&words(0x1234_5678_9abc_def0u128, 2));
-        for _ in 0..64 {
-            assert_eq!(ctx.mont_sqr(&a), ctx.mont_mul(&a, &a));
-            a = ctx.mont_mul(&a, &ctx.r2);
-        }
-    }
-
-    #[test]
-    fn sqr_edge_values() {
-        let ctx = MontCtx::new(words(P, 2));
-        // 0, 1 (Montgomery R), and m − 1 stress the no-carry, identity,
-        // and maximal-cross-term paths.
-        let zero = vec![0u64; 2];
-        assert_eq!(ctx.mont_sqr(&zero), ctx.mont_mul(&zero, &zero));
-        let one = ctx.one();
-        assert_eq!(ctx.mont_sqr(&one), ctx.mont_mul(&one, &one));
-        let mut top = ctx.modulus().to_vec();
-        top[0] -= 1;
-        assert_eq!(ctx.mont_sqr(&top), ctx.mont_mul(&top, &top));
-        // All-ones words below the modulus exercise saturated carries.
-        let m = words(P - 1, 2);
-        let mm = ctx.to_mont(&m);
-        assert_eq!(ctx.mont_sqr(&mm), ctx.mont_mul(&mm, &mm));
-    }
-
-    #[test]
-    fn sqr_single_limb_width() {
-        let ctx = MontCtx::new(words(1_000_003, 1));
-        for v in [0u64, 1, 2, 999, 1_000_002] {
-            let vm = ctx.to_mont(&[v]);
-            assert_eq!(ctx.mont_sqr(&vm), ctx.mont_mul(&vm, &vm), "v={v}");
-        }
+    #[should_panic(expected = "MAX_WIDTH")]
+    fn overwide_modulus_rejected() {
+        let _ = MontCtx::new(vec![1; MAX_WIDTH + 1]);
     }
 
     #[test]

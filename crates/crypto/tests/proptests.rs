@@ -3,7 +3,7 @@
 //! (`zaatar_field::testutil::SplitMix64` — the build must work offline,
 //! so no external proptest dependency).
 
-use zaatar_crypto::mp::MontCtx;
+use zaatar_crypto::mp::{add_assign, geq, sub_assign, MontCtx};
 use zaatar_crypto::{ChaChaPrg, ElGamal, HasGroup, KeyPair};
 use zaatar_field::testutil::SplitMix64;
 use zaatar_field::{Field, PrimeField, F128, F61};
@@ -45,9 +45,11 @@ fn mont_mul_matches_reference() {
     for _ in 0..64 {
         let a = u128_below(&mut g, P);
         let b = u128_below(&mut g, P);
-        let am = ctx.to_mont(&words(a));
-        let bm = ctx.to_mont(&words(b));
-        let got = ctx.from_mont(&ctx.mont_mul(&am, &bm));
+        let (mut got, mut bm) = (words(a), words(b));
+        ctx.to_mont(&mut got);
+        ctx.to_mont(&mut bm);
+        ctx.mont_mul_assign(&mut got, &bm);
+        ctx.from_mont(&mut got);
         assert_eq!(got, words(mulmod(a, b)));
     }
 }
@@ -196,22 +198,47 @@ fn elgamal_vector_round_trip_and_inner_product() {
     }
 }
 
-/// `mont_sqr` is a specialization of `mont_mul(a, a)` — they must agree
-/// bit-for-bit on every input. Runs at the 2-word test prime and at a
-/// full 16-word (1024-bit) width, across seeds, random residues, and
-/// edge values (0, raw 1, m − 1, all-ones top words).
+/// `a·b mod m` by binary double-and-add over the plain add/sub helpers
+/// — a reference that shares nothing with the Montgomery kernel.
+fn mulmod_double_and_add(a: &[u64], b: &[u64], m: &[u64]) -> Vec<u64> {
+    let mut acc = vec![0u64; m.len()];
+    let add_mod = |acc: &mut Vec<u64>, x: &[u64]| {
+        if add_assign(acc, x) == 1 || geq(acc, m) {
+            sub_assign(acc, m);
+        }
+    };
+    for i in (0..64 * b.len()).rev() {
+        let doubled = acc.clone();
+        add_mod(&mut acc, &doubled);
+        if (b[i / 64] >> (i % 64)) & 1 == 1 {
+            add_mod(&mut acc, a);
+        }
+    }
+    acc
+}
+
+/// The in-place kernel — `mont_mul_assign`, and `mont_sqr_assign` which
+/// feeds it one operand twice — agrees with double-and-add modular
+/// multiplication on every input. Runs at the 2-word test prime, the
+/// test group's 4-word width and the full 16-word (1024-bit) width the
+/// kernel specialises, across seeds, random residues and edge values
+/// (0, 1, m − 1, saturated low words).
 #[test]
-fn mont_sqr_matches_mont_mul_self_across_widths() {
-    // Any odd modulus is a valid Montgomery modulus, and the property
-    // is differential, so a deterministic pseudorandom 1024-bit odd
-    // modulus exercises the wide path as well as a prime would.
+fn mont_mul_assign_matches_double_and_add_across_widths() {
+    // Any odd modulus is a valid Montgomery modulus, so deterministic
+    // pseudorandom odd moduli exercise the wide paths as well as primes
+    // would.
     let mut mgen = SplitMix64::new(0x5a5a);
-    let mut wide_m: Vec<u64> = (0..16).map(|_| mgen.next_u64()).collect();
-    wide_m[0] |= 1; // odd
-    wide_m[15] |= 1 << 63; // full 1024-bit width
+    let mut odd_modulus = |n: usize| {
+        let mut m: Vec<u64> = (0..n).map(|_| mgen.next_u64()).collect();
+        m[0] |= 1; // odd
+        m[n - 1] |= 1 << 63; // full width
+        m
+    };
     let widths: Vec<(&str, Vec<u64>)> = vec![
         ("test-prime-127", words(P)),
-        ("wide-1024", wide_m),
+        ("mid-256", odd_modulus(4)),
+        ("wide-1024", odd_modulus(16)),
     ];
     for (name, modulus) in widths {
         let ctx = MontCtx::new(modulus.clone());
@@ -223,23 +250,63 @@ fn mont_sqr_matches_mont_mul_self_across_widths() {
         let mut cases: Vec<Vec<u64>> = vec![vec![0u64; n], one, edge_max];
         for seed in [11u64, 12, 13] {
             let mut g = SplitMix64::new(seed);
-            for _ in 0..24 {
-                // Top word halved keeps the draw below the modulus
-                // (whose top bit is set in both widths).
+            for _ in 0..8 {
+                // Top word quartered keeps the draw below every modulus
+                // here (top bit set, or 2^127 − 1).
                 let mut a: Vec<u64> = (0..n).map(|_| g.next_u64()).collect();
-                a[n - 1] >>= 1;
+                a[n - 1] >>= 2;
                 cases.push(a);
             }
         }
-        // Saturated low words, small top word: maximal carry traffic in
-        // the doubled cross-term pass.
+        // Saturated low words, small top word: maximal carry traffic.
         let mut sat = vec![u64::MAX; n];
         sat[n - 1] = 1;
         cases.push(sat);
-        for a in &cases {
-            assert_eq!(ctx.mont_sqr(a), ctx.mont_mul(a, a), "width={name}");
+        for (i, a) in cases.iter().enumerate() {
+            let b = &cases[(i + 5) % cases.len()];
+            let (mut am, mut bm) = (a.clone(), b.clone());
+            ctx.to_mont(&mut am);
+            ctx.to_mont(&mut bm);
+            let mut product = am.clone();
+            ctx.mont_mul_assign(&mut product, &bm);
+            ctx.from_mont(&mut product);
+            assert_eq!(product, mulmod_double_and_add(a, b, &modulus), "width={name} case={i}");
+            ctx.mont_sqr_assign(&mut am);
+            ctx.from_mont(&mut am);
+            assert_eq!(am, mulmod_double_and_add(a, a, &modulus), "width={name} square {i}");
         }
     }
+}
+
+/// The pure `(m, k) → ciphertext` function equals `ElGamal::encrypt`
+/// element-for-element on the same `k`s — on the 256-bit test group and
+/// the 1024-bit production group, below and above the public-key
+/// table's break-even batch — and evaluating disjoint ranges and
+/// concatenating (what a sharded keygen does) changes nothing.
+#[test]
+fn encrypt_with_matches_scalar_encrypt_on_both_groups() {
+    fn check<F: HasGroup>(seed: u64) {
+        let mut gen = SplitMix64::new(seed);
+        let mut prg = ChaChaPrg::from_u64_seed(gen.next_u64());
+        let kp = KeyPair::<F>::generate(&mut prg);
+        for n in [0usize, 1, 7, 29] {
+            let ms: Vec<F> = gen.field_vec(n);
+            // The `k`s `encrypt` is about to draw, in its order.
+            let ks: Vec<F> = prg.clone().field_vec(n);
+            let table = F::group().fixed_base_table_for(kp.public(), n);
+            assert_eq!(table.num_windows() > 0, n == 29, "break-even sits between 7 and 29");
+            let pure = ElGamal::<F>::encrypt_with(&table, &ms, &ks);
+            let serial: Vec<_> =
+                ms.iter().map(|m| ElGamal::<F>::encrypt(kp.public(), *m, &mut prg)).collect();
+            assert_eq!(pure, serial, "n={n}");
+            let cut = n / 3;
+            let mut sharded = ElGamal::<F>::encrypt_with(&table, &ms[..cut], &ks[..cut]);
+            sharded.extend(ElGamal::<F>::encrypt_with(&table, &ms[cut..], &ks[cut..]));
+            assert_eq!(sharded, pure, "n={n}");
+        }
+    }
+    check::<F61>(0x7001);
+    check::<F128>(0x7002);
 }
 
 /// The bucket MSM agrees with the per-element reference inner product

@@ -299,11 +299,14 @@ where
             "circuit id out of range"
         );
         let pool = WorkspacePool::new(config.pool_capacity);
-        // One policy decision for the whole server: the serving loop
-        // proves one instance per request (batch 1, workers moot), so
-        // the decision that matters is the chunk length — sized
-        // for the largest configured circuit against the per-tenant
-        // budget, so every tenant's workspace serves every circuit.
+        // One policy decision for the whole server. Batch 1 keeps
+        // `workers` at one, and that is a decision: a poll thread that
+        // multiplexes tenants does not fan one tenant's instance out
+        // over the cores its other tenants are waiting for (the blocking
+        // single-session pump does; ROADMAP item 7 revisits this). What
+        // is left to size is the chunk length — for the largest
+        // configured circuit against the per-tenant budget, so every
+        // tenant's workspace serves every circuit.
         let scheduler = Scheduler::new(HostProfile::from_env());
         let shape = WorkloadShape {
             domain_size: pcps.iter().map(|p| p.qap().degree()).max().unwrap_or(1),

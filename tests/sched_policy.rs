@@ -6,12 +6,19 @@
 //! A policy changes where and when work happens (threads, chunks),
 //! never the field/group values that reach the wire.
 
+use zaatar::apps::GadgetApp;
+use zaatar::cc::ginger_to_quad;
+use zaatar::core::pcp::{PcpParams, ZaatarPcp, ZaatarProof};
+use zaatar::core::qap::Qap;
 use zaatar::core::runtime::{prove_batch_with_policy, prove_instance_policied};
 use zaatar::core::session::{SessionProver, SessionVerifier};
 use zaatar::core::testutil::mul_fixture;
 use zaatar::core::workspace::ProverWorkspace;
-use zaatar::crypto::ChaChaPrg;
+use zaatar::crypto::{ChaChaPrg, HasGroup};
+use zaatar::field::{PrimeField, F128};
 use zaatar::mem::MemBudget;
+use zaatar::poly::domain::EvalDomain;
+use zaatar::poly::Radix2Domain;
 use zaatar::sched::{ExecPolicy, HostProfile, Proving, Scheduler, WorkloadShape};
 
 fn shape(domain_size: usize) -> WorkloadShape {
@@ -204,4 +211,116 @@ fn policied_proving_respects_the_budget() {
         assert_eq!(transcript, reference, "{proving:?}");
         assert!(peak <= 1 << 20, "{proving:?} peaked at {peak}");
     }
+}
+
+/// FNV-1a (64-bit) over `SETUP ‖ INSTANCE_RESP…` of one session run
+/// from `seed`, every instance served under `policy` and verified.
+fn session_digest<F, D>(
+    pcp: &ZaatarPcp<F, D>,
+    proofs: &[ZaatarProof<F>],
+    ios: &[Vec<F>],
+    seed: u64,
+    policy: ExecPolicy,
+) -> u64
+where
+    F: HasGroup + PrimeField,
+    D: EvalDomain<F>,
+{
+    let mut prg = ChaChaPrg::from_u64_seed(seed);
+    let mut verifier = SessionVerifier::new(pcp, &mut prg);
+    let setup = verifier.setup_message().expect("setup");
+    let mut prover = SessionProver::new(pcp);
+    prover.receive_setup(&setup).expect("valid setup");
+    let mut ws = ProverWorkspace::new().with_policy(policy);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut absorb = |bytes: &[u8]| {
+        for &b in bytes {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    absorb(&setup);
+    for (proof, io) in proofs.iter().zip(ios) {
+        let msg = prover.instance_message_policied(proof, &mut ws).expect("serve");
+        assert!(verifier.verify_instance(&msg, io).expect("well-formed message"));
+        absorb(&msg);
+    }
+    digest
+}
+
+/// The golden transcripts: a whole session's wire bytes, digested, must
+/// equal constants recorded at the commit *before* the group layer was
+/// rewritten (PR 19's parent). In-process differentials compare two runs
+/// of the same build, so they cannot see a keygen whose output depends
+/// on the process-wide worker count, nor a kernel that changes an
+/// element's encoding on both sides at once; a constant can. `ci.sh`
+/// reruns this under `ZAATAR_WORKERS=1` and `=4`.
+#[test]
+fn golden_transcripts_match_the_recorded_digests() {
+    const GOLDEN_F61_MUL: u64 = 6766971768688809037;
+    const GOLDEN_F128_MAT_MUL: u64 = 18370243815608676955;
+    let policies = [ExecPolicy::serial(), ExecPolicy::with_workers(2), ExecPolicy::streamed(16)];
+
+    // (i) The F61 product circuit over the 256-bit test group.
+    let fx = mul_fixture(&[[3, 7], [4, 9], [5, 11]]);
+    for policy in policies {
+        assert_eq!(
+            session_digest(&fx.pcp, &fx.proofs, &fx.ios, 0x0060_1DE2, policy),
+            GOLDEN_F61_MUL,
+            "F61 transcript moved under {policy:?}"
+        );
+    }
+
+    // (ii) A gadget-zoo circuit on F128: the 1024-bit production group.
+    let app = GadgetApp::MatMul;
+    let (sys, solver) = app.build::<F128>();
+    let transform = ginger_to_quad(&sys);
+    let pcp: ZaatarPcp<F128, Radix2Domain<F128>> =
+        ZaatarPcp::new(Qap::new(&transform.system), PcpParams::light());
+    let (mut proofs, mut ios) = (Vec::new(), Vec::new());
+    for seed in 0..2u64 {
+        let asg = solver.solve(&app.gen_inputs::<F128>(seed)).expect("in-range inputs");
+        let ext = transform.extend_assignment(&asg);
+        proofs.push(pcp.prove(&pcp.qap().witness(&ext)).expect("honest instance"));
+        let vars = pcp.qap().var_map();
+        ios.push(vars.inputs().iter().chain(vars.outputs()).map(|v| ext.get(*v)).collect());
+    }
+    for policy in policies {
+        assert_eq!(
+            session_digest(&pcp, &proofs, &ios, 0x0060_1DE3, policy),
+            GOLDEN_F128_MAT_MUL,
+            "F128 transcript moved under {policy:?}"
+        );
+    }
+}
+
+/// A two-worker instance runs its two ciphertext components on two
+/// bucket buffers and its answer rows in two shards — all of it leased
+/// from the workspace, where the tenant budget can see it: the group
+/// pool's peak at most doubles, the field pool's does not move, and the
+/// bytes are the serial run's.
+#[test]
+fn a_split_instance_leases_from_the_workspace_and_at_most_doubles_the_group_pool() {
+    let fx = mul_fixture(&[[3, 7], [4, 9]]);
+    let mut prg = ChaChaPrg::from_u64_seed(0xA11CE);
+    let setup = SessionVerifier::new(&fx.pcp, &mut prg).setup_message().expect("setup");
+    let mut prover = SessionProver::new(&fx.pcp);
+    prover.receive_setup(&setup).expect("valid setup");
+    let serve = |policy: ExecPolicy| {
+        let mut ws = ProverWorkspace::new().with_policy(policy);
+        let msgs: Vec<Vec<u8>> = fx
+            .proofs
+            .iter()
+            .map(|proof| prover.instance_message_policied(proof, &mut ws).expect("serve"))
+            .collect();
+        (msgs, ws.group_scratch().high_water_bytes(), ws.scratch().high_water_bytes())
+    };
+    let (serial_msgs, serial_group, serial_field) = serve(ExecPolicy::serial());
+    let (split_msgs, split_group, split_field) = serve(ExecPolicy::with_workers(2));
+    assert_eq!(split_msgs, serial_msgs);
+    assert!(serial_group > 0);
+    assert!(
+        (serial_group..=2 * serial_group).contains(&split_group),
+        "group pool peaked at {split_group} B against {serial_group} B serial"
+    );
+    assert_eq!(split_field, serial_field);
 }

@@ -13,9 +13,11 @@
 #    warnings promoted to errors;
 # 5. smoke steps re-running, under the release profile, the slices
 #    whose failure should name a subsystem — soundness, server soak,
-#    MSM differential, hetero acceptance, streaming differential,
-#    scheduler, the ZAATAR_WORKERS matrix — and the out-of-workspace
-#    `zbench` package;
+#    the group layer's differentials (in-place Montgomery kernel, MSM,
+#    pure encryption), hetero acceptance, streaming differential,
+#    scheduler, the ZAATAR_WORKERS matrix (transcript differentials, the
+#    crypto proptests and the golden transcript digests at one worker
+#    and at four) — and the out-of-workspace `zbench` package;
 # 6. the size ledger ROADMAP.md tracks.
 #
 # CI and pre-commit hooks should run exactly this script; anything it
@@ -85,16 +87,18 @@ echo "==> server soak (concurrent fault matrix slice, release)"
 ZAATAR_SOAK_SCENARIOS=96 cargo test -q -p zaatar --test fault_matrix_concurrent \
     --locked --release
 
-# MSM differential smoke: the Pippenger commitment engine and the
-# Montgomery squaring specialization must agree with their references
-# under the release profile (debug_asserts out, carry paths optimized)
-# — these run in step 3 too, but a failure here names the commitment
-# engine directly.
+# MSM differential smoke: the in-place Montgomery kernel (against
+# double-and-add, at the width it specialises and below it), the
+# Pippenger commitment engine and the pure `(m, k)` encryption a sharded
+# keygen is built from must agree with their references under the
+# release profile (debug_asserts out, carry paths optimized) — these run
+# in step 3 too, but a failure here names the group layer directly.
 echo "==> msm differential smoke (crypto proptests, release)"
 filtered_test cargo test -q -p zaatar-crypto --test proptests --locked --release -- \
-    mont_sqr_matches_mont_mul_self_across_widths \
+    mont_mul_assign_matches_double_and_add_across_widths \
     msm_matches_reference_across_widths_and_lengths \
-    elgamal_inner_product_matches_naive
+    elgamal_inner_product_matches_naive \
+    encrypt_with_matches_scalar_encrypt_on_both_groups
 
 # Hetero acceptance smoke: one SessionServer session carries a
 # beta = 9 batch over the three gadget-zoo circuits under the release
@@ -133,12 +137,19 @@ cargo test -q -p zaatar --test sched_policy --locked --release
 # (every parallel_map collapses to the calling thread) and pinned to
 # four (oversubscribed on narrow CI hosts — the clamp itself is under
 # test). Transcript identity across the two runs is what makes the
-# scheduler safe to ship: policy changes threads, never bytes.
+# scheduler safe to ship: policy changes threads, never bytes. Keygen
+# shards and instance splits take their count from the same override,
+# so the crypto proptests rerun too, and the golden transcript digests
+# — constants, recorded before the group layer was rewritten — are what
+# prove the two processes emit the same bytes as each other.
 echo "==> env-override matrix (ZAATAR_WORKERS=1 and =4, release)"
-ZAATAR_WORKERS=1 cargo test -q -p zaatar --test batch_differential --locked --release
-ZAATAR_WORKERS=1 cargo test -q -p zaatar --test sched_policy --locked --release
-ZAATAR_WORKERS=4 cargo test -q -p zaatar --test batch_differential --locked --release
-ZAATAR_WORKERS=4 cargo test -q -p zaatar --test sched_policy --locked --release
+for workers in 1 4; do
+    ZAATAR_WORKERS=$workers cargo test -q -p zaatar --test batch_differential --locked --release
+    ZAATAR_WORKERS=$workers cargo test -q -p zaatar --test sched_policy --locked --release
+    ZAATAR_WORKERS=$workers cargo test -q -p zaatar-crypto --test proptests --locked --release
+    ZAATAR_WORKERS=$workers filtered_test cargo test -q -p zaatar --test sched_policy --locked --release -- \
+        golden_transcripts_match_the_recorded_digests
+done
 
 # zbench is a package of its own outside the workspace, so none of the
 # steps above compiles it: build it against the crates as they are now
