@@ -178,7 +178,7 @@ pub fn build<F: PrimeField>(app: &Suite) -> AppArtifacts<F> {
 mod tests {
     use super::*;
     use zaatar_cc::numeric::decode_i64;
-    use zaatar_field::F128;
+    use zaatar_field::{Field, F128};
 
     #[test]
     fn every_benchmark_compiles_and_verifies_end_to_end() {
@@ -231,13 +231,12 @@ mod tests {
             let art = build::<F128>(&app);
             let g = &art.ginger_stats;
             let z = &art.zaatar_stats;
-            assert_eq!(z.num_unbound, g.num_unbound + g.k2_distinct, "{}", app.name());
-            assert_eq!(
-                z.num_constraints,
-                g.num_constraints + g.k2_distinct,
-                "{}",
-                app.name()
-            );
+            // Fig. 3 with K₂′, the product variables actually introduced:
+            // constraints that are already products are emitted as written.
+            let k2 = art.quad.k2();
+            assert_eq!(z.num_unbound, g.num_unbound + k2, "{}", app.name());
+            assert_eq!(z.num_constraints, g.num_constraints + k2, "{}", app.name());
+            assert!(k2 <= g.k2_distinct, "{}: K₂′ = {k2} > K₂ = {}", app.name(), g.k2_distinct);
             // All benchmarks are far from the degenerate K₂ regime
             // except bisection, which is *closer* but still under K₂*.
             assert!(
@@ -249,6 +248,46 @@ mod tests {
             );
             // And the headline: Zaatar's proof vector is shorter.
             assert!(z.zaatar_proof_len() < g.ginger_proof_len(), "{}", app.name());
+            // Same solutions: satisfied together, and a false output is
+            // refused by both systems.
+            let solver = &art.compiled.solver;
+            let mut asg = solver.solve(&app.gen_inputs::<F128>(1)).expect("in-range inputs");
+            assert!(art.compiled.ginger.is_satisfied(&asg), "{}", app.name());
+            assert!(art.quad.system.is_satisfied(&art.quad.extend_assignment(&asg)), "{}", app.name());
+            let out = solver.outputs()[0];
+            asg.set(out, asg.get(out) + F128::ONE);
+            assert!(!art.compiled.ginger.is_satisfied(&asg), "{}", app.name());
+            assert!(!art.quad.system.is_satisfied(&art.quad.extend_assignment(&asg)), "{}", app.name());
+        }
+    }
+
+    /// The six circuits the benchmark proves, at its sizes: quadratic-form
+    /// constraints, variables (bound ones included) and the padded radix-2
+    /// domain every prover cost is linear in. A compiler or transform
+    /// change that pushes LCS m=8 back over 4096 fails here by name.
+    #[test]
+    fn benchmark_circuit_encodings_are_pinned() {
+        use crate::GadgetApp;
+        let sizes = |quad: &zaatar_cc::QuadSystem<F128>| {
+            let c = quad.constraints.len();
+            (c, quad.vars.len(), c.next_power_of_two())
+        };
+        let suite = [
+            (Suite::Lcs(Lcs { m: 8 }), (2718, 2607, 4096)),
+            (Suite::Pam(Pam { m: 4, d: 3 }), (1195, 1177, 2048)),
+            (Suite::Bisection(Bisection { m: 6, l: 4 }), (330, 341, 512)),
+        ];
+        for (app, expected) in suite {
+            assert_eq!(sizes(&build::<F128>(&app).quad.system), expected, "{}", app.name());
+        }
+        let gadgets = [
+            (GadgetApp::HashChain, (924, 914, 1024)),
+            (GadgetApp::MergeSortCheck, (104, 103, 128)),
+            (GadgetApp::MatMul, (36, 45, 64)),
+        ];
+        for (app, expected) in gadgets {
+            let (sys, _) = app.build::<F128>();
+            assert_eq!(sizes(&ginger_to_quad(&sys).system), expected, "{}", app.name());
         }
     }
 

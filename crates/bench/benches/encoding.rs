@@ -1,12 +1,12 @@
 //! Benches for the headline encoding ablation: proof-vector
 //! construction under Zaatar's `(z, h)` vs Ginger's `(z, z⊗z)`, plus the
-//! §4 transform variants. On the in-tree harness
+//! Ginger → quadratic-form transform. On the in-tree harness
 //! (`zaatar_bench::harness`).
 
 use std::hint::black_box;
 use zaatar_apps::{build, Suite};
 use zaatar_bench::harness::BenchGroup;
-use zaatar_cc::{ginger_to_quad, ginger_to_quad_optimized, linearize_io};
+use zaatar_cc::{ginger_to_quad, linearize_io};
 use zaatar_core::ginger::GingerPcp;
 use zaatar_core::pcp::{PcpParams, ZaatarPcp};
 use zaatar_core::qap::Qap;
@@ -36,18 +36,15 @@ fn proof_construction() {
     }
 }
 
-/// The §4 transform: mechanical vs single-product-optimized.
-fn transform_variants() {
+/// The Ginger → quadratic-form transform.
+fn transform() {
     let mut group = BenchGroup::new("ginger_to_quad");
     let app = Suite::Apsp(zaatar_apps::apsp::Apsp { m: 6 });
     let art = build::<F61>(&app);
-    group.bench("mechanical", || black_box(ginger_to_quad(&art.compiled.ginger)));
-    group.bench("optimized", || {
-        black_box(ginger_to_quad_optimized(&art.compiled.ginger))
-    });
+    group.bench("apsp/6", || black_box(ginger_to_quad(&art.compiled.ginger)));
 }
 
 fn main() {
     proof_construction();
-    transform_variants();
+    transform();
 }

@@ -46,12 +46,13 @@ fn main() {
         &rows,
     );
     println!(
-        "\nMaterialization reproduces the paper compiler's |C| ≈ |Z| accounting and —\n\
-         counterintuitively — yields encodings no larger (often slightly smaller)\n\
-         than symbolic propagation: long symbolic linear combinations explode into\n\
-         more distinct degree-2 terms (bigger K2) when they finally meet a product.\n\
-         The statement-per-variable structure keeps K2 down, which is part of why\n\
-         the mechanical §4 transform works as well as it does.\n"
+        "\nMaterialization reproduces the paper compiler's |C| ≈ |Z| accounting. Product\n\
+         gates are emitted as written in both modes, so it costs what it looks like it\n\
+         costs — one variable and one constraint per statement, a few percent to a\n\
+         fifth — except where symbolic propagation lets long linear combinations meet\n\
+         in a product (bisection): that expansion has no common variable and pays a\n\
+         product variable per distinct degree-2 term, while the statement-per-variable\n\
+         structure keeps every product a single term.\n"
     );
 
     println!("== Ablation 2: the §5.4 dynamic-indexing translation ==\n");

@@ -11,10 +11,10 @@
 use std::time::Instant;
 
 use zaatar_apps::{build, Suite};
-use zaatar_bench::{fmt_secs, print_table};
+use zaatar_bench::{fmt_secs, print_table, spec_of, time_local};
 use zaatar_cc::linearize_io;
 use zaatar_core::argument::{run_batched_argument, run_batched_ginger_argument};
-use zaatar_core::cost::{measure_micro_params, ComputationSpec, CostModel};
+use zaatar_core::cost::{measure_micro_params, CostModel};
 use zaatar_core::ginger::GingerPcp;
 use zaatar_core::pcp::{PcpParams, ZaatarPcp};
 use zaatar_core::qap::Qap;
@@ -72,7 +72,7 @@ fn main() {
         let g_measured = g_construct + gres.prover_total.as_secs_f64();
 
         // --- Model predictions ---
-        let spec = spec(&art, &app);
+        let spec = spec_of(&art, time_local(&app, 1));
         let z_model = model.zaatar_prover_total(&spec) - spec.t_local;
         let g_model = model.ginger_prover_total(&spec) - spec.t_local;
 
@@ -105,17 +105,4 @@ fn main() {
          reflect the same order-of-magnitude agreement that justifies estimating\n\
          Ginger through the model at sizes where running it is infeasible."
     );
-}
-
-fn spec(art: &zaatar_apps::AppArtifacts<F61>, app: &Suite) -> ComputationSpec {
-    let g = &art.ginger_stats;
-    ComputationSpec {
-        t_local: zaatar_bench::time_local(app, 1),
-        z_ginger: g.num_unbound as f64,
-        c_ginger: g.num_constraints as f64,
-        k: g.k_terms as f64,
-        k2: g.k2_distinct as f64,
-        n_inputs: g.num_inputs as f64,
-        n_outputs: g.num_outputs as f64,
-    }
 }

@@ -132,7 +132,8 @@ impl MeasuredRun {
 }
 
 /// Extracts the cost-model spec from compiled artifacts plus a measured
-/// local time.
+/// local time. `k2` is `K₂′`, the product variables the transform
+/// introduced, so the model sizes the system that actually runs.
 pub fn spec_of<F: PrimeField>(art: &AppArtifacts<F>, t_local: f64) -> ComputationSpec {
     let g = &art.ginger_stats;
     ComputationSpec {
@@ -140,7 +141,7 @@ pub fn spec_of<F: PrimeField>(art: &AppArtifacts<F>, t_local: f64) -> Computatio
         z_ginger: g.num_unbound as f64,
         c_ginger: g.num_constraints as f64,
         k: g.k_terms as f64,
-        k2: g.k2_distinct as f64,
+        k2: art.quad.k2() as f64,
         n_inputs: g.num_inputs as f64,
         n_outputs: g.num_outputs as f64,
     }

@@ -12,11 +12,12 @@
 //!    auxiliary inverse variable; order comparisons expand to `O(log |F|)`
 //!    constraints via bit decomposition, exactly as §2.2 describes);
 //! 3. the resulting **Ginger constraints** (general degree-2 equations,
-//!    [`ir::GingerSystem`]) are mechanically transformed to **quadratic
-//!    form** (`p_A · p_B = p_C`, [`ir::QuadSystem`]) by replacing each
-//!    distinct degree-2 term with a new variable ([`transform`], §4) —
-//!    this is what introduces the `K₂` extra variables and constraints
-//!    that Fig. 3 accounts for.
+//!    [`ir::GingerSystem`]) are transformed to **quadratic form**
+//!    (`p_A · p_B = p_C`, [`ir::QuadSystem`]): a constraint that is
+//!    already a product of two linear forms is emitted as is, and any
+//!    other has each distinct degree-2 term replaced by a new variable
+//!    ([`transform`], §4) — the `K₂′ ≤ K₂` extra variables and
+//!    constraints that Fig. 3 accounts for.
 //!
 //! Witness generation (step Á of Fig. 1: the prover "solves the
 //! constraints") is handled by the same builder: every gadget records a
@@ -38,4 +39,4 @@ pub use ir::{
 };
 pub use lang::compile as compile_zsl;
 pub use stats::{ginger_stats, quad_stats, EncodingStats};
-pub use transform::{ginger_to_quad, ginger_to_quad_optimized, linearize_io, IoLinearize, QuadTransform};
+pub use transform::{ginger_to_quad, linearize_io, IoLinearize, QuadTransform};

@@ -5,6 +5,11 @@
 //! Ginger constraints; `K₂` is the number of **distinct** degree-2 terms.
 //! From these, the proof-vector lengths follow:
 //! `|u_ginger| = |Z| + |Z|²` and `|u_zaatar| = |Z_zaatar| + |C_zaatar|`.
+//!
+//! `K₂` here is the paper's: it sizes §4's mechanical rule in closed form
+//! (`|C_g| + K₂`, `|Z_g| + K₂`) and drives the `K₂*` crossover. What
+//! [`crate::transform::ginger_to_quad`] emits grows by `K₂′ ≤ K₂`
+//! ([`crate::transform::QuadTransform::k2`]) instead.
 
 use std::collections::HashSet;
 
@@ -103,7 +108,7 @@ mod tests {
     use super::*;
     use crate::builder::Builder;
     use crate::transform::ginger_to_quad;
-    use zaatar_field::F61;
+    use zaatar_field::{Field, F61};
 
     #[test]
     fn stats_track_fig3_relations() {
@@ -115,16 +120,31 @@ mod tests {
         let s = b.sum_of_products(&[(xs[0].clone(), xs[0].clone()), (xs[2].clone(), xs[2].clone())]);
         let total = p1.add(&p2).add(&s);
         b.bind_output(&total);
-        let (sys, _) = b.finish();
+        let (sys, solver) = b.finish();
         let gs = ginger_stats(&sys);
         let t = ginger_to_quad(&sys);
         let zs = quad_stats(&t.system);
-        // Fig. 3: |Z_zaatar| = |Z_ginger| + K₂ and |C_zaatar| = |C_ginger| + K₂.
-        assert_eq!(zs.num_unbound, gs.num_unbound + gs.k2_distinct);
-        assert_eq!(zs.num_constraints, gs.num_constraints + gs.k2_distinct);
+        // Fig. 3 with K₂′: |Z_zaatar| = |Z_ginger| + K₂′ and
+        // |C_zaatar| = |C_ginger| + K₂′. The two product gates are emitted
+        // as written; x0² + x2² has no common variable and is replaced,
+        // so K₂′ = 2 of the K₂ = 4 distinct terms.
+        assert_eq!((gs.k2_distinct, t.k2()), (4, 2));
+        assert_eq!(zs.num_unbound, gs.num_unbound + t.k2());
+        assert_eq!(zs.num_constraints, gs.num_constraints + t.k2());
         // Same bound variables.
         assert_eq!(zs.num_inputs, gs.num_inputs);
         assert_eq!(zs.num_outputs, gs.num_outputs);
+        // Same solutions: satisfied together, and a flip of any one
+        // source variable is refused by both.
+        let asg = solver.solve(&[2, 3, 5].map(F61::from_u64)).unwrap();
+        assert!(sys.is_satisfied(&asg));
+        assert!(t.system.is_satisfied(&t.extend_assignment(&asg)));
+        for v in (0..sys.vars.len()).map(crate::ir::VarId) {
+            let mut bad = asg.clone();
+            bad.set(v, asg.get(v) + F61::ONE);
+            assert!(!sys.is_satisfied(&bad));
+            assert!(!t.system.is_satisfied(&t.extend_assignment(&bad)));
+        }
     }
 
     #[test]

@@ -4,9 +4,18 @@
 //! Given a set of Ginger (general degree-2) constraints, the paper's
 //! compiler "retains all of the degree-1 terms and replaces all degree-2
 //! terms with a new variable", then adds one product constraint per
-//! **distinct** degree-2 term. The number of distinct terms is the `K₂`
-//! of Fig. 3: `|Z_zaatar| = |Z_ginger| + K₂` and
-//! `|C_zaatar| = |C_ginger| + K₂`.
+//! **distinct** degree-2 term — `K₂` new variables and constraints
+//! (Fig. 3).
+//!
+//! The rule here: a constraint `Σₖ cₖ·Zᵢₖ·Zⱼₖ + ℓ = 0` in which one
+//! variable `Z_v` occurs in every degree-2 term is already a product of
+//! two linear forms and is emitted as `(Σₖ cₖ·Z_otherₖ)·(Z_v) = −ℓ` with
+//! no new variable; only the remaining constraints go through §4's
+//! replacement. That deviates from §4 in size only: each constraint is
+//! equisatisfiable with its source under the same values for every shared
+//! variable, and Fig. 3's `K₂` becomes `K₂′ ≤ K₂` — the distinct terms of
+//! the constraints that were replaced ([`QuadTransform::k2`]), so
+//! `|Z_zaatar| = |Z_ginger| + K₂′` and `|C_zaatar| = |C_ginger| + K₂′`.
 
 use std::collections::HashMap;
 
@@ -40,47 +49,47 @@ impl<F: Field> QuadTransform<F> {
         out
     }
 
-    /// The number of distinct degree-2 terms replaced (`K₂` of Fig. 3).
+    /// The number of product variables introduced (`K₂′`): the distinct
+    /// degree-2 terms of the constraints that had no common factor. At
+    /// most the `K₂` of Fig. 3, which `ginger_stats` reports.
     pub fn k2(&self) -> usize {
         self.product_vars.len()
     }
 }
 
-/// Transforms a Ginger system into quadratic form, exactly as §4
-/// describes (the worked example there:
+/// If one variable occurs in every degree-2 term, returns the linear form
+/// that multiplies it and the variable:
+/// `Σₖ cₖ·Zᵢₖ·Zⱼₖ = (Σₖ cₖ·Z_otherₖ)·Z_v`. The candidates are the two
+/// variables of the first term, second position first.
+fn common_factor<F: Field>(quad: &[(VarId, VarId, F)]) -> Option<(LinComb<F>, VarId)> {
+    let &(i0, j0, _) = quad.first()?;
+    let v = [j0, i0]
+        .into_iter()
+        .find(|v| quad.iter().all(|(i, j, _)| i == v || j == v))?;
+    let cofactor = quad.iter().fold(LinComb::zero(), |acc, (i, j, coeff)| {
+        acc.add(&LinComb::scaled_var(if *j == v { *i } else { *j }, *coeff))
+    });
+    Some((cofactor, v))
+}
+
+/// Transforms a Ginger system into quadratic form. A constraint whose
+/// degree-2 terms share a variable is emitted as the product it already
+/// is (`c·Z₁Z₂ + ℓ = 0` becomes `(c·Z₁)·(Z₂) = −ℓ`); any other goes
+/// through §4's replacement, one product variable per distinct term
+/// shared across constraints (the worked example there:
 /// `{3·Z₁Z₂ + 2·Z₃Z₄ + Z₅ − Z₆ = 0}` becomes
 /// `{(3·Z′₁ + 2·Z′₂ + Z₅)·(1) = Z₆, Z₁Z₂ = Z′₁, Z₃Z₄ = Z′₂}`).
 pub fn ginger_to_quad<F: Field>(sys: &GingerSystem<F>) -> QuadTransform<F> {
-    transform(sys, false)
-}
-
-/// A lightly optimized variant used for ablation: Ginger constraints whose
-/// quadratic part is a *single* degree-2 term are emitted directly as
-/// `(coeff·Zᵢ)·(Zⱼ) = −linear` without a new variable. Constraints with
-/// several degree-2 terms still go through the §4 replacement.
-///
-/// This is *not* the paper's transformation — it exists so the benches can
-/// measure how much of Zaatar's constraint growth the mechanical rule
-/// costs (DESIGN.md §5, "degenerate `K₂` regime").
-pub fn ginger_to_quad_optimized<F: Field>(sys: &GingerSystem<F>) -> QuadTransform<F> {
-    transform(sys, true)
-}
-
-/// The §4 replacement; with `direct_single_products`, a constraint with
-/// exactly one degree-2 term is emitted as is (it is already in
-/// quadratic form) instead of through a product variable.
-fn transform<F: Field>(sys: &GingerSystem<F>, direct_single_products: bool) -> QuadTransform<F> {
     let mut vars = sys.vars.clone();
     let mut term_var: HashMap<(VarId, VarId), VarId> = HashMap::new();
     let mut product_vars = Vec::new();
     let mut constraints = Vec::new();
 
     for c in &sys.constraints {
-        if direct_single_products && c.quad.len() == 1 {
-            let (i, j, coeff) = c.quad[0];
+        if let Some((cofactor, v)) = common_factor(&c.quad) {
             constraints.push(QuadConstraint {
-                a: LinComb::scaled_var(i, coeff),
-                b: LinComb::var(j),
+                a: cofactor,
+                b: LinComb::var(v),
                 c: c.linear.scale(-F::ONE),
             });
             continue;
@@ -101,7 +110,7 @@ fn transform<F: Field>(sys: &GingerSystem<F>, direct_single_products: bool) -> Q
             c: LinComb::zero(),
         });
     }
-    // One product constraint per distinct degree-2 term: Zᵢ·Zⱼ = Z′.
+    // One product constraint per distinct replaced term: Zᵢ·Zⱼ = Z′.
     for (v, (i, j)) in &product_vars {
         constraints.push(QuadConstraint {
             a: LinComb::var(*i),
@@ -127,18 +136,29 @@ mod tests {
         F61::from_i64(x)
     }
 
-    /// Builds the §4 worked example directly.
-    fn section4_example() -> GingerSystem<F61> {
+    /// One constraint over `n` fresh aux variables.
+    fn one_constraint(n: usize, quad: &[(usize, usize, i64)], linear: LinComb<F61>) -> GingerSystem<F61> {
         let mut vars = VarRegistry::default();
-        let zs: Vec<VarId> = (0..6).map(|_| vars.alloc(Kind::Aux)).collect();
-        let linear = LinComb::var(zs[4]).sub(&LinComb::var(zs[5]));
+        for _ in 0..n {
+            vars.alloc(Kind::Aux);
+        }
+        let quad = quad.iter().map(|&(i, j, c)| (VarId(i), VarId(j), f(c))).collect();
         GingerSystem {
             vars,
-            constraints: vec![GingerConstraint {
-                quad: vec![(zs[0], zs[1], f(3)), (zs[2], zs[3], f(2))],
-                linear,
-            }],
+            constraints: vec![GingerConstraint { quad, linear }],
         }
+    }
+
+    /// `Σ cᵢ·zᵢ` over `(variable, coefficient)` pairs.
+    fn lc(terms: &[(usize, i64)]) -> LinComb<F61> {
+        terms.iter().fold(LinComb::zero(), |acc, &(v, c)| {
+            acc.add(&LinComb::scaled_var(VarId(v), f(c)))
+        })
+    }
+
+    /// The §4 worked example: 3·Z₁Z₂ + 2·Z₃Z₄ + Z₅ − Z₆ = 0.
+    fn section4_example() -> GingerSystem<F61> {
+        one_constraint(6, &[(0, 1, 3), (2, 3, 2)], lc(&[(4, 1), (5, -1)]))
     }
 
     #[test]
@@ -167,28 +187,112 @@ mod tests {
         assert!(!t.system.is_satisfied(&broken));
     }
 
+    /// The system's one constraint comes out as `a·b = c` with no new
+    /// variable, and agrees with its source on every assignment tried.
+    fn assert_emitted_directly(sys: &GingerSystem<F61>, a: LinComb<F61>, b: usize, c: LinComb<F61>) {
+        let t = ginger_to_quad(sys);
+        assert_eq!(t.k2(), 0);
+        assert_eq!(t.system.vars.len(), sys.vars.len());
+        assert_eq!(
+            t.system.constraints,
+            vec![QuadConstraint { a, b: LinComb::var(VarId(b)), c }]
+        );
+        // Solve the source for its last variable (linear, coefficient −1
+        // in every caller), then flip each variable in turn.
+        let n = sys.vars.len();
+        let mut asg = Assignment::from_values((0..n as i64).map(|k| f(2 * k + 3)).collect());
+        asg.set(VarId(n - 1), F61::ZERO);
+        let residual = sys.constraints[0].eval(&asg);
+        asg.set(VarId(n - 1), residual);
+        assert!(sys.is_satisfied(&asg));
+        assert!(t.system.is_satisfied(&t.extend_assignment(&asg)));
+        for v in 0..n {
+            let mut bad = asg.clone();
+            bad.set(VarId(v), asg.get(VarId(v)) + F61::ONE);
+            assert!(!sys.is_satisfied(&bad), "flip of z{v} keeps the source satisfied");
+            assert!(!t.system.is_satisfied(&t.extend_assignment(&bad)), "flip of z{v} accepted");
+        }
+    }
+
+    #[test]
+    fn single_product_is_emitted_as_written() {
+        // 4·z0·z1 + 9 − z2 = 0  →  (4·z0)·(z1) = z2 − 9.
+        let sys = one_constraint(3, &[(0, 1, 4)], lc(&[(2, -1)]).add_constant(f(9)));
+        assert_emitted_directly(&sys, lc(&[(0, 4)]), 1, lc(&[(2, 1)]).add_constant(f(-9)));
+        // The builder's product gate is that shape: no growth at all.
+        let mut b = Builder::<F61>::new();
+        let x = b.alloc_input();
+        let y = b.alloc_input();
+        let xy = b.mul(&x, &y);
+        b.bind_output(&xy);
+        let (sys, solver) = b.finish();
+        let t = ginger_to_quad(&sys);
+        assert_eq!(t.k2(), 0);
+        assert_eq!(t.system.constraints.len(), sys.constraints.len());
+        let asg = solver.solve(&[f(6), f(7)]).unwrap();
+        assert_eq!(t.extend_assignment(&asg).len(), asg.len());
+        assert!(t.system.is_satisfied(&t.extend_assignment(&asg)));
+    }
+
+    #[test]
+    fn common_factor_in_second_position() {
+        // 3·z0·z2 + 5·z1·z2 − z3 = 0  →  (3·z0 + 5·z1)·(z2) = z3.
+        let sys = one_constraint(4, &[(0, 2, 3), (1, 2, 5)], lc(&[(3, -1)]));
+        assert_emitted_directly(&sys, lc(&[(0, 3), (1, 5)]), 2, lc(&[(3, 1)]));
+    }
+
+    #[test]
+    fn common_factor_in_first_position() {
+        // 3·z0·z1 + 5·z0·z2 − z3 = 0: z1 is not shared, z0 is.
+        let sys = one_constraint(4, &[(0, 1, 3), (0, 2, 5)], lc(&[(3, -1)]));
+        assert_emitted_directly(&sys, lc(&[(1, 3), (2, 5)]), 0, lc(&[(3, 1)]));
+        // The shared variable may sit first in one term and second in the
+        // next: 3·z1·z2 + 5·z0·z1 − z3 = 0  →  (5·z0 + 3·z2)·(z1) = z3.
+        let sys = one_constraint(4, &[(1, 2, 3), (0, 1, 5)], lc(&[(3, -1)]));
+        assert_emitted_directly(&sys, lc(&[(0, 5), (2, 3)]), 1, lc(&[(3, 1)]));
+    }
+
+    #[test]
+    fn squared_term_shares_its_variable() {
+        // 2·z0² + 7·z0·z1 − z2 = 0  →  (2·z0 + 7·z1)·(z0) = z2.
+        let sys = one_constraint(3, &[(0, 0, 2), (0, 1, 7)], lc(&[(2, -1)]));
+        assert_emitted_directly(&sys, lc(&[(0, 2), (1, 7)]), 0, lc(&[(2, 1)]));
+    }
+
+    #[test]
+    fn linear_constraint_unchanged() {
+        // No degree-2 part: (ℓ)·(1) = 0, as §4 has it.
+        let linear = lc(&[(0, 1), (1, 2)]).add_constant(f(-5));
+        let sys = one_constraint(2, &[], linear.clone());
+        let t = ginger_to_quad(&sys);
+        assert_eq!(t.k2(), 0);
+        assert_eq!(
+            t.system.constraints,
+            vec![QuadConstraint {
+                a: linear,
+                b: LinComb::constant(f(1)),
+                c: LinComb::zero(),
+            }]
+        );
+    }
+
     #[test]
     fn distinct_terms_are_shared_across_constraints() {
-        // Two constraints both using Z0·Z1 must share one product var.
-        let mut vars = VarRegistry::default();
-        let z0 = vars.alloc(Kind::Aux);
-        let z1 = vars.alloc(Kind::Aux);
-        let sys = GingerSystem::<F61> {
-            vars,
-            constraints: vec![
-                GingerConstraint {
-                    quad: vec![(z0, z1, f(1))],
-                    linear: LinComb::constant(f(-6)),
-                },
-                GingerConstraint {
-                    quad: vec![(z0, z1, f(2))],
-                    linear: LinComb::constant(f(-12)),
-                },
-            ],
-        };
+        // Neither constraint has a common variable, so both are replaced;
+        // Z0·Z1 occurs in both and must get one product variable.
+        let mut sys = one_constraint(6, &[(0, 1, 1), (2, 3, 1)], LinComb::constant(f(-18)));
+        sys.constraints.push(GingerConstraint {
+            quad: vec![(VarId(0), VarId(1), f(2)), (VarId(4), VarId(5), f(1))],
+            linear: LinComb::constant(f(-42)),
+        });
         let t = ginger_to_quad(&sys);
-        assert_eq!(t.k2(), 1);
-        assert_eq!(t.system.constraints.len(), 3);
+        assert_eq!(t.k2(), 3);
+        assert_eq!(t.system.constraints.len(), 2 + 3);
+        assert_eq!(t.system.vars.len(), 6 + 3);
+        // 2·3 + 3·4 = 18 and 2·(2·3) + 5·6 = 42.
+        let asg = Assignment::from_values(vec![f(2), f(3), f(3), f(4), f(5), f(6)]);
+        assert!(sys.is_satisfied(&asg));
+        assert!(t.system.is_satisfied(&t.extend_assignment(&asg)));
     }
 
     #[test]
@@ -209,25 +313,6 @@ mod tests {
             let ext = t.extend_assignment(&asg);
             assert!(t.system.is_satisfied(&ext));
         }
-    }
-
-    #[test]
-    fn optimized_variant_skips_single_products() {
-        let mut b = Builder::<F61>::new();
-        let x = b.alloc_input();
-        let y = b.alloc_input();
-        let xy = b.mul(&x, &y);
-        b.bind_output(&xy);
-        let (sys, solver) = b.finish();
-        let mech = ginger_to_quad(&sys);
-        let opt = ginger_to_quad_optimized(&sys);
-        // Mechanical: mul constraint has one quad term → +1 var, +1 constraint.
-        assert_eq!(mech.k2(), 1);
-        assert_eq!(opt.k2(), 0);
-        assert_eq!(opt.system.constraints.len(), sys.constraints.len());
-        let asg = solver.solve(&[f(6), f(7)]).unwrap();
-        assert!(opt.extend_assignment(&asg).len() == asg.len());
-        assert!(opt.system.is_satisfied(&opt.extend_assignment(&asg)));
     }
 
     #[test]

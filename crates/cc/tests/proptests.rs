@@ -7,7 +7,7 @@
 
 use zaatar_cc::lang::{compile, CompileOptions};
 use zaatar_cc::numeric::decode_i64;
-use zaatar_cc::{ginger_stats, ginger_to_quad, ginger_to_quad_optimized, linearize_io, Builder};
+use zaatar_cc::{ginger_stats, ginger_to_quad, linearize_io, Builder};
 use zaatar_field::{Field, F61};
 
 /// Deterministic splitmix64 generator standing in for proptest.
@@ -176,19 +176,16 @@ fn transform_preserves_satisfiability() {
             asg.set(out, asg.get(out) + F61::ONE);
         }
         let sat_g = compiled.ginger.is_satisfied(&asg);
-        for t in [
-            ginger_to_quad(&compiled.ginger),
-            ginger_to_quad_optimized(&compiled.ginger),
-        ] {
-            let ext = t.extend_assignment(&asg);
-            assert_eq!(t.system.is_satisfied(&ext), sat_g);
-        }
+        let t = ginger_to_quad(&compiled.ginger);
+        assert_eq!(t.system.is_satisfied(&t.extend_assignment(&asg)), sat_g);
         let lin = linearize_io(&compiled.ginger);
         assert_eq!(lin.system.is_satisfied(&lin.extend_assignment(&asg)), sat_g);
     }
 }
 
-/// Fig. 3's size relations hold for arbitrary compiled circuits.
+/// Fig. 3's size relations hold for arbitrary compiled circuits, with
+/// `K₂′` (the product variables introduced) in place of `K₂`, and the two
+/// systems have the same solutions.
 #[test]
 fn size_relations_hold() {
     let mut g = Gen::new(3);
@@ -204,9 +201,21 @@ fn size_relations_hold() {
         let stats = ginger_stats(&compiled.ginger);
         let t = ginger_to_quad(&compiled.ginger);
         let z = zaatar_cc::quad_stats(&t.system);
-        assert_eq!(z.num_unbound, stats.num_unbound + stats.k2_distinct);
-        assert_eq!(z.num_constraints, stats.num_constraints + stats.k2_distinct);
-        assert_eq!(t.k2(), stats.k2_distinct);
+        assert_eq!(z.num_unbound, stats.num_unbound + t.k2());
+        assert_eq!(z.num_constraints, stats.num_constraints + t.k2());
+        assert!(t.k2() <= stats.k2_distinct, "{src}");
+        // Satisfiable ⇔ satisfiable; a one-variable flip is refused by both.
+        let ins = vec![F61::from_i64(g.range_i64(-9, 9)), F61::from_i64(g.range_i64(-9, 9))];
+        let Ok(mut asg) = compiled.solver.solve(&ins) else { continue };
+        let sat = compiled.ginger.is_satisfied(&asg);
+        assert_eq!(t.system.is_satisfied(&t.extend_assignment(&asg)), sat, "{src}");
+        if !sat {
+            continue; // a comparison wider than the gadget's contract
+        }
+        let out = compiled.solver.outputs()[0];
+        asg.set(out, asg.get(out) + F61::ONE);
+        assert!(!compiled.ginger.is_satisfied(&asg), "{src}");
+        assert!(!t.system.is_satisfied(&t.extend_assignment(&asg)), "{src}");
     }
 }
 

@@ -108,7 +108,9 @@ pub struct ComputationSpec {
     pub c_ginger: f64,
     /// `K`: additive terms across Ginger constraints.
     pub k: f64,
-    /// `K₂`: distinct degree-2 terms.
+    /// `K₂`: degree-2 terms replaced by a product variable — every
+    /// distinct term under §4's rule, `QuadTransform::k2()` (`K₂′ ≤ K₂`)
+    /// for the system `ginger_to_quad` emits.
     pub k2: f64,
     /// `|x|`.
     pub n_inputs: f64,

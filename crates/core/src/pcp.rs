@@ -461,6 +461,48 @@ mod tests {
         assert_eq!(rejections, 30, "every seed must reject a wrong output");
     }
 
+    /// Since `ginger_to_quad` emits product constraints as written, bound
+    /// variables reach all three matrices (under §4's mechanical rule `C`
+    /// rows held product variables only, so `c_bound` was identically
+    /// zero). Every coordinate of the statement must be load-bearing
+    /// wherever it sits.
+    #[test]
+    fn bound_variables_in_all_three_matrices_are_checked() {
+        let mut b = Builder::<F61>::new();
+        let xs = b.alloc_inputs(3);
+        // (x0 + 1)·(x1 + 2) = p: x0 in an A row, x1 in a B row, both in C.
+        let p = b.mul(&xs[0].add_constant(f(1)), &xs[1].add_constant(f(2)));
+        // y = p + x2: x2 and y in an A row.
+        let y = zaatar_cc::LinComb::var(b.bind_output(&p.add(&xs[2])));
+        // x2·q = y: the output in a C row.
+        b.div(&y, &xs[2]);
+        let (sys, solver) = b.finish();
+        let t = ginger_to_quad(&sys);
+        assert_eq!(t.k2(), 0);
+        let ext = t.extend_assignment(&solver.solve(&[f(3), f(5), f(4)]).unwrap());
+        let qap = Qap::new(&t.system);
+        let w = qap.witness(&ext);
+        assert_eq!(w.io, vec![f(3), f(5), f(4), f(32)]);
+        let pcp = ZaatarPcp::new(qap, PcpParams::light());
+        let proof = pcp.prove(&w).expect("honest witness proves");
+        for seed in 0..10u64 {
+            let mut prg = ChaChaPrg::from_u64_seed(seed);
+            let queries = pcp.generate_queries(&mut prg);
+            for rep in &queries.reps {
+                for bound in [&rep.a_bound, &rep.b_bound, &rep.c_bound] {
+                    assert!(bound[1..].iter().any(|c| !c.is_zero()), "a matrix lost its io rows");
+                }
+            }
+            let responses = pcp.answer(&proof, &queries);
+            assert!(pcp.check(&queries, &responses, &w.io), "seed={seed}");
+            for k in 0..w.io.len() {
+                let mut lie = w.io.clone();
+                lie[k] += F61::ONE;
+                assert!(!pcp.check(&queries, &responses, &lie), "seed={seed}: io[{k}] not bound");
+            }
+        }
+    }
+
     #[test]
     fn corrupted_witness_rejected() {
         let (pcp, mut w, io) = setup(&[f(3), f(4)]);

@@ -95,7 +95,8 @@ pub fn mul_fixture(inputs: &[[i64; 2]]) -> CircuitFixture {
 
 /// The product-plus-equality circuit `y = a·b + (a == b)` — the
 /// slightly richer fixture the session/argument tests share (it
-/// exercises an auxiliary inverse variable and a non-trivial `K₂`).
+/// exercises an auxiliary inverse variable and a two-term product with
+/// a common factor).
 pub fn mul_eq_fixture(inputs: &[[i64; 2]]) -> CircuitFixture {
     let mut b = Builder::<F61>::new();
     let x = b.alloc_input();

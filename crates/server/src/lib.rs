@@ -701,13 +701,14 @@ mod tests {
         let ws = server.sessions.get(&id).unwrap().ws.as_ref().unwrap();
         assert_eq!(ws.policy(), server.tenant_policy());
 
-        // The derived policy itself, pinned on a 61-gate chain (padded
-        // domain n = 128; floor 7·n, covering threshold 10·n) for an
-        // unlimited, an 8·n and a sub-floor budget.
+        // The derived policy itself, pinned on a 121-gate chain (one
+        // constraint per gate plus the output binding: padded domain
+        // n = 128; floor 7·n, covering threshold 10·n) for an unlimited,
+        // an 8·n and a sub-floor budget.
         let mut b = zaatar_cc::Builder::<F61>::new();
         let x = b.alloc_input();
         let mut acc = b.mul(&x, &x);
-        for _ in 0..60 {
+        for _ in 0..120 {
             acc = b.mul(&acc, &x);
         }
         b.bind_output(&acc);

@@ -40,7 +40,7 @@ fn main() {
     let quad = ginger_to_quad(&compiled.ginger);
     let qap = Qap::new(&quad.system);
     println!(
-        "quadratic form: {} constraints (K2 = {}), QAP degree {}",
+        "quadratic form: {} constraints ({} product variables introduced), QAP degree {}",
         quad.system.constraints.len(),
         quad.k2(),
         qap.degree()

@@ -332,7 +332,7 @@ fn streaming_prove_transcripts_byte_identical_across_chunk_sizes() {
     }
 }
 
-/// A multiplication-chain circuit (three constraints per link),
+/// A multiplication-chain circuit (two constraints per link),
 /// parameterized so the leak guard can pick its domain size.
 fn bench_chain_fixture(chain: usize, batch: usize) -> (Pcp, Vec<QapWitness<F61>>, Vec<Vec<F61>>) {
     let mut b = Builder::<F61>::new();

@@ -19,13 +19,16 @@
 //!   like equivocation, plus the PCP checks on the flipped witness.
 //!
 //! plus messages whose answer vectors are one element short or long
-//! (a rejection, never a panic). Every attack rides in a batch next to
+//! (a rejection, never a panic), and a **false output** claimed on a
+//! circuit whose output sits in a `C` row (bound variables reach all
+//! three matrices since product constraints are emitted as written).
+//! Every attack rides in a batch next to
 //! an honest instance, asserting that batch amortization neither leaks
 //! rejections into honest instances nor lets a cheat hide behind an
 //! honest neighbour. The suite runs at a reduced profile on F61 across
 //! seeds and once at the paper's App. A.2 parameters on F128.
 
-use zaatar::cc::{ginger_to_quad, Builder};
+use zaatar::cc::{ginger_to_quad, Builder, LinComb};
 use zaatar::core::commit::Decommitment;
 use zaatar::core::pcp::{PcpParams, ZaatarPcp, ZaatarProof};
 use zaatar::core::qap::{Qap, QapWitness};
@@ -46,13 +49,22 @@ fn fixture<F: HasGroup>(inputs: &[[i64; 2]], params: PcpParams) -> (Pcp<F>, Vec<
     let prod = b.mul(&a, &bb);
     let mn = b.min(&a, &bb, 10);
     b.bind_output(&prod.add(&mn));
+    witnesses_of(b, inputs, params)
+}
+
+/// The PCP over a finished two-input circuit and one witness per pair.
+fn witnesses_of<F: HasGroup>(
+    b: Builder<F>,
+    inputs: &[[i64; 2]],
+    params: PcpParams,
+) -> (Pcp<F>, Vec<QapWitness<F>>) {
     let (sys, solver) = b.finish();
     let t = ginger_to_quad(&sys);
     let pcp = ZaatarPcp::new(Qap::new(&t.system), params);
     let witnesses = inputs
         .iter()
         .map(|pair| {
-            let asg = solver.solve(&[F::from_i64(pair[0]), F::from_i64(pair[1])]).expect("solves");
+            let asg = solver.solve(&pair.map(F::from_i64)).expect("solves");
             pcp.qap().witness(&t.extend_assignment(&asg))
         })
         .collect();
@@ -224,6 +236,35 @@ fn commit_decommit_equivocation_rejected() {
 #[test]
 fn post_commit_witness_flip_rejected() {
     assert_adversary_rejected([[7, 3], [6, 5]], Slot::witness_flip, "witness-flip");
+}
+
+/// `y = a·b` with the output also stated by a product gate, `a·b = y`:
+/// the statement's last coordinate sits in a `C` row of the QAP.
+fn product_gate_fixture(inputs: &[[i64; 2]]) -> (Pcp<F61>, Vec<QapWitness<F61>>) {
+    let mut b = Builder::<F61>::new();
+    let a = b.alloc_input();
+    let bb = b.alloc_input();
+    let prod = b.mul(&a, &bb);
+    let y = b.bind_output(&prod);
+    b.enforce_product(&a, &bb, &LinComb::var(y));
+    witnesses_of(b, inputs, SUITE_PARAMS)
+}
+
+/// A false output where the output is a `C`-row variable: once claimed
+/// over the honest proof's bytes, once with the lie carried through the
+/// witness (the product variable moves with it, so the linear binding
+/// `prod = y` holds and only the two product gates are violated).
+#[test]
+fn false_output_in_a_c_row_rejected() {
+    let (pcp, ws) = product_gate_fixture(&[[3, 7], [4, 9], [5, 11]]);
+    let mut claimed = Slot::honest(&pcp, &ws[1]);
+    *claimed.io.last_mut().unwrap() += F61::ONE;
+    let mut lie = broken(&ws[2]); // z[0] is the product variable
+    *lie.io.last_mut().unwrap() += F61::ONE;
+    let proof = pcp.prove_unchecked(&lie);
+    let carried = Slot { committed: proof.clone(), answering: proof, warp: None, io: lie.io };
+    let slots = [Slot::honest(&pcp, &ws[0]), claimed, carried];
+    assert_rejected_with_honest_neighbour(&pcp, &slots, &SEEDS, "false output");
 }
 
 /// Every adversary in ONE batch behind an honest instance: the

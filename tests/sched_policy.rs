@@ -248,16 +248,27 @@ where
 }
 
 /// The golden transcripts: a whole session's wire bytes, digested, must
-/// equal constants recorded at the commit *before* the group layer was
-/// rewritten (PR 19's parent). In-process differentials compare two runs
-/// of the same build, so they cannot see a keygen whose output depends
-/// on the process-wide worker count, nor a kernel that changes an
-/// element's encoding on both sides at once; a constant can. `ci.sh`
-/// reruns this under `ZAATAR_WORKERS=1` and `=4`.
+/// equal constants recorded at a *parent* commit, never by the change
+/// they judge. In-process differentials compare two runs of the same
+/// build, so they cannot see a keygen whose output depends on the
+/// process-wide worker count, nor a kernel that changes an element's
+/// encoding on both sides at once; a constant can. `ci.sh` reruns this
+/// under `ZAATAR_WORKERS=1` and `=4`.
+///
+/// The constants were first recorded before the group layer was rewritten
+/// (PR 19's parent) and re-recorded once since, when `ginger_to_quad`
+/// began emitting product constraints as written: in a scratch clone of
+/// that change's parent (`58b939d`), with the then-ablation
+/// `ginger_to_quad_optimized` swapped into `circuit_fixture_with` and
+/// into the MatMul fixture below (release and dev, `ZAATAR_WORKERS`
+/// unset / 1 / 4, equal under all three policies). Both circuits hold
+/// single products only, where the two transforms agree byte for byte,
+/// so reproducing them here shows the encoding moved and nothing else in
+/// the transcript did.
 #[test]
 fn golden_transcripts_match_the_recorded_digests() {
-    const GOLDEN_F61_MUL: u64 = 6766971768688809037;
-    const GOLDEN_F128_MAT_MUL: u64 = 18370243815608676955;
+    const GOLDEN_F61_MUL: u64 = 5343036814905860250;
+    const GOLDEN_F128_MAT_MUL: u64 = 16437996927366332019;
     let policies = [ExecPolicy::serial(), ExecPolicy::with_workers(2), ExecPolicy::streamed(16)];
 
     // (i) The F61 product circuit over the 256-bit test group.

@@ -14,10 +14,12 @@
 # 5. smoke steps re-running, under the release profile, the slices
 #    whose failure should name a subsystem — soundness, server soak,
 #    the group layer's differentials (in-place Montgomery kernel, MSM,
-#    pure encryption), hetero acceptance, streaming differential,
-#    scheduler, the ZAATAR_WORKERS matrix (transcript differentials, the
-#    crypto proptests and the golden transcript digests at one worker
-#    and at four) — and the out-of-workspace `zbench` package;
+#    pure encryption), the encoding (the transform's rule and the pinned
+#    sizes of the circuits the benchmark proves), hetero acceptance,
+#    streaming differential, scheduler, the ZAATAR_WORKERS matrix
+#    (transcript differentials, the crypto proptests and the golden
+#    transcript digests at one worker and at four) — and the
+#    out-of-workspace `zbench` package;
 # 6. the size ledger ROADMAP.md tracks.
 #
 # CI and pre-commit hooks should run exactly this script; anything it
@@ -60,13 +62,14 @@ cargo clippy --workspace --all-targets --locked -- -D warnings
 
 # Soundness smoke: the malicious-prover suite (bad quotient,
 # non-linear oracle, equivocation, post-commit flip, wrong answer
-# counts) must be rejected under the release profile, where
-# debug_asserts are compiled out and the blocked answer kernel runs
-# its optimized code paths. The verifier under attack is the deployed
-# one — `SessionVerifier::verify_instance`, fed byte-level messages —
-# at a reduced profile on F61 across seeds and, once per CI run, at the
-# paper's App. A.2 parameters (rho = 8, rho_lin = 20) on F128. Every
-# test is named: a renamed or deleted adversary fails the step.
+# counts, a false output bound in a C row) must be rejected under the
+# release profile, where debug_asserts are compiled out and the blocked
+# answer kernel runs its optimized code paths. The verifier under
+# attack is the deployed one — `SessionVerifier::verify_instance`, fed
+# byte-level messages — at a reduced profile on F61 across seeds and,
+# once per CI run, at the paper's App. A.2 parameters (rho = 8,
+# rho_lin = 20) on F128. Every test is named: a renamed or deleted
+# adversary fails the step.
 echo "==> soundness smoke (malicious-prover suite vs SessionVerifier, release)"
 filtered_test cargo test -q -p zaatar --test malicious_prover --locked --release -- \
     bad_quotient_prover_rejected \
@@ -75,6 +78,7 @@ filtered_test cargo test -q -p zaatar --test malicious_prover --locked --release
     post_commit_witness_flip_rejected \
     adversary_zoo_shares_one_batch \
     paper_parameter_zoo_rejected_on_f128 \
+    false_output_in_a_c_row_rejected \
     honest_batch_accepts
 
 # Server soak: a bounded slice of the 1008-scenario fault matrix run
@@ -99,6 +103,29 @@ filtered_test cargo test -q -p zaatar-crypto --test proptests --locked --release
     msm_matches_reference_across_widths_and_lengths \
     elgamal_inner_product_matches_naive \
     encrypt_with_matches_scalar_encrypt_on_both_groups
+
+# Encoding smoke: every prover cost is linear in the padded domain, and
+# the padded domain is decided by `ginger_to_quad`'s rule — constraints
+# that are already a product of two linear forms are emitted as written,
+# the rest go through §4's replacement. The transform's unit and
+# property tests and the pinned (constraints, variables, domain) of the
+# six circuits `zbench` proves are named here, so a compiler change that
+# pushes LCS m=8 back over 4096 fails this step by name.
+echo "==> encoding smoke (transform rule + pinned benchmark encodings, release)"
+filtered_test cargo test -q -p zaatar-cc --lib --test proptests --locked --release -- \
+    transform::tests::worked_example_counts \
+    transform::tests::single_product_is_emitted_as_written \
+    transform::tests::common_factor_in_second_position \
+    transform::tests::common_factor_in_first_position \
+    transform::tests::squared_term_shares_its_variable \
+    transform::tests::linear_constraint_unchanged \
+    transform::tests::distinct_terms_are_shared_across_constraints \
+    stats::tests::stats_track_fig3_relations \
+    size_relations_hold \
+    transform_preserves_satisfiability
+filtered_test cargo test -q -p zaatar-apps --lib --locked --release -- \
+    suite::tests::benchmark_circuit_encodings_are_pinned \
+    suite::tests::fig3_size_relations_hold_for_all
 
 # Hetero acceptance smoke: one SessionServer session carries a
 # beta = 9 batch over the three gadget-zoo circuits under the release
@@ -140,8 +167,8 @@ cargo test -q -p zaatar --test sched_policy --locked --release
 # scheduler safe to ship: policy changes threads, never bytes. Keygen
 # shards and instance splits take their count from the same override,
 # so the crypto proptests rerun too, and the golden transcript digests
-# — constants, recorded before the group layer was rewritten — are what
-# prove the two processes emit the same bytes as each other.
+# — constants, each recorded at the parent of the change it judged — are
+# what prove the two processes emit the same bytes as each other.
 echo "==> env-override matrix (ZAATAR_WORKERS=1 and =4, release)"
 for workers in 1 4; do
     ZAATAR_WORKERS=$workers cargo test -q -p zaatar --test batch_differential --locked --release
