@@ -20,6 +20,23 @@ fn field_mul() {
     group.bench("f61", || black_box(a61) * black_box(b61));
 }
 
+/// The deferred-reduction inner product at a proof-vector-sized length,
+/// per term: the number `cost::measure_micro_params` reports as `f_lazy`,
+/// next to `field_mul`'s `f`.
+fn field_dot() {
+    const LEN: usize = 4096;
+    let mut group = BenchGroup::new("field_dot");
+    let mut prg = ChaChaPrg::from_u64_seed(5);
+    let (a128, b128): (Vec<F128>, Vec<F128>) = (prg.field_vec(LEN), prg.field_vec(LEN));
+    group.bench_items("f128_4096", LEN as u64, || {
+        F128::dot(black_box(&a128), black_box(&b128))
+    });
+    let (a220, b220): (Vec<F220>, Vec<F220>) = (prg.field_vec(LEN), prg.field_vec(LEN));
+    group.bench_items("f220_4096", LEN as u64, || {
+        F220::dot(black_box(&a220), black_box(&b220))
+    });
+}
+
 fn field_inverse() {
     let mut group = BenchGroup::new("field_inverse");
     let mut prg = ChaChaPrg::from_u64_seed(2);
@@ -56,6 +73,7 @@ fn elgamal_ops() {
 
 fn main() {
     field_mul();
+    field_dot();
     field_inverse();
     prg_element();
     elgamal_ops();

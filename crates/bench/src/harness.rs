@@ -28,7 +28,13 @@ impl BenchGroup {
     }
 
     /// Measures `f`, printing median time per iteration.
-    pub fn bench<R, F: FnMut() -> R>(&mut self, name: &str, mut f: F) {
+    pub fn bench<R, F: FnMut() -> R>(&mut self, name: &str, f: F) {
+        self.bench_items(name, 1, f);
+    }
+
+    /// Measures `f`, one call of which processes `items` items (the
+    /// terms of an inner product, say), printing median time per item.
+    pub fn bench_items<R, F: FnMut() -> R>(&mut self, name: &str, items: u64, mut f: F) {
         // Warm up and calibrate: find an iteration count that fills the
         // sample target.
         let mut iters: u64 = 1;
@@ -55,11 +61,12 @@ impl BenchGroup {
             })
             .collect();
         samples.sort_by(|a, b| a.total_cmp(b));
-        let median = samples[samples.len() / 2];
+        let median = samples[samples.len() / 2] / items as f64;
         println!(
-            "  {:<32} {:>12}/iter  ({} iters/sample)",
+            "  {:<32} {:>12}/{}  ({} iters/sample)",
             format!("{}/{}", self.name, name),
             fmt_nanos(median * 1e9),
+            if items == 1 { "iter" } else { "item" },
             iters
         );
     }

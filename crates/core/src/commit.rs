@@ -125,16 +125,9 @@ impl<F: HasGroup> CommitmentKey<F> {
     pub fn consistency_query(&self, queries: &[&[F]], prg: &mut ChaChaPrg) -> (Vec<F>, Vec<F>) {
         let _span = zaatar_obs::time("commit.consistency_query");
         let alphas: Vec<F> = prg.field_vec(queries.len());
+        debug_assert!(queries.iter().all(|q| q.len() == self.r.len()), "query length mismatch");
         let mut t = self.r.clone();
-        for (q, alpha) in queries.iter().zip(alphas.iter()) {
-            debug_assert_eq!(q.len(), t.len(), "query length mismatch");
-            for (slot, qi) in t.iter_mut().zip(q.iter()) {
-                *slot += *alpha * *qi;
-            }
-        }
-        // One α per query — the same invariant `verify` enforces on the
-        // wire side (`answers.len() != alphas.len()` → reject).
-        debug_assert_eq!(alphas.len(), queries.len(), "one alpha per query");
+        F::add_scaled_rows(&mut t, &alphas, queries);
         (t, alphas)
     }
 
@@ -154,12 +147,7 @@ impl<F: HasGroup> CommitmentKey<F> {
         if answers.len() != alphas.len() {
             return false;
         }
-        let folded: F = answers
-            .iter()
-            .zip(alphas.iter())
-            .map(|(a, alpha)| *a * *alpha)
-            .sum();
-        let expected = t_answer - folded;
+        let expected = t_answer - F::dot(answers, alphas);
         ElGamal::<F>::decrypt_to_group(&self.kp, commitment) == ElGamal::<F>::encode(expected)
     }
 }
@@ -179,10 +167,9 @@ pub struct Decommitment<F> {
 /// per query). Production callers decommit through
 /// [`decommit_packed_into`]'s blocked kernel.
 pub fn decommit<F: Field>(u: &[F], queries: &[&[F]], t: &[F]) -> Decommitment<F> {
-    let dot = |q: &[F]| -> F { q.iter().zip(u.iter()).map(|(a, b)| *a * *b).sum() };
     Decommitment {
-        answers: queries.iter().map(|q| dot(q)).collect(),
-        t_answer: dot(t),
+        answers: queries.iter().map(|q| F::dot(q, u)).collect(),
+        t_answer: F::dot(t, u),
     }
 }
 
@@ -206,7 +193,7 @@ pub fn decommit_packed_into<F: Field>(
     queries.matvec_into(u, workers, &mut answers);
     Decommitment {
         answers,
-        t_answer: t.iter().zip(u.iter()).map(|(a, b)| *a * *b).sum(),
+        t_answer: F::dot(t, u),
     }
 }
 

@@ -49,12 +49,12 @@ impl<F: Field> GingerProof<F> {
 
     /// `π₁(q)`.
     pub fn query1(&self, q: &[F]) -> F {
-        q.iter().zip(&self.z).map(|(a, b)| *a * *b).sum()
+        F::dot(q, &self.z)
     }
 
     /// `π₂(q)`.
     pub fn query2(&self, q: &[F]) -> F {
-        q.iter().zip(&self.zz).map(|(a, b)| *a * *b).sum()
+        F::dot(q, &self.zz)
     }
 
     /// Proof vector length `|Z| + |Z|²`.

@@ -11,18 +11,22 @@
 //! `v` stays resident while every row consumes it.
 //!
 //! Rows are sharded across workers with
-//! [`parallel_map`](crate::parallel::parallel_map); field addition is
-//! exact modular arithmetic, so re-associating the per-block partial sums
-//! cannot change any answer — batched results are bit-identical to the
-//! serial per-query path (locked down by `tests/batch_differential.rs`).
+//! [`parallel_map`](crate::parallel::parallel_map), and each (row, block)
+//! partial sum is one deferred-reduction [`Field::dot`]. Field arithmetic
+//! is exact, so neither re-associating the per-block partial sums nor
+//! reducing once per block instead of once per term can change any
+//! answer — batched results are bit-identical to the serial per-query
+//! path (locked down by `tests/batch_differential.rs`).
 
 use zaatar_field::Field;
 
 use crate::parallel::{parallel_map, shard_batch};
 
-/// Column-block width of the kernel. 256 elements of an 8-byte limb
-/// field is a 2 KiB stripe of `v` — comfortably L1-resident alongside
-/// the row stripes streaming past it.
+/// Column-block width of the kernel. 256 elements is a 4 KiB stripe of
+/// `v` on F128 and 8 KiB on F220 — L1-resident alongside the row
+/// stripes streaming past it. Each (row, block) pair is one
+/// [`Field::dot`], so the block is also the reduction interval: 256
+/// unreduced products per Montgomery reduction.
 const BLOCK: usize = 256;
 
 /// A set of equal-length queries packed into one contiguous row-major
@@ -137,11 +141,7 @@ impl<F: Field> QueryMatrix<F> {
             let vb = &v[col..end];
             for (slot, r) in acc.iter_mut().zip(rows.clone()) {
                 let row = &self.data[r * self.cols + col..r * self.cols + end];
-                let mut s = F::ZERO;
-                for (a, b) in row.iter().zip(vb.iter()) {
-                    s += *a * *b;
-                }
-                *slot += s;
+                *slot += F::dot(row, vb);
             }
             col = end;
         }
@@ -152,25 +152,39 @@ impl<F: Field> QueryMatrix<F> {
 mod tests {
     use super::*;
     use zaatar_field::testutil::SplitMix64;
-    use zaatar_field::F61;
+    use zaatar_field::{F128, F220, F61};
 
-    fn dot(a: &[F61], b: &[F61]) -> F61 {
+    /// The oracle: one reduced multiply and one modular add per term.
+    fn dot<F: Field>(a: &[F], b: &[F]) -> F {
         a.iter().zip(b.iter()).map(|(x, y)| *x * *y).sum()
     }
 
-    #[test]
-    fn matvec_matches_per_row_dot() {
+    fn check_matvec_matches_per_row_dot<F: Field>() {
         let mut gen = SplitMix64::new(0xbeef);
         for (rows, cols) in [(1, 1), (3, 7), (17, 300), (64, 1030)] {
-            let queries: Vec<Vec<F61>> = (0..rows).map(|_| gen.field_vec(cols)).collect();
-            let refs: Vec<&[F61]> = queries.iter().map(|q| q.as_slice()).collect();
+            let queries: Vec<Vec<F>> = (0..rows).map(|_| gen.field_vec(cols)).collect();
+            let refs: Vec<&[F]> = queries.iter().map(|q| q.as_slice()).collect();
             let m = QueryMatrix::pack(&refs);
-            let v: Vec<F61> = gen.field_vec(cols);
-            let expect: Vec<F61> = queries.iter().map(|q| dot(q, &v)).collect();
+            let v: Vec<F> = gen.field_vec(cols);
+            let expect: Vec<F> = queries.iter().map(|q| dot(q, &v)).collect();
             for workers in [1, 2, 8] {
                 assert_eq!(m.matvec(&v, workers), expect, "{rows}x{cols} w={workers}");
             }
         }
+    }
+
+    #[test]
+    fn matvec_matches_per_row_dot() {
+        check_matvec_matches_per_row_dot::<F61>();
+    }
+
+    /// The fields a session runs on: on F61 a block's wide sum never
+    /// carries into the accumulator's spare limb, on F128 it does from
+    /// the second term, and F220's high half runs far past `p`.
+    #[test]
+    fn matvec_matches_per_row_dot_on_f128_and_f220() {
+        check_matvec_matches_per_row_dot::<F128>();
+        check_matvec_matches_per_row_dot::<F220>();
     }
 
     #[test]

@@ -76,12 +76,12 @@ pub struct ZaatarProof<F> {
 impl<F: Field> ZaatarProof<F> {
     /// `π_z(q) = ⟨q, z⟩`.
     pub fn query_z(&self, q: &[F]) -> F {
-        dot(q, &self.z)
+        F::dot(q, &self.z)
     }
 
     /// `π_h(q) = ⟨q, h⟩`.
     pub fn query_h(&self, q: &[F]) -> F {
-        dot(q, &self.h)
+        F::dot(q, &self.h)
     }
 
     /// Total proof-vector length `|Z| + |C| + 1`.
@@ -93,11 +93,6 @@ impl<F: Field> ZaatarProof<F> {
     pub fn is_empty(&self) -> bool {
         self.z.is_empty() && self.h.is_empty()
     }
-}
-
-fn dot<F: Field>(a: &[F], b: &[F]) -> F {
-    debug_assert_eq!(a.len(), b.len(), "query length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| *x * *y).sum()
 }
 
 /// What [`ZaatarPcp::check`] needs of one repetition beyond the

@@ -459,10 +459,9 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
     /// Evaluates `P_w(τ)` directly from a witness (test/diagnostic path):
     /// `(⟨qa,z⟩ + bound_a)·(⟨qb,z⟩ + bound_b) − (⟨qc,z⟩ + bound_c)`.
     pub fn p_at(&self, evals: &QapEvals<F>, witness: &QapWitness<F>) -> F {
-        let dot = |q: &[F], z: &[F]| -> F { q.iter().zip(z).map(|(a, b)| *a * *b).sum() };
-        let a = dot(&evals.qa, &witness.z) + fold_bound(&evals.a_bound, &witness.io);
-        let b = dot(&evals.qb, &witness.z) + fold_bound(&evals.b_bound, &witness.io);
-        let c = dot(&evals.qc, &witness.z) + fold_bound(&evals.c_bound, &witness.io);
+        let a = F::dot(&evals.qa, &witness.z) + fold_bound(&evals.a_bound, &witness.io);
+        let b = F::dot(&evals.qb, &witness.z) + fold_bound(&evals.b_bound, &witness.io);
+        let c = F::dot(&evals.qc, &witness.z) + fold_bound(&evals.c_bound, &witness.io);
         a * b - c
     }
 }

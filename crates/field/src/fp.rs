@@ -101,6 +101,126 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
     }
 }
 
+/// A `(2N + 1)`-limb accumulator of *unreduced* products of
+/// Montgomery-form operands — §5.1's `f_lazy`, multiplication without
+/// the "mod p".
+///
+/// Each product of two reduced operands is `< p² < 2^(128N)`, so the
+/// two `[u64; N]` halves hold one product and the spare `top` limb
+/// counts the overflows of up to `2⁶⁴` of them. `F128`'s modulus leaves
+/// no spare top bits, so `top` is live there from the second term on.
+#[derive(Clone, Copy)]
+struct Wide<const N: usize> {
+    lo: [u64; N],
+    hi: [u64; N],
+    top: u64,
+}
+
+/// Columns [`Field::add_scaled_rows`] accumulates at once: one block's
+/// wide accumulators live on the stack (576 B at `N = 4`) while every
+/// row contributes a contiguous stripe of that many elements. Measured
+/// on a 300 × 2,600 fold: `F128` takes 3.0–3.9 ns per term at 8 against
+/// 5.3–5.5 at 16 and 32; `F220` reads 10–13 ns at every width.
+const COLUMN_BLOCK: usize = 8;
+
+/// Limb `k` of the `2N`-limb integer `lo + hi·2^(64N)`.
+#[inline(always)]
+fn limb_mut<'a, const N: usize>(
+    lo: &'a mut [u64; N],
+    hi: &'a mut [u64; N],
+    k: usize,
+) -> &'a mut u64 {
+    if k < N {
+        &mut lo[k]
+    } else {
+        &mut hi[k - N]
+    }
+}
+
+/// `*acc += x + carry`, returning the carry out. `overflowing_add`
+/// pairs, not `limbs::adc`: this shape compiles to one hardware
+/// add-with-carry chain across all `2N + 1` limbs of a [`Wide`].
+#[inline(always)]
+fn add_into(acc: &mut u64, x: u64, carry: bool) -> bool {
+    let (s, c1) = acc.overflowing_add(x);
+    let (s, c2) = s.overflowing_add(carry as u64);
+    *acc = s;
+    c1 | c2
+}
+
+impl<const N: usize> Wide<N> {
+    const ZERO: Self = Wide {
+        lo: [0; N],
+        hi: [0; N],
+        top: 0,
+    };
+
+    /// `self += a · b` over the integers: one 2N-limb schoolbook product
+    /// and one carry chain into the accumulator, no reduction.
+    ///
+    /// `while` loops, not `for`: this is the per-term body of every
+    /// answer, and a dev-profile build instantiates it in the calling
+    /// crate at opt-level 0, where each `Range::next` is a real call —
+    /// half the unoptimized cost of a term. Optimized code is the same.
+    #[inline(always)]
+    fn mul_acc(&mut self, a: &[u64; N], b: &[u64; N]) {
+        let (mut lo, mut hi) = ([0u64; N], [0u64; N]);
+        let mut i = 0;
+        while i < N {
+            let mut carry = 0;
+            let mut j = 0;
+            while j < N {
+                let slot = limb_mut(&mut lo, &mut hi, i + j);
+                (*slot, carry) = mac(*slot, a[j], b[i], carry);
+                j += 1;
+            }
+            hi[i] = carry;
+            i += 1;
+        }
+        let mut carry = false;
+        let mut k = 0;
+        while k < N {
+            carry = add_into(&mut self.lo[k], lo[k], carry);
+            k += 1;
+        }
+        k = 0;
+        while k < N {
+            carry = add_into(&mut self.hi[k], hi[k], carry);
+            k += 1;
+        }
+        self.top += carry as u64;
+    }
+
+    /// The one Montgomery reduction of a whole sum: returns the field
+    /// element whose Montgomery form is `self / R mod p`, i.e. exactly
+    /// what adding up the reduced products one by one gives.
+    fn reduce<P: FpParams<N>>(self) -> Fp<P, N> {
+        let Wide {
+            mut lo,
+            mut hi,
+            mut top,
+        } = self;
+        // N reduction steps clear the low half; `carry2` hands each
+        // step's carry out of limb `i + N` to the next step.
+        let mut carry2 = 0;
+        for i in 0..N {
+            let m = lo[i].wrapping_mul(P::INV);
+            let (_, mut carry) = mac(lo[i], m, P::MODULUS[0], 0);
+            for j in 1..N {
+                let slot = limb_mut(&mut lo, &mut hi, i + j);
+                (*slot, carry) = mac(*slot, m, P::MODULUS[j], carry);
+            }
+            (hi[i], carry2) = adc(hi[i], carry, carry2);
+        }
+        top += carry2;
+        // A sum of k products leaves `hi + top·R < (k + 1)·p`. The high
+        // half is folded under p by a multiplication by `R mod p` (the
+        // Montgomery form of one: `hi · R / R`), the spare limb by
+        // `top · (R mod p)`, which is `from_u64(top)`'s Montgomery form.
+        Fp::from_mont(Fp::<P, N>::mont_mul(&hi, &P::R)) + Fp::from_u64(top)
+    }
+}
+
 impl<P, const N: usize> Clone for Fp<P, N> {
     #[inline]
     fn clone(&self) -> Self {
@@ -372,6 +492,33 @@ impl<P: FpParams<N>, const N: usize> Field for Fp<P, N> {
         Self::from_mont(Self::mont_mul(&limbs, &P::R2))
     }
 
+    fn dot(a: &[Self], b: &[Self]) -> Self {
+        debug_assert_eq!(a.len(), b.len(), "dot: operand length mismatch");
+        let mut acc = Wide::ZERO;
+        for (x, y) in a.iter().zip(b) {
+            acc.mul_acc(&x.limbs, &y.limbs);
+        }
+        acc.reduce()
+    }
+
+    fn add_scaled_rows(out: &mut [Self], coeffs: &[Self], rows: &[&[Self]]) {
+        debug_assert_eq!(coeffs.len(), rows.len(), "one coefficient per row");
+        let mut col = 0;
+        for block in out.chunks_mut(COLUMN_BLOCK) {
+            let mut acc = [Wide::ZERO; COLUMN_BLOCK];
+            for (c, row) in coeffs.iter().zip(rows) {
+                let stripe = &row[col..col + block.len()];
+                for (w, x) in acc.iter_mut().zip(stripe) {
+                    w.mul_acc(&c.limbs, &x.limbs);
+                }
+            }
+            for (slot, w) in block.iter_mut().zip(acc) {
+                *slot += w.reduce();
+            }
+            col += block.len();
+        }
+    }
+
     fn random_from<F: FnMut() -> u64>(mut next_u64: F) -> Self {
         let top_bits = P::NUM_BITS - 64 * (N as u32 - 1);
         let mask = if top_bits == 64 {
@@ -448,7 +595,51 @@ impl<P: FpParams<N>, const N: usize> PrimeField for Fp<P, N> {
 
 #[cfg(test)]
 mod tests {
+    use super::{Fp, Wide};
+    use crate::{F128Params, F220Params, F61Params, FpParams};
     use crate::{Field, PrimeField, F128, F220, F61};
+
+    /// `Wide::reduce` on accumulators no slice is long enough to build
+    /// (`F220`'s spare limb needs 2⁷² terms): every limb at its maximum,
+    /// and random limbs, against the limb-by-limb value of the element
+    /// whose Montgomery form is `Σ limbₖ·2^(64k) / R`.
+    #[test]
+    fn wide_reduce_matches_limbwise_value() {
+        fn check<P: FpParams<N>, const N: usize>() {
+            let two64 = Fp::<P, N>::from_u64(1 << 32).square();
+            let r_inv = two64.pow(N as u64).inverse().expect("R is a unit");
+            let mut gen = crate::testutil::SplitMix64::new(0x21);
+            // A legal sum of at most 2⁶⁴ − 1 products keeps the spare
+            // limb below 2⁶⁴ − 1, which leaves the reduction its carry.
+            let mut cases = vec![
+                Wide::ZERO,
+                Wide {
+                    lo: [u64::MAX; N],
+                    hi: [u64::MAX; N],
+                    top: u64::MAX - 1,
+                },
+            ];
+            for _ in 0..64 {
+                let mut limbs = || core::array::from_fn(|_| gen.next_u64());
+                let (lo, hi) = (limbs(), limbs());
+                cases.push(Wide {
+                    lo,
+                    hi,
+                    top: gen.next_u64() >> 1,
+                });
+            }
+            for acc in cases {
+                let mut value = Fp::<P, N>::from_u64(acc.top);
+                for limb in acc.lo.iter().chain(&acc.hi).rev() {
+                    value = value * two64 + Fp::from_u64(*limb);
+                }
+                assert_eq!(acc.reduce::<P>(), value * r_inv * r_inv);
+            }
+        }
+        check::<F61Params, 1>();
+        check::<F128Params, 2>();
+        check::<F220Params, 4>();
+    }
 
     /// Reference arithmetic for the 61-bit field via u128.
     const P61: u128 = 0x1ffffff900000001;

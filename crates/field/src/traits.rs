@@ -76,6 +76,24 @@ pub trait Field:
         Self::from_u64((value >> 64) as u64) * shift + Self::from_u64(value as u64)
     }
 
+    /// The inner product `Σ aᵢ·bᵢ` on the deferred-reduction kernel
+    /// (§5.1's `f_lazy`): unreduced products accumulate in a wide
+    /// integer and the sum is reduced once. Reduction is exact, so the
+    /// result is the element the `s += a * b` loop produces.
+    ///
+    /// The slices must have equal lengths (checked in debug builds).
+    fn dot(a: &[Self], b: &[Self]) -> Self;
+
+    /// The transpose of [`Field::dot`] on the same kernel:
+    /// `out[j] += Σᵢ coeffs[i]·rows[i][j]`, every column's sum reduced
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is shorter than `out`; `coeffs` and `rows` must
+    /// have equal lengths (checked in debug builds).
+    fn add_scaled_rows(out: &mut [Self], coeffs: &[Self], rows: &[&[Self]]);
+
     /// Samples a uniformly random field element, drawing 64-bit words from
     /// the supplied entropy source (rejection sampling).
     ///

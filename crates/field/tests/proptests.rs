@@ -31,6 +31,32 @@ impl Gen {
 
 const CASES: usize = 256;
 
+/// The oracle of the deferred-reduction kernel: one full Montgomery
+/// multiply and one modular add per term.
+fn naive_dot<F: Field>(a: &[F], b: &[F]) -> F {
+    assert_eq!(a.len(), b.len());
+    let mut s = F::ZERO;
+    for (x, y) in a.iter().zip(b) {
+        s += *x * *y;
+    }
+    s
+}
+
+/// [`naive_dot`]'s transpose: `out[j] += Σᵢ coeffs[i]·rows[i][j]`.
+fn naive_add_scaled_rows<F: Field>(out: &mut [F], coeffs: &[F], rows: &[&[F]]) {
+    assert_eq!(coeffs.len(), rows.len());
+    for (c, row) in coeffs.iter().zip(rows) {
+        for (slot, x) in out.iter_mut().zip(row.iter()) {
+            *slot += *c * *x;
+        }
+    }
+}
+
+/// Term counts around the prover's 256-column reduction interval, plus
+/// one past 2¹⁶ — enough all-`p − 1` products to carry into the
+/// accumulator's spare limb on `F61` and `F128`.
+const DOT_LENGTHS: [usize; 6] = [0, 1, 255, 256, 257, (1 << 16) + 1];
+
 macro_rules! field_axioms {
     ($modname:ident, $F:ty) => {
         mod $modname {
@@ -162,6 +188,73 @@ macro_rules! field_axioms {
                     let a: $F = g.field();
                     let words = a.to_canonical_words();
                     assert_eq!(<$F>::from_canonical_words(&words), Some(a));
+                }
+            }
+
+            /// `dot` defers the reduction, the naive loop reduces every
+            /// term; both must name the same element — on random
+            /// operands at every length, and on slices that start one
+            /// element into their allocation.
+            #[test]
+            fn dot_matches_naive_loop() {
+                let mut g = Gen::new(13);
+                for len in DOT_LENGTHS.into_iter().chain([2, 3, 17, 1000]) {
+                    let a: Vec<$F> = (0..len + 1).map(|_| g.field()).collect();
+                    let b: Vec<$F> = (0..len + 1).map(|_| g.field()).collect();
+                    assert_eq!(
+                        <$F>::dot(&a[..len], &b[..len]),
+                        naive_dot(&a[..len], &b[..len])
+                    );
+                    assert_eq!(<$F>::dot(&a[1..], &b[..len]), naive_dot(&a[1..], &b[..len]));
+                    assert_eq!(<$F>::dot(&a[..len], &b[1..]), naive_dot(&a[..len], &b[1..]));
+                }
+            }
+
+            /// All-`p − 1` operands make every product, and so the wide
+            /// sum, as large as it can be: `(p − 1)² = 1`, so `n` terms
+            /// must reduce to `n`.
+            #[test]
+            fn dot_of_largest_operands() {
+                let top = -<$F>::ONE;
+                for len in DOT_LENGTHS {
+                    let v = vec![top; len];
+                    let sum = <$F>::dot(&v, &v);
+                    assert_eq!(sum, <$F>::from_u64(len as u64), "len={len}");
+                    assert_eq!(sum, naive_dot(&v, &v), "len={len}");
+                }
+            }
+
+            /// The transposed kernel against its naive loop: random rows
+            /// and coefficients, column counts that leave a ragged last
+            /// block, `out` starting non-zero and one element into its
+            /// allocation, and row counts through the same term counts
+            /// as `dot` with all-`p − 1` operands.
+            #[test]
+            fn add_scaled_rows_matches_naive_loop() {
+                let mut g = Gen::new(14);
+                for (n_rows, cols) in [(0, 5), (1, 1), (3, 0), (7, 8), (40, 29), (257, 33)] {
+                    let rows: Vec<Vec<$F>> = (0..n_rows)
+                        .map(|_| (0..cols).map(|_| g.field()).collect())
+                        .collect();
+                    let refs: Vec<&[$F]> = rows.iter().map(|r| r.as_slice()).collect();
+                    let coeffs: Vec<$F> = (0..n_rows).map(|_| g.field()).collect();
+                    let mut out: Vec<$F> = (0..cols + 1).map(|_| g.field()).collect();
+                    let mut expect = out.clone();
+                    <$F>::add_scaled_rows(&mut out[1..], &coeffs, &refs);
+                    naive_add_scaled_rows(&mut expect[1..], &coeffs, &refs);
+                    assert_eq!(out, expect, "{n_rows}x{cols}");
+                }
+                let top = -<$F>::ONE;
+                let row = vec![top; 11];
+                for n_rows in DOT_LENGTHS {
+                    let refs = vec![row.as_slice(); n_rows];
+                    let coeffs = vec![top; n_rows];
+                    let mut out = vec![top; row.len()];
+                    <$F>::add_scaled_rows(&mut out, &coeffs, &refs);
+                    let mut expect = vec![top; row.len()];
+                    naive_add_scaled_rows(&mut expect, &coeffs, &refs);
+                    assert_eq!(out, expect, "rows={n_rows}");
+                    assert_eq!(out[0], <$F>::from_u64(n_rows as u64) - <$F>::ONE);
                 }
             }
 

@@ -13,13 +13,15 @@
 #    warnings promoted to errors;
 # 5. smoke steps re-running, under the release profile, the slices
 #    whose failure should name a subsystem — soundness, server soak,
-#    the group layer's differentials (in-place Montgomery kernel, MSM,
-#    pure encryption), the encoding (the transform's rule and the pinned
-#    sizes of the circuits the benchmark proves), hetero acceptance,
-#    streaming differential, scheduler, the ZAATAR_WORKERS matrix
-#    (transcript differentials, the crypto proptests and the golden
-#    transcript digests at one worker and at four) — and the
-#    out-of-workspace `zbench` package;
+#    the field kernel's differentials (deferred-reduction `dot` and its
+#    transpose against the naive loop on all three fields, the blocked
+#    matvec on F128/F220), the group layer's differentials (in-place
+#    Montgomery kernel, MSM, pure encryption), the encoding (the
+#    transform's rule and the pinned sizes of the circuits the benchmark
+#    proves), hetero acceptance, streaming differential, scheduler, the
+#    ZAATAR_WORKERS matrix (transcript differentials, the crypto
+#    proptests and the golden transcript digests at one worker and at
+#    four) — and the out-of-workspace `zbench` package;
 # 6. the size ledger ROADMAP.md tracks.
 #
 # CI and pre-commit hooks should run exactly this script; anything it
@@ -90,6 +92,30 @@ filtered_test cargo test -q -p zaatar --test malicious_prover --locked --release
 echo "==> server soak (concurrent fault matrix slice, release)"
 ZAATAR_SOAK_SCENARIOS=96 cargo test -q -p zaatar --test fault_matrix_concurrent \
     --locked --release
+
+# Field kernel differential: every answer and the verifier's consistency
+# query run on `Field::dot` / `Field::add_scaled_rows`, which reduce once
+# per sum instead of once per term. They must name the same element as
+# the naive `s += a * b` loop under the release profile — random and
+# all-(p − 1) operands, term counts around the 256-column reduction
+# interval and past 2^16 (the accumulator's spare limb), accumulators at
+# their limb maxima, and the blocked matvec at 1, 2 and 8 workers on the
+# fields a session runs on. Named: a renamed or deleted test fails the
+# step.
+echo "==> field kernel differential (dot / add_scaled_rows vs naive loop, release)"
+filtered_test cargo test -q -p zaatar-field --lib --test proptests --locked --release -- \
+    fp::tests::wide_reduce_matches_limbwise_value \
+    f61::dot_matches_naive_loop \
+    f128::dot_matches_naive_loop \
+    f220::dot_matches_naive_loop \
+    f61::dot_of_largest_operands \
+    f128::dot_of_largest_operands \
+    f220::dot_of_largest_operands \
+    f61::add_scaled_rows_matches_naive_loop \
+    f128::add_scaled_rows_matches_naive_loop \
+    f220::add_scaled_rows_matches_naive_loop
+filtered_test cargo test -q -p zaatar-core --lib --locked --release -- \
+    matvec::tests::matvec_matches_per_row_dot_on_f128_and_f220
 
 # MSM differential smoke: the in-place Montgomery kernel (against
 # double-and-add, at the width it specialises and below it), the
