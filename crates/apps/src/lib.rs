@@ -19,6 +19,8 @@
 //! constraints → quadratic form) returning encoding statistics for the
 //! Fig. 9 table.
 
+#![forbid(unsafe_code)]
+
 pub mod apsp;
 pub mod bisection;
 pub mod fannkuch;

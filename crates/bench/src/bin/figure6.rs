@@ -13,12 +13,51 @@ use std::time::Instant;
 
 use zaatar_apps::build;
 use zaatar_bench::{print_table, Scale};
-use zaatar_core::parallel::HardwareConfig;
 use zaatar_core::pcp::{PcpParams, ZaatarPcp};
 use zaatar_core::qap::Qap;
 use zaatar_core::runtime::prove_batch_with_policy;
 use zaatar_core::{ExecPolicy, MemBudget};
 use zaatar_field::F128;
+
+/// A hardware configuration in the paper's Fig. 6 notation (`4C`,
+/// `15C+15G`, …); GPUs are crypto acceleration, modeled.
+#[derive(Copy, Clone)]
+struct HardwareConfig {
+    cores: usize,
+    gpus: usize,
+}
+
+impl HardwareConfig {
+    fn cpus(cores: usize) -> Self {
+        HardwareConfig { cores, gpus: 0 }
+    }
+
+    fn with_gpus(cores: usize, gpus: usize) -> Self {
+        HardwareConfig { cores, gpus }
+    }
+
+    /// The paper's measured per-instance latency gain from GPU crypto
+    /// offload ("GPU acceleration improves per-instance latency by
+    /// roughly 20%", §5.2): applied as a multiplicative factor to the
+    /// crypto-dominated share of prover work when `gpus > 0`.
+    fn gpu_latency_factor(&self) -> f64 {
+        if self.gpus > 0 {
+            0.8
+        } else {
+            1.0
+        }
+    }
+}
+
+impl std::fmt::Display for HardwareConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.gpus > 0 {
+            write!(f, "{}C+{}G", self.cores, self.gpus)
+        } else {
+            write!(f, "{}C", self.cores)
+        }
+    }
+}
 
 fn main() {
     let scale = Scale::from_env();
@@ -118,4 +157,21 @@ fn time_batch(
     assert!(proofs.iter().all(Option::is_some), "honest witnesses");
     std::hint::black_box(proofs);
     start.elapsed().as_secs_f64()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn config_display_matches_figure6_notation() {
+        assert_eq!(HardwareConfig::cpus(4).to_string(), "4C");
+        assert_eq!(HardwareConfig::with_gpus(15, 15).to_string(), "15C+15G");
+    }
+
+    #[test]
+    fn gpu_factor() {
+        assert_eq!(HardwareConfig::cpus(4).gpu_latency_factor(), 1.0);
+        assert_eq!(HardwareConfig::with_gpus(4, 4).gpu_latency_factor(), 0.8);
+    }
 }

@@ -10,6 +10,8 @@
 //! numbers are additionally projected from the model so every figure can
 //! report both a measured shape and a paper-scale comparison.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 pub mod harness;
@@ -43,13 +45,28 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `ZAATAR_SCALE` (defaults to `Small`).
+    /// Reads `ZAATAR_SCALE` (defaults to `Small`). An unrecognised
+    /// value also runs at `Small`, after a warning on stderr — a figure
+    /// must not be recorded at a scale its output never named.
     pub fn from_env() -> Scale {
-        match std::env::var("ZAATAR_SCALE").as_deref() {
-            Ok("tiny") => Scale::Tiny,
-            Ok("medium") => Scale::Medium,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Small,
+        Scale::parse(std::env::var("ZAATAR_SCALE").ok().as_deref()).unwrap_or_else(|warning| {
+            eprintln!("{warning}");
+            Scale::Small
+        })
+    }
+
+    /// The scale a raw `ZAATAR_SCALE` value names (surrounding
+    /// whitespace ignored; unset is `Small`), or the warning to print
+    /// for a value that names none.
+    fn parse(raw: Option<&str>) -> Result<Scale, String> {
+        match raw.map(str::trim) {
+            None | Some("small") => Ok(Scale::Small),
+            Some("tiny") => Ok(Scale::Tiny),
+            Some("medium") => Ok(Scale::Medium),
+            Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(format!(
+                "warning: ZAATAR_SCALE={other:?} is not one of tiny | small | medium | paper; running at small"
+            )),
         }
     }
 
@@ -315,6 +332,24 @@ mod tests {
         assert!(run.construct > 0.0 && run.crypto > 0.0 && run.answer > 0.0);
         assert!(run.v_setup > 0.0 && run.v_per_instance > 0.0);
         assert_eq!(run.beta, 2);
+    }
+
+    #[test]
+    fn scale_parse_trims_and_refuses_typos() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Small));
+        for (raw, scale) in [
+            ("tiny", Scale::Tiny),
+            ("small", Scale::Small),
+            ("medium ", Scale::Medium),
+            (" paper\n", Scale::Paper),
+        ] {
+            assert_eq!(Scale::parse(Some(raw)), Ok(scale), "{raw:?}");
+        }
+        for typo in ["papr", "Small", "", "tiny,medium"] {
+            let warning = Scale::parse(Some(typo)).expect_err(typo);
+            assert!(warning.contains(&format!("{typo:?}")), "{warning}");
+            assert!(warning.contains("tiny | small | medium | paper"), "{warning}");
+        }
     }
 
     #[test]

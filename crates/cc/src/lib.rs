@@ -24,6 +24,8 @@
 //! deterministic solver step, so [`builder::WitnessSolver::solve`] executes the
 //! computation and fills in every auxiliary variable.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod gadgets;
 pub mod ir;

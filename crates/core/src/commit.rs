@@ -18,9 +18,9 @@
 
 use zaatar_crypto::{ChaChaPrg, Ciphertext, ElGamal, HasGroup, KeyPair};
 use zaatar_field::Field;
+use zaatar_sched::{effective_workers, parallel_map, shard_batch};
 
 use crate::matvec::QueryMatrix;
-use crate::parallel::{effective_workers, parallel_map, shard_batch};
 
 /// The verifier's commitment key for one linear oracle of a fixed
 /// length: the ElGamal keypair, the secret vector `r`, and the

@@ -25,8 +25,12 @@
 //!   parameterized by measured microbenchmarks (§5.1), used to estimate
 //!   Ginger at scales where running it is infeasible — exactly as the
 //!   paper itself does;
-//! * [`parallel`] — the distributed/parallel prover (§5.2, Fig. 6),
-//!   sharding a batch across worker threads.
+//! * [`runtime`] — the session state machines and the parallel batch
+//!   prover (§5.2, Fig. 6), which shards a batch across worker threads
+//!   through `zaatar_sched::parallel_map_with` — the one place the
+//!   workspace spawns.
+
+#![forbid(unsafe_code)]
 
 pub mod argument;
 pub mod commit;
@@ -34,7 +38,6 @@ pub mod cost;
 pub mod ginger;
 pub mod matvec;
 pub mod network;
-pub mod parallel;
 pub mod pcp;
 pub mod qap;
 pub mod runtime;

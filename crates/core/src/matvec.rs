@@ -10,17 +10,15 @@
 //! proof vector answers every query: for each column block, the block of
 //! `v` stays resident while every row consumes it.
 //!
-//! Rows are sharded across workers with
-//! [`parallel_map`](crate::parallel::parallel_map), and each (row, block)
-//! partial sum is one deferred-reduction [`Field::dot`]. Field arithmetic
-//! is exact, so neither re-associating the per-block partial sums nor
+//! Rows are sharded across workers with [`parallel_map`], and each
+//! (row, block) partial sum is one deferred-reduction [`Field::dot`].
+//! Field arithmetic is exact, so neither re-associating the per-block partial sums nor
 //! reducing once per block instead of once per term can change any
 //! answer — batched results are bit-identical to the serial per-query
 //! path (locked down by `tests/batch_differential.rs`).
 
 use zaatar_field::Field;
-
-use crate::parallel::{parallel_map, shard_batch};
+use zaatar_sched::{parallel_map, shard_batch};
 
 /// Column-block width of the kernel. 256 elements is a 4 KiB stripe of
 /// `v` on F128 and 8 KiB on F220 — L1-resident alongside the row

@@ -32,10 +32,9 @@ use zaatar_crypto::{ChaChaPrg, HasGroup};
 use zaatar_field::PrimeField;
 use zaatar_mem::MemBudget;
 use zaatar_poly::domain::EvalDomain;
-use zaatar_sched::ExecPolicy;
+use zaatar_sched::{effective_workers, parallel_map_with, ExecPolicy};
 use zaatar_transport::{exchange, Frame, RetryPolicy, Transport, TransportError};
 
-use crate::parallel::{effective_workers, parallel_map_with};
 use crate::pcp::{ZaatarPcp, ZaatarProof};
 use crate::qap::QapWitness;
 use crate::session::{

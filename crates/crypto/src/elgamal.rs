@@ -11,6 +11,7 @@
 use crate::chacha::ChaChaPrg;
 use crate::group::{FixedBaseTable, GroupElem, HasGroup, MsmAccumulator, SchnorrGroup};
 use zaatar_mem::Scratch;
+use zaatar_sched::parallel_map;
 
 /// An ElGamal ciphertext `(gᵏ, gᵐ·hᵏ)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -181,11 +182,12 @@ impl<F: HasGroup> ElGamal<F> {
     /// ciphertext ([`Self::zero`]), never a panic.
     ///
     /// The two components are independent MSMs over the same scalars:
-    /// with `workers ≥ 2` each chunk's `c1` product runs on a second
-    /// thread while the caller's computes `c2` — the same group elements,
-    /// in half the wall time. Bucket buffers are leased from `scratch`
-    /// *before* the threads split and returned after they join (one per
-    /// concurrent component), so the pool's owner sees every byte.
+    /// with `workers ≥ 2` each chunk's `c2` product runs on a second
+    /// thread ([`parallel_map`]) while the caller's computes `c1` — the
+    /// same group elements, in half the wall time. Bucket buffers are
+    /// leased from `scratch` *before* the threads split and returned
+    /// after they join (one per concurrent component), so the pool's
+    /// owner sees every byte.
     ///
     /// # Panics
     ///
@@ -222,19 +224,20 @@ impl<F: HasGroup> ElGamal<F> {
                 continue;
             }
             let bucket_len = g.msm_bucket_len(c1s.len());
-            let mut buckets = scratch.take(bucket_len, 0u64);
-            if workers >= 2 {
-                let mut buckets1 = scratch.take(bucket_len, 0u64);
-                std::thread::scope(|s| {
-                    s.spawn(|| g.msm_words_accumulate(&mut acc1, &c1s, &exps, &mut buckets1));
-                    g.msm_words_accumulate(&mut acc2, &c2s, &exps, &mut buckets);
-                });
-                scratch.put(buckets1);
-            } else {
-                g.msm_words_accumulate(&mut acc1, &c1s, &exps, &mut buckets);
-                g.msm_words_accumulate(&mut acc2, &c2s, &exps, &mut buckets);
+            // Two lanes of one component each, or one lane running both
+            // in turn; a lane owns one bucket buffer.
+            let lanes = workers.clamp(1, 2);
+            let mut buckets: Vec<_> = (0..lanes).map(|_| scratch.take(bucket_len, 0u64)).collect();
+            let mut components = [(&mut acc1, &c1s), (&mut acc2, &c2s)];
+            let jobs = components.chunks_mut(2 / lanes).zip(&mut buckets).collect();
+            parallel_map(jobs, lanes, |(components, buckets)| {
+                for (acc, bases) in components {
+                    g.msm_words_accumulate(acc, bases, &exps, buckets);
+                }
+            });
+            for lane_buckets in buckets {
+                scratch.put(lane_buckets);
             }
-            scratch.put(buckets);
         }
         Ciphertext {
             c1: g.msm_accumulator_finish(acc1),

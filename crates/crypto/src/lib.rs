@@ -18,6 +18,8 @@
 //!   ever *compares* exponents it already knows);
 //! * [`chacha`] — the ChaCha20 stream cipher, used as the protocol's PRG.
 
+#![forbid(unsafe_code)]
+
 pub mod chacha;
 pub mod elgamal;
 pub mod group;

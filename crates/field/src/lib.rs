@@ -24,6 +24,8 @@
 //! assert_eq!(a * a.inverse().unwrap(), F128::ONE);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod fp;
 pub mod limbs;

@@ -25,6 +25,8 @@
 //! high-water mark from an observation into a hard cap enforced by
 //! [`Scratch::try_take`] (typed [`BudgetError`] instead of OOM).
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;

@@ -35,6 +35,8 @@
 //! println!("{}", snap.to_json());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 
 use std::collections::BTreeMap;

@@ -15,14 +15,17 @@
 //! cached NTT kernels ([`plan`]) with instrumented wrappers ([`fft`]),
 //! evaluation domains with barycentric machinery ([`domain`]), and
 //! asymptotically fast division/multipoint algorithms ([`fast`]) for
-//! domains that are not multiplicative subgroups. The [`parallel`] module
-//! holds the thread primitives of the batch prover above this crate.
+//! domains that are not multiplicative subgroups. Nothing here starts a
+//! thread (the crate cannot reach `zaatar-sched`, which owns them): a
+//! transform runs on its caller's thread, and parallelism is across the
+//! instances of a batch.
+
+#![forbid(unsafe_code)]
 
 pub mod dense;
 pub mod domain;
 pub mod fast;
 pub mod fft;
-pub mod parallel;
 pub mod plan;
 pub mod sparse;
 

@@ -1,5 +1,6 @@
 //! Execution policy layer: worker counts and the prover's chunk length
-//! as one explicit object instead of scattered globals.
+//! as one explicit object instead of scattered globals — and the one
+//! place the workspace starts threads.
 //!
 //! * [`HostProfile`] — what the machine can do: parallelism, a one-time
 //!   measured thread spawn/join overhead, and the operator's
@@ -10,6 +11,9 @@
 //! * [`Scheduler`] — derives an [`ExecPolicy`] from the workload shape
 //!   (circuit size, batch size β, element width), a
 //!   [`zaatar_mem::MemBudget`] and the host profile.
+//! * [`parallel_map`] / [`parallel_map_with`] — §5.2's static sharding
+//!   ("each machine computing a subset of a batch"): the crate that
+//!   resolves the worker count is the crate that spawns.
 //!
 //! Every decision is a pure function of its inputs, so the scheduler is
 //! testable with synthetic profiles — no wall clock anywhere in the
@@ -17,6 +21,10 @@
 //! policy changes *where* and *when* work happens (threads, chunks),
 //! never the field/group values that reach the wire.
 
+#![forbid(unsafe_code)]
+
+use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -27,7 +35,7 @@ use zaatar_mem::MemBudget;
 /// ([`Proving::Monolithic`]). The pipeline peaks at
 /// [`STREAM_FLOOR_ELEMS_PER_POINT`] at any chunk, so this over-predicts
 /// a `Monolithic` run; the value fixes where `proving_for` switches,
-/// and re-fitting it is ROADMAP item 5.
+/// and re-fitting it is part of the ROADMAP's chunk-axis item.
 const MONO_PEAK_ELEMS_PER_POINT: usize = 10;
 
 /// Pipeline residency floor, in elements per domain point: the chunked
@@ -167,6 +175,89 @@ fn measure_spawn_overhead_ns() -> f64 {
     } else {
         per_spawn
     }
+}
+
+/// The worker count actually used for a request of `requested`
+/// workers: [`HostProfile::from_env`]'s
+/// [`effective_workers`](HostProfile::effective_workers) — the
+/// `ZAATAR_WORKERS` pin verbatim when set, else the request clamped to
+/// the host's parallelism. Callers still clamp to the item count.
+pub fn effective_workers(requested: usize) -> usize {
+    HostProfile::from_env().effective_workers(requested)
+}
+
+/// Splits `batch_size` items across `workers` contiguous shards as
+/// evenly as possible (the per-machine subsets of §5.2); trailing
+/// shards are empty when there are more workers than items.
+pub fn shard_batch(batch_size: usize, workers: usize) -> Vec<Range<usize>> {
+    let workers = workers.max(1);
+    let base = batch_size / workers;
+    let extra = batch_size % workers;
+    let mut shards = Vec::with_capacity(workers);
+    let mut start = 0;
+    for w in 0..workers {
+        let len = base + usize::from(w < extra);
+        shards.push(start..start + len);
+        start += len;
+    }
+    shards
+}
+
+/// Applies `f` to every item on up to `workers` threads, preserving
+/// order: [`parallel_map_with`] without per-worker state.
+pub fn parallel_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    parallel_map_with(items, workers, || (), |(), item| f(item))
+}
+
+/// The workspace's one thread primitive. `workers` goes through
+/// [`effective_workers`] and a clamp to the item count; items then go
+/// to workers as the contiguous runs of [`shard_batch`] — static
+/// sharding, no stealing: every caller hands over equal-cost items. The
+/// first run executes on the calling thread and one scoped thread is
+/// spawned per further run, so one worker (or one item, or
+/// `ZAATAR_WORKERS=1`) spawns nothing. Each worker calls `init` once
+/// and threads the value through its `f` calls by `&mut` — how the
+/// batch prover gives every worker its own workspace. Items may hold
+/// `&mut` borrows: each is moved to exactly one worker.
+///
+/// # Panics
+///
+/// If `f` or `init` panics, the other runs still finish their own
+/// items; then the payload of the first panicking run in item order is
+/// re-raised on the calling thread.
+pub fn parallel_map_with<T, R, W, I, F>(items: Vec<T>, workers: usize, init: I, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, T) -> R + Sync,
+{
+    let work = |run: Vec<T>| -> Vec<R> {
+        let mut state = init();
+        run.into_iter().map(|item| f(&mut state, item)).collect()
+    };
+    let workers = effective_workers(workers).clamp(1, items.len().max(1));
+    let shards = shard_batch(items.len(), workers);
+    let mut items = items.into_iter();
+    let mut runs = shards.into_iter().map(|shard| items.by_ref().take(shard.len()).collect());
+    let first: Vec<T> = runs.next().expect("shard_batch returns at least one shard");
+    // A panic in `work(first)` unwinds through the scope, which joins
+    // every thread before re-raising it; a panic in a later run comes
+    // back from its `join` and the scope joins the rest.
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = runs.map(|run| scope.spawn(move || work(run))).collect();
+        let mut out = work(first);
+        for handle in handles {
+            out.extend(handle.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        out
+    })
 }
 
 /// The chunk length of the prover pipeline. There is one pipeline —
@@ -339,6 +430,9 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn shape(domain: usize, batch: usize) -> WorkloadShape {
         WorkloadShape { domain_size: domain, batch, elem_bytes: 8 }
@@ -467,5 +561,156 @@ mod tests {
         assert_eq!(streamed(0).chunk_len_for(1024), 1);
         assert_eq!(streamed(usize::MAX).chunk_len_for(1024), 1024);
         assert_eq!(streamed(7).chunk_len_for(0), 1);
+    }
+
+    // The thread layer. Requests pass through `effective_workers`, so
+    // expectations are stated at the count the host resolves (`resolved`):
+    // two or more cores run real threads, and `tools/ci.sh` reruns this
+    // suite under `ZAATAR_WORKERS=1` and `=4`.
+
+    fn resolved(requested: usize, items: usize) -> usize {
+        effective_workers(requested).clamp(1, items.max(1))
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "<non-string payload>".into())
+    }
+
+    #[test]
+    fn effective_workers_clamps_to_host_parallelism() {
+        // Relies on ZAATAR_WORKERS being unset in the default test
+        // environment (the env-override case has its own
+        // single-process integration test).
+        if std::env::var("ZAATAR_WORKERS").is_ok() {
+            return;
+        }
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(effective_workers(1), 1);
+        assert_eq!(effective_workers(host), host);
+        assert_eq!(effective_workers(host + 100), host);
+        // A zero request still yields a usable worker count.
+        assert_eq!(effective_workers(0), 1);
+    }
+
+    #[test]
+    fn shards_cover_batch_exactly() {
+        for (batch, workers) in [(60, 4), (60, 7), (5, 10), (0, 3), (61, 60)] {
+            let shards = shard_batch(batch, workers);
+            assert_eq!(shards.len(), workers.max(1));
+            let total: usize = shards.iter().map(|r| r.len()).sum();
+            assert_eq!(total, batch, "batch={batch} workers={workers}");
+            // Contiguous and non-overlapping.
+            let mut pos = 0;
+            for r in &shards {
+                assert_eq!(r.start, pos);
+                pos = r.end;
+            }
+            // Balanced within 1.
+            let lens: Vec<usize> = shards.iter().map(|r| r.len()).collect();
+            let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+            assert!(max - min <= 1);
+        }
+    }
+
+    #[test]
+    fn map_preserves_order_at_any_shape() {
+        let items: Vec<u64> = (0..257).collect();
+        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
+        assert_eq!(parallel_map(items, 8, |x| x * x), expect);
+        // Empty input, and more workers than items.
+        assert!(parallel_map(Vec::<i32>::new(), 4, |x| x).is_empty());
+        assert_eq!(parallel_map(vec![9], 64, |x| x * 2), vec![18]);
+    }
+
+    #[test]
+    fn each_worker_inits_once_and_carries_its_state_down_one_contiguous_run() {
+        // The contract callers rely on: worker w handles exactly shard
+        // w of `shard_batch`, in order, on one thread with one state —
+        // the first on the caller's. An index-claiming map interleaves
+        // the runs; a request for one worker is the sequential case.
+        let caller = std::thread::current().id();
+        for (n, requested) in [(3, 1), (10, 3), (500, 4)] {
+            let workers = resolved(requested, n);
+            let inits = AtomicUsize::new(0);
+            let out = parallel_map_with(
+                (0..n).collect(),
+                requested,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::new()
+                },
+                |mine: &mut Vec<usize>, i| {
+                    mine.push(i);
+                    (std::thread::current().id(), mine.clone())
+                },
+            );
+            assert_eq!(inits.load(Ordering::Relaxed), workers);
+            for shard in shard_batch(n, workers) {
+                for i in shard.clone() {
+                    assert_eq!(out[i].0, out[shard.start].0, "one thread per run");
+                    assert_eq!(out[i].1, (shard.start..=i).collect::<Vec<_>>());
+                }
+            }
+            assert_eq!(out[0].0, caller);
+            let threads: HashSet<_> = out.iter().map(|(id, _)| *id).collect();
+            assert_eq!(threads.len(), workers, "the caller plus one thread per further run");
+        }
+    }
+
+    #[test]
+    fn items_holding_disjoint_mut_borrows_are_all_written() {
+        // The `inner_product_split` / `matvec_into` shape: every item
+        // carries a `&mut` into caller-owned storage and is moved to
+        // exactly one worker.
+        let mut slots = vec![0u64; 7];
+        let items: Vec<(u64, &mut u64)> = (1..).zip(slots.iter_mut()).collect();
+        parallel_map(items, 3, |(i, slot)| *slot = i * i);
+        assert_eq!(slots, [1, 4, 9, 16, 25, 36, 49]);
+    }
+
+    #[test]
+    fn a_panic_propagates_its_original_payload_after_siblings_finish() {
+        // The caller sees the worker's own message, not a poisoning
+        // artifact; the run holding item 37 stops there and every
+        // other run finishes its items.
+        let handled = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            parallel_map((0..100).collect::<Vec<usize>>(), 4, |x| {
+                if x == 37 {
+                    panic!("item 37 exploded");
+                }
+                handled.fetch_add(1, Ordering::Relaxed);
+                x * 2
+            })
+        }));
+        let msg = panic_message(result.expect_err("panic must propagate"));
+        assert!(msg.contains("item 37 exploded"), "got: {msg}");
+        let shards = shard_batch(100, resolved(4, 100));
+        let abandoned = shards.iter().find(|s| s.contains(&37)).unwrap().end - 37;
+        assert_eq!(handled.load(Ordering::Relaxed), 100 - abandoned);
+
+        // A lone item panics on the calling thread just the same.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            parallel_map(vec![2], 1, |x: i32| -> i32 { panic!("sequential path panics too: {x}") })
+        }));
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn concurrent_panics_surface_exactly_one_payload() {
+        // Every item panics; the caller still gets one faithful payload
+        // — the first run's — and the process does not abort from a
+        // double panic.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            parallel_map((0..64).collect::<Vec<i32>>(), 8, |x| -> i32 {
+                panic!("worker panic on {x}");
+            })
+        }));
+        let msg = panic_message(result.expect_err("panic must propagate"));
+        assert_eq!(msg, "worker panic on 0");
     }
 }

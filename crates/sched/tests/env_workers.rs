@@ -17,8 +17,7 @@
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use zaatar_poly::parallel::{effective_workers, parallel_map, parallel_map_with};
-use zaatar_sched::HostProfile;
+use zaatar_sched::{effective_workers, parallel_map, parallel_map_with, HostProfile};
 
 #[test]
 fn zaatar_workers_env_pins_the_worker_count() {

@@ -11,7 +11,7 @@
 //!
 //! * [`SessionServer`] — a single-threaded poll loop multiplexing any
 //!   number of framed connections. Each sweep gives every session at
-//!   most [`ServerConfig::frames_per_sweep`] frames of attention, so a
+//!   most `FRAMES_PER_SWEEP` (32) frames of attention, so a
 //!   slow-loris client costs one poll per sweep, never the loop.
 //! * **Workspace pool** — every admitted session leases a
 //!   [`ProverWorkspace`] from a bounded [`WorkspacePool`]; release on
@@ -32,6 +32,8 @@
 //! and in the global `zaatar_obs` registry under `server.*`, which the
 //! bench harness snapshots deterministically via
 //! [`zaatar_obs::Snapshot::filter_prefix`].
+
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::net::{TcpListener, ToSocketAddrs};
@@ -66,11 +68,6 @@ pub struct ServerConfig {
     /// [`SessionOutcome::Served`] after a setup (the verifier is
     /// presumed done), [`SessionOutcome::Expired`] before one.
     pub idle_timeout: Duration,
-    /// Frames one session may consume per poll sweep before the loop
-    /// moves on — the anti-starvation budget.
-    pub frames_per_sweep: usize,
-    /// Workspaces the pool may hold (and hence lease) at once.
-    pub pool_capacity: usize,
     /// When memory pressure engages, workspaces returning to the pool
     /// are trimmed to at most this many retained bytes.
     pub trim_to_bytes: usize,
@@ -91,8 +88,6 @@ impl Default for ServerConfig {
             max_footprint_bytes: 256 << 20,
             session_budget: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(5),
-            frames_per_sweep: 32,
-            pool_capacity: 64,
             trim_to_bytes: 1 << 20,
             tenant_budget: MemBudget::unlimited(),
         }
@@ -298,15 +293,18 @@ where
             circuit_ids.iter().all(|&c| (c as usize) < pcps.len()),
             "circuit id out of range"
         );
-        let pool = WorkspacePool::new(config.pool_capacity);
+        // A live session holds exactly one workspace, and `admit`
+        // refuses at `max_sessions` before it leases.
+        let pool = WorkspacePool::new(config.max_sessions);
         // One policy decision for the whole server. Batch 1 keeps
         // `workers` at one, and that is a decision: a poll thread that
         // multiplexes tenants does not fan one tenant's instance out
         // over the cores its other tenants are waiting for (the blocking
-        // single-session pump does; ROADMAP item 7 revisits this). What
-        // is left to size is the chunk length — for the largest
-        // configured circuit against the per-tenant budget, so every
-        // tenant's workspace serves every circuit.
+        // single-session pump does; the ROADMAP's chunk-axis item, which
+        // re-fits `sched`, revisits this). What is left to size is the
+        // chunk length — for the largest configured circuit against the
+        // per-tenant budget, so every tenant's workspace serves every
+        // circuit.
         let scheduler = Scheduler::new(HostProfile::from_env());
         let shape = WorkloadShape {
             domain_size: pcps.iter().map(|p| p.qap().degree()).max().unwrap_or(1),
@@ -432,7 +430,7 @@ where
     }
 
     /// One sweep over every live session, each bounded to
-    /// [`ServerConfig::frames_per_sweep`] frames. Returns the sessions
+    /// `FRAMES_PER_SWEEP` frames. Returns the sessions
     /// that reached a terminal state this sweep, with their outcomes;
     /// their workspaces are already back in the pool.
     pub fn poll(&mut self) -> Vec<(SessionId, SessionOutcome)> {
@@ -502,14 +500,18 @@ where
         finished
     }
 
-    /// Drives one session for up to `frames_per_sweep` frames; returns
+    /// Frames one session may consume per poll sweep before the loop
+    /// moves on — the anti-starvation budget.
+    const FRAMES_PER_SWEEP: usize = 32;
+
+    /// Drives one session for up to `FRAMES_PER_SWEEP` frames; returns
     /// the sweep verdict and how many valid frames were consumed. The
     /// protocol is the session's [`ProverMachine`]; this loop adds what
     /// is the server's own — the deadline, the idle-out, and the mapping
     /// from how a session stopped to its [`SessionOutcome`].
     fn sweep_session(session: &mut Session<'p, F, D>, config: &ServerConfig) -> (Sweep, u64) {
         let mut frames = 0u64;
-        for _ in 0..config.frames_per_sweep.max(1) {
+        for _ in 0..Self::FRAMES_PER_SWEEP {
             // Deadlines are enforced at frame boundaries: an expired
             // budget terminates the session before the next frame is
             // even read.
@@ -639,8 +641,7 @@ mod tests {
     #[test]
     fn default_config_is_self_consistent() {
         let c = ServerConfig::default();
-        assert!(c.pool_capacity >= c.max_sessions);
-        assert!(c.frames_per_sweep >= 1);
+        assert!(c.max_sessions >= 1);
         assert!(c.session_budget > c.idle_timeout);
         assert_eq!(c.tenant_budget, MemBudget::unlimited());
     }

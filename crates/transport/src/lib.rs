@@ -22,6 +22,8 @@
 //! into latency — so the session runtime above (in `zaatar-core`) only
 //! ever sees whole, intact messages or a typed timeout.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod fault;
 pub mod frame;

@@ -1,4 +1,7 @@
 //! Facade crate re-exporting the Zaatar workspace.
+
+#![forbid(unsafe_code)]
+
 pub use zaatar_apps as apps;
 pub use zaatar_cc as cc;
 pub use zaatar_core as core;

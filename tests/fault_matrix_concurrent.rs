@@ -107,7 +107,6 @@ fn serve_all(
 ) -> ServerReport {
     let config = ServerConfig {
         max_sessions: 64,
-        pool_capacity: 64,
         session_budget: Duration::from_secs(20),
         idle_timeout: Duration::from_secs(8),
         ..ServerConfig::default()

@@ -97,7 +97,6 @@ fn hetero_batch_through_session_server_matches_isolated_sessions() {
     let pcp_refs: Vec<&TestPcp> = circuits.iter().map(|c| &c.pcp).collect();
     let config = ServerConfig {
         max_sessions: 2,
-        pool_capacity: 2,
         session_budget: Duration::from_secs(30),
         idle_timeout: Duration::from_secs(10),
         ..ServerConfig::default()

@@ -24,7 +24,6 @@ fn fixture() -> CircuitFixture {
 fn config() -> ServerConfig {
     ServerConfig {
         max_sessions: 4,
-        pool_capacity: 4,
         session_budget: Duration::from_secs(10),
         idle_timeout: Duration::from_secs(2),
         ..ServerConfig::default()
