@@ -5,7 +5,7 @@
 
 use zaatar_apps::build;
 use zaatar_bench::{fmt_count, fmt_secs, print_table, spec_of, time_local, Scale};
-use zaatar_core::cost::{measure_micro_params, CostModel};
+use zaatar_bench::cost::{measure_micro_params, CostModel};
 use zaatar_field::F128;
 
 fn main() {

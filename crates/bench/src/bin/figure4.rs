@@ -9,7 +9,7 @@
 //! headline 1–6 orders of magnitude appear.
 
 use zaatar_bench::{fmt_secs, measure_app, print_table, raw_inputs, spec_of, Scale};
-use zaatar_core::cost::{measure_micro_params, CostModel};
+use zaatar_bench::cost::{measure_micro_params, CostModel};
 use zaatar_core::pcp::PcpParams;
 use zaatar_field::F128;
 

@@ -7,7 +7,7 @@
 //! both are also shown at paper scale via the model.
 
 use zaatar_bench::{fmt_count, measure_app, print_table, Scale};
-use zaatar_core::cost::{measure_micro_params, CostModel};
+use zaatar_bench::cost::{measure_micro_params, CostModel};
 use zaatar_core::pcp::PcpParams;
 use zaatar_field::F128;
 

@@ -8,7 +8,7 @@
 //! scaling exponent between consecutive sizes.
 
 use zaatar_bench::{fmt_secs, measure_app, print_table, Scale};
-use zaatar_core::cost::{measure_micro_params, CostModel};
+use zaatar_bench::cost::{measure_micro_params, CostModel};
 use zaatar_core::pcp::PcpParams;
 use zaatar_field::F128;
 

@@ -1,13 +1,16 @@
 //! Reproduces the §5.1 microbenchmark table: per-operation costs
-//! `e, d, h, f_lazy, f, f_div, c` for the 128-bit and 220-bit fields.
+//! `e, d, h, f_lazy, f, f_div, c` for the 128-bit and 220-bit fields, then
+//! DESIGN §3's domain substitution (zero-pinned interpolation on 1..n vs a subgroup).
 //!
 //! ```text
 //! cargo run --release -p zaatar-bench --bin microbench
 //! ```
 
+use zaatar_bench::cost::{measure_micro_params, MicroParams};
 use zaatar_bench::{fmt_secs, print_table};
-use zaatar_core::cost::{measure_micro_params, MicroParams};
+use zaatar_crypto::ChaChaPrg;
 use zaatar_field::{F128, F220};
+use zaatar_poly::{ArithDomain, EvalDomain, Radix2Domain};
 
 fn row(label: &str, m: &MicroParams) -> Vec<String> {
     vec![
@@ -44,4 +47,19 @@ fn main() {
         m128.f_div / m128.f,
         MicroParams::paper_128().f_div / MicroParams::paper_128().f,
     );
+
+    let n = 256;
+    println!("\n== Domain substitution (zero-pinned interpolation, n = {n}, F128) ==\n");
+    let evals: Vec<F128> = ChaChaPrg::from_u64_seed(9).field_vec(n);
+    let secs = |d: &dyn Fn() -> zaatar_poly::DensePoly<F128>| {
+        let start = std::time::Instant::now();
+        (0..20).for_each(|_| drop(std::hint::black_box(d())));
+        start.elapsed().as_secs_f64() / 20.0
+    };
+    let (arith, radix2) = (ArithDomain::new(n), Radix2Domain::new(n));
+    let arith = secs(&|| arith.interpolate_zero_pinned(&evals));
+    let radix2 = secs(&|| radix2.interpolate_zero_pinned(&evals));
+    let domain = |name: &str, s: f64| vec![name.into(), fmt_secs(s), format!("{:.0}x", s / radix2)];
+    let rows = [domain("1..n (paper)", arith), domain("radix-2 subgroup", radix2)];
+    print_table(&["domain", "interpolate", "vs subgroup"], &rows);
 }

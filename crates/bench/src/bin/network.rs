@@ -3,10 +3,11 @@
 //! and without the seed-derived-query optimization.
 
 use zaatar_apps::build;
+use zaatar_bench::cost::zaatar_network_costs;
 use zaatar_bench::{print_table, Scale};
-use zaatar_core::network::zaatar_network_costs;
 use zaatar_core::pcp::{PcpParams, ZaatarPcp};
 use zaatar_core::qap::Qap;
+use zaatar_crypto::HasGroup;
 use zaatar_field::F128;
 
 fn fmt_bytes(b: u64) -> String {
@@ -24,13 +25,14 @@ fn fmt_bytes(b: u64) -> String {
 fn main() {
     let scale = Scale::from_env();
     let beta = 100;
-    println!("== Network costs per batch (beta = {beta}, 1024-bit group) ==\n");
+    let group_bits = 8 * F128::group().elem_bytes();
+    println!("== Network costs per batch (beta = {beta}, {group_bits}-bit group) ==\n");
     let mut rows = Vec::new();
     for app in scale.suite() {
         let art = build::<F128>(&app);
         let pcp = ZaatarPcp::new(Qap::new(&art.quad.system), PcpParams::default());
-        let full = zaatar_network_costs(&pcp, beta, 1024, false);
-        let seeded = zaatar_network_costs(&pcp, beta, 1024, true);
+        let full = zaatar_network_costs(&pcp, beta, false);
+        let seeded = zaatar_network_costs(&pcp, beta, true);
         rows.push(vec![
             app.name().to_string(),
             app.params(),

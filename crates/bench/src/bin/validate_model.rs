@@ -14,7 +14,7 @@ use zaatar_apps::{build, Suite};
 use zaatar_bench::{fmt_secs, print_table, spec_of, time_local};
 use zaatar_cc::linearize_io;
 use zaatar_core::argument::{run_batched_argument, run_batched_ginger_argument};
-use zaatar_core::cost::{measure_micro_params, CostModel};
+use zaatar_bench::cost::{measure_micro_params, CostModel};
 use zaatar_core::ginger::GingerPcp;
 use zaatar_core::pcp::{PcpParams, ZaatarPcp};
 use zaatar_core::qap::Qap;

@@ -21,23 +21,20 @@
 //!   instances of the same computation (§2.2); [`argument`] drives it in
 //!   one process, and the `zaatar_obs` spans it records feed the Fig. 5
 //!   table;
-//! * [`cost`] — the analytic cost model of Fig. 3 for both systems,
-//!   parameterized by measured microbenchmarks (§5.1), used to estimate
-//!   Ginger at scales where running it is infeasible — exactly as the
-//!   paper itself does;
 //! * [`runtime`] — the session state machines and the parallel batch
 //!   prover (§5.2, Fig. 6), which shards a batch across worker threads
 //!   through `zaatar_sched::parallel_map_with` — the one place the
 //!   workspace spawns.
+//!
+//! How the protocol is *evaluated* — the Fig. 3 cost model and the
+//! wire-cost formula — lives in `zaatar-bench`, its only reader.
 
 #![forbid(unsafe_code)]
 
 pub mod argument;
 pub mod commit;
-pub mod cost;
 pub mod ginger;
 pub mod matvec;
-pub mod network;
 pub mod pcp;
 pub mod qap;
 pub mod runtime;
@@ -49,11 +46,9 @@ pub mod workspace;
 
 pub use argument::{run_batched_argument, run_batched_ginger_argument, BatchResult};
 pub use commit::{CommitmentKey, Decommitment};
-pub use cost::{measure_micro_params, ComputationSpec, CostModel, MicroParams, ProtocolParams};
 pub use ginger::{GingerPcp, GingerProof};
 pub use matvec::QueryMatrix;
 pub use pcp::{BatchQuerySet, PcpParams, QuerySet, ZaatarPcp, ZaatarProof};
-pub use network::{queries_from_seed, zaatar_network_costs, NetworkCosts};
 pub use qap::{Qap, QapEvals, QapWitness, StagedWitnessChunked};
 pub use runtime::{
     parse_instance_index, prove_batch_with_policy, prove_instance_policied,

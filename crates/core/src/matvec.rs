@@ -92,20 +92,9 @@ impl<F: Field> QueryMatrix<F> {
     }
 
     /// The blocked matrix–vector product `M·v`: answers every query in
-    /// one pass over `v`, sharding rows across up to `workers` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len()` differs from the query length.
-    pub fn matvec(&self, v: &[F], workers: usize) -> Vec<F> {
-        let mut out = Vec::with_capacity(self.rows);
-        self.matvec_into(v, workers, &mut out);
-        out
-    }
-
-    /// [`QueryMatrix::matvec`] into a caller-owned buffer (cleared
-    /// first), so a batch loop reuses one answer vector's allocation
-    /// across instances. Results are identical to [`QueryMatrix::matvec`].
+    /// one pass over `v`, sharding rows across up to `workers` threads,
+    /// into a caller-owned buffer (cleared first), so a batch loop reuses
+    /// one answer vector's allocation across instances.
     ///
     /// # Panics
     ///
@@ -157,6 +146,13 @@ mod tests {
         a.iter().zip(b.iter()).map(|(x, y)| *x * *y).sum()
     }
 
+    /// `M·v` as the session computes it: the answers of
+    /// `decommit_packed_into` (its consistency answer is not compared,
+    /// so `t` is `v` itself).
+    fn matvec<F: Field>(m: &QueryMatrix<F>, v: &[F], workers: usize) -> Vec<F> {
+        crate::commit::decommit_packed_into(v, m, v, workers, Vec::new()).answers
+    }
+
     fn check_matvec_matches_per_row_dot<F: Field>() {
         let mut gen = SplitMix64::new(0xbeef);
         for (rows, cols) in [(1, 1), (3, 7), (17, 300), (64, 1030)] {
@@ -166,7 +162,7 @@ mod tests {
             let v: Vec<F> = gen.field_vec(cols);
             let expect: Vec<F> = queries.iter().map(|q| dot(q, &v)).collect();
             for workers in [1, 2, 8] {
-                assert_eq!(m.matvec(&v, workers), expect, "{rows}x{cols} w={workers}");
+                assert_eq!(matvec(&m, &v, workers), expect, "{rows}x{cols} w={workers}");
             }
         }
     }
@@ -189,7 +185,7 @@ mod tests {
     fn empty_matrix_yields_no_answers() {
         let m = QueryMatrix::<F61>::pack(&[]);
         assert!(m.is_empty());
-        assert!(m.matvec(&[], 4).is_empty());
+        assert!(matvec(&m, &[], 4).is_empty());
     }
 
     #[test]
@@ -210,7 +206,7 @@ mod tests {
     fn wrong_vector_length_panics() {
         let q = [F61::ONE; 4];
         let m = QueryMatrix::pack(&[&q[..]]);
-        let _ = m.matvec(&[F61::ONE; 3], 1);
+        let _ = matvec(&m, &[F61::ONE; 3], 1);
     }
 
     #[test]

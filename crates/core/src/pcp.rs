@@ -146,13 +146,13 @@ impl<F: Field> QuerySet<F> {
 /// [`QuerySet`], so [`ZaatarPcp::check`] works unchanged against batched
 /// answers).
 ///
-/// [`BatchQuerySet::answer`] runs the blocked
-/// matrix–vector kernel: one pass over the proof vector serves all
-/// `ρ·(3ρ_lin+3)` z-queries (and all `ρ·(3ρ_lin+1)` h-queries), instead
-/// of one dense dot product per query. Answers are bit-identical to the
-/// serial [`ZaatarPcp::answer`] path (field addition is exact, so
-/// re-association cannot change a sum); `tests/batch_differential.rs`
-/// locks this down.
+/// The session answers off these matrices with the blocked
+/// matrix–vector kernel ([`crate::commit::decommit_packed_into`]): one
+/// pass over the proof vector serves all `ρ·(3ρ_lin+3)` z-queries (and
+/// all `ρ·(3ρ_lin+1)` h-queries), instead of one dense dot product per
+/// query. Answers are bit-identical to the serial [`ZaatarPcp::answer`]
+/// path (field addition is exact, so re-association cannot change a
+/// sum); `tests/batch_differential.rs` locks this down.
 #[derive(Clone, Debug)]
 pub struct BatchQuerySet<F> {
     queries: QuerySet<F>,
@@ -180,18 +180,6 @@ impl<F: Field> BatchQuerySet<F> {
         &self.queries.h
     }
 
-    /// Answers every query for one instance via the blocked kernel,
-    /// sharding query rows across up to `workers` threads. Each call
-    /// reuses the batch's packed queries; `pcp.batch.query_reuse` counts
-    /// the reuses and `pcp.answer.matvec` times the kernel.
-    pub fn answer(&self, proof: &ZaatarProof<F>, workers: usize) -> PcpResponses<F> {
-        let _span = zaatar_obs::time("pcp.answer.matvec");
-        zaatar_obs::counter("pcp.batch.query_reuse").inc();
-        PcpResponses {
-            z_answers: self.queries.z.matvec(&proof.z, workers),
-            h_answers: self.queries.h.matvec(&proof.h, workers),
-        }
-    }
 }
 
 /// The prover's answers, in the same canonical order as
@@ -366,6 +354,7 @@ fn add_vecs<F: Field>(a: &[F], b: &[F]) -> Vec<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::decommit_packed_into;
     use zaatar_cc::{ginger_to_quad, Builder, QuadSystem};
     use zaatar_field::F61;
     use zaatar_poly::{ArithDomain, Radix2Domain};
@@ -628,6 +617,21 @@ mod tests {
         assert_eq!(light.total_queries(), 2 * (6 * 3 + 4));
     }
 
+    /// The answers the session sends for `proof`: the blocked kernel
+    /// over the batch's packed matrices (`decommit_packed_into`; the
+    /// consistency answer is not compared, so `t` is the proof itself).
+    fn packed_answers<F: PrimeField>(
+        batch: &BatchQuerySet<F>,
+        proof: &ZaatarProof<F>,
+        workers: usize,
+    ) -> PcpResponses<F> {
+        let answer = |u: &[F], m| decommit_packed_into(u, m, u, workers, Vec::new()).answers;
+        PcpResponses {
+            z_answers: answer(&proof.z, batch.z_matrix()),
+            h_answers: answer(&proof.h, batch.h_matrix()),
+        }
+    }
+
     #[test]
     fn batched_answers_match_serial() {
         let (pcp, w, io) = setup(&[f(6), f(-2)]);
@@ -639,10 +643,10 @@ mod tests {
             let queries = pcp.generate_queries(&mut prg2);
             let serial = pcp.answer(&proof, &queries);
             for workers in [1usize, 4] {
-                let batched = batch.answer(&proof, workers);
+                let batched = packed_answers(&batch, &proof, workers);
                 assert_eq!(batched, serial, "seed={seed} workers={workers}");
             }
-            assert!(pcp.check(batch.queries(), &batch.answer(&proof, 2), &io));
+            assert!(pcp.check(batch.queries(), &packed_answers(&batch, &proof, 2), &io));
         }
     }
 
@@ -653,15 +657,13 @@ mod tests {
         let inputs: [[i64; 2]; 3] = [[2, 9], [5, 5], [-1, 8]];
         let mut prg = ChaChaPrg::from_u64_seed(0xbaac);
         let mut batchq = None;
-        let reuses_before = zaatar_obs::counter("pcp.batch.query_reuse").get();
         for pair in inputs {
             let (pcp, w, io) = setup(&[f(pair[0]), f(pair[1])]);
             let batch = batchq.get_or_insert_with(|| BatchQuerySet::new(pcp.generate_queries(&mut prg)));
             let proof = pcp.prove(&w).unwrap();
-            let responses = batch.answer(&proof, 2);
+            let responses = packed_answers(batch, &proof, 2);
             assert!(pcp.check(batch.queries(), &responses, &io), "{pair:?}");
         }
-        assert!(zaatar_obs::counter("pcp.batch.query_reuse").get() >= reuses_before + 3);
     }
 
     #[test]

@@ -15,7 +15,6 @@ use zaatar_poly::domain::EvalDomain;
 use zaatar_transport::TransportError;
 
 use crate::commit::{decommit_packed_into, CommitmentKey, Decommitment};
-use crate::network::queries_from_seed;
 use crate::pcp::{BatchQuerySet, PcpResponses, QuerySet, ZaatarPcp, ZaatarProof};
 use crate::wire::{Reader, WireError, Writer};
 use crate::workspace::ProverWorkspace;
@@ -103,6 +102,25 @@ impl From<WireError> for SessionError {
     }
 }
 
+/// The per-batch query-generation seed, drawn by the verifier.
+fn fresh_seed(prg: &mut ChaChaPrg) -> [u8; 32] {
+    zaatar_obs::counter("network.seeds_drawn").inc();
+    let mut seed = [0u8; 32];
+    prg.fill_bytes(&mut seed);
+    seed
+}
+
+/// Regenerates the verifier's PCP query set from a public seed: both
+/// parties calling this with the same seed obtain identical queries.
+fn queries_from_seed<F: PrimeField, D: EvalDomain<F>>(
+    pcp: &ZaatarPcp<F, D>,
+    seed: [u8; 32],
+) -> QuerySet<F> {
+    zaatar_obs::counter("network.seed_derivations").inc();
+    let mut prg = ChaChaPrg::from_seed(seed);
+    pcp.generate_queries(&mut prg)
+}
+
 /// The verifier endpoint of a session.
 pub struct SessionVerifier<'p, F: HasGroup, D> {
     pcp: &'p ZaatarPcp<F, D>,
@@ -139,7 +157,7 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionVerifier<'p, F, D> {
         let n_h = pcp.qap().degree() + 1;
         let key_z = CommitmentKey::generate(n_z, prg);
         let key_h = CommitmentKey::generate(n_h, prg);
-        let query_seed = crate::network::fresh_seed(prg);
+        let query_seed = fresh_seed(prg);
         let queries = queries_from_seed(pcp, query_seed);
         let (t_z, alphas_z) = key_z.consistency_query(&queries.z_queries(), prg);
         let (t_h, alphas_h) = key_h.consistency_query(&queries.h_queries(), prg);
@@ -594,8 +612,38 @@ mod tests {
     }
 
     #[test]
+    fn seeded_queries_match_between_parties() {
+        let (pcp, _, _) = fixture(&[]);
+        let mut prg = ChaChaPrg::from_u64_seed(77);
+        let seed = fresh_seed(&mut prg);
+        let verifier_side = queries_from_seed(&pcp, seed);
+        let prover_side = queries_from_seed(&pcp, seed);
+        // Identical query vectors in both orderings.
+        let vq = verifier_side.z_queries();
+        let pq = prover_side.z_queries();
+        assert_eq!(vq.len(), pq.len());
+        for (a, b) in vq.iter().zip(pq.iter()) {
+            assert_eq!(a, b);
+        }
+        let vh = verifier_side.h_queries();
+        let ph = prover_side.h_queries();
+        for (a, b) in vh.iter().zip(ph.iter()) {
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let (pcp, _, _) = fixture(&[]);
+        let q1 = queries_from_seed(&pcp, [1u8; 32]);
+        let q2 = queries_from_seed(&pcp, [2u8; 32]);
+        assert_ne!(q1.z_queries()[0], q2.z_queries()[0]);
+    }
+
+    #[test]
     fn full_session_over_bytes() {
         let (pcp, proofs, ios) = fixture(&[[3, 7], [5, 5], [0, 9]]);
+        let reuses_before = zaatar_obs::counter("pcp.batch.query_reuse").get();
         let mut prg = ChaChaPrg::from_u64_seed(0x5e55);
         let mut verifier = SessionVerifier::new(&pcp, &mut prg);
         let mut prover = SessionProver::new(&pcp);
@@ -609,6 +657,8 @@ mod tests {
         }
         assert!(verifier.bytes_sent > 0);
         assert!(verifier.bytes_received > 0);
+        // One packed query generation served all three instances.
+        assert!(zaatar_obs::counter("pcp.batch.query_reuse").get() >= reuses_before + 3);
     }
 
     #[test]

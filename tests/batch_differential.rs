@@ -1,5 +1,6 @@
 //! Differential lockdown for the amortized batch query pipeline: the
-//! blocked matrix–vector kernel behind [`BatchQuerySet`] must produce
+//! blocked matrix–vector kernel the session answers with
+//! (`decommit_packed_into` over a [`BatchQuerySet`]'s matrices) must produce
 //! answers **byte-identical** to the serial per-instance reference
 //! (`generate_queries` + `answer`, one dense dot product per query) on
 //! the same ChaCha seed. Field addition is exact, so re-association in
@@ -54,6 +55,21 @@ fn fixture(inputs: &[[i64; 2]]) -> (Pcp, Vec<ZaatarProof<F61>>, Vec<Vec<F61>>) {
     (fx.pcp, fx.proofs, fx.ios)
 }
 
+/// The answers a session sends for `proof`: `decommit_packed_into` over
+/// the batch's packed matrices (its consistency answer is not compared,
+/// so `t` is the proof vector itself).
+fn packed_answers(
+    batch: &BatchQuerySet<F61>,
+    proof: &ZaatarProof<F61>,
+    workers: usize,
+) -> PcpResponses<F61> {
+    let answer = |u: &[F61], m| decommit_packed_into(u, m, u, workers, Vec::new()).answers;
+    PcpResponses {
+        z_answers: answer(&proof.z, batch.z_matrix()),
+        h_answers: answer(&proof.h, batch.h_matrix()),
+    }
+}
+
 fn response_bytes(r: &PcpResponses<F61>) -> Vec<u8> {
     r.z_answers
         .iter()
@@ -77,7 +93,7 @@ fn batched_answers_byte_identical_to_serial() {
             let mut prg = ChaChaPrg::from_u64_seed(seed);
             let batch = BatchQuerySet::new(pcp.generate_queries(&mut prg));
             for (p, reference) in proofs.iter().zip(&serial) {
-                let batched = batch.answer(p, workers);
+                let batched = packed_answers(&batch, p, workers);
                 assert_eq!(
                     response_bytes(&batched),
                     response_bytes(reference),
@@ -130,7 +146,7 @@ fn check_verdicts_agree_between_paths() {
         let batch = BatchQuerySet::new(pcp.generate_queries(&mut prg));
         for (p, io) in proofs.iter().zip(&ios) {
             let serial = pcp.answer(p, batch.queries());
-            let batched = batch.answer(p, 2);
+            let batched = packed_answers(&batch, p, 2);
             assert_eq!(
                 pcp.check(batch.queries(), &serial, io),
                 pcp.check(batch.queries(), &batched, io),

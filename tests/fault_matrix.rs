@@ -243,8 +243,7 @@ fn hostile_channel_session_keeps_its_verdicts_straight() {
 // ---------------------------------------------------------------------------
 // Heterogeneous-batch wave: the same seeded fault injector, but every
 // session carries a mixed-circuit batch (two distinct circuits
-// interleaved) through the hetero runtime endpoints. Capped via
-// `ZAATAR_SOAK_SCENARIOS` like the other sweeps.
+// interleaved) through the hetero runtime endpoints.
 // ---------------------------------------------------------------------------
 
 /// Two distinct circuits plus a four-instance interleaved batch layout.
@@ -369,12 +368,6 @@ fn hetero_fault_matrix_wave() {
                 }
             }
         }
-    }
-    if let Some(cap) = std::env::var("ZAATAR_SOAK_SCENARIOS")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-    {
-        scenarios.truncate(cap);
     }
 
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));

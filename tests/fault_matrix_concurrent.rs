@@ -14,8 +14,7 @@
 //!    after the drain, and a footprint bounded (≤ 2× warmup plateau)
 //!    across ~1000 session churns.
 //!
-//! `ZAATAR_SOAK_SCENARIOS=<n>` caps the sweep (used by the CI soak
-//! step for a bounded-runtime smoke); unset runs all 1008.
+//! Every run sweeps all 1008 scenarios.
 
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
@@ -201,14 +200,8 @@ fn run_client(fx: &CircuitFixture, sc: Scenario, mut vt: FaultyTransport<Loopbac
 #[test]
 fn fault_matrix_concurrent_against_one_server() {
     let fx = Arc::new(fixture());
-    let mut scenarios = all_scenarios();
+    let scenarios = all_scenarios();
     assert!(scenarios.len() >= 1000, "sweep too small: {}", scenarios.len());
-    if let Some(cap) = std::env::var("ZAATAR_SOAK_SCENARIOS")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-    {
-        scenarios.truncate(cap);
-    }
     const WAVE: usize = 8;
 
     let fault_config = FaultConfig {

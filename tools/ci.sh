@@ -9,7 +9,7 @@
 # 3. the same suite again under the release profile — the differential
 #    polynomial harness must agree with the naive references with
 #    optimizations on, not just under the checked dev profile;
-# 4. clippy over every target (libs, tests, benches, examples) with
+# 4. clippy over every target (libs, bins, tests, examples) with
 #    warnings promoted to errors;
 # 5. the required-test guard: the tests whose loss must fail CI by
 #    name, checked once against the suite's `--list` (step 3 already ran
@@ -18,7 +18,10 @@
 #    proptests and the golden transcript digests at one worker and at
 #    four — a different process environment, so not a re-run) and the
 #    out-of-workspace `zbench` package;
-# 7. the size ledger ROADMAP.md tracks, and the workspace's `unsafe`
+# 7. one tiny-scale run of the `network` and `microbench` evaluation
+#    binaries, so the Fig. 3 model and wire-cost formula
+#    (`zaatar_bench::cost`) and the domain-substitution rows execute;
+# 8. the size ledger ROADMAP.md tracks, and the workspace's `unsafe`
 #    count (0: every crate root carries `#![forbid(unsafe_code)]`).
 #
 # CI and pre-commit hooks should run exactly this script; anything it
@@ -50,7 +53,8 @@ cargo clippy --workspace --all-targets --locked -- -D warnings
 # `zbench` proves — LCS m=8 back over 4096 fails by name); byte-identical
 # transcripts against isolated sessions, across chunk lengths and across
 # policies, the 16x leak guard and the golden digests; `parallel_map`'s
-# contract and the `ZAATAR_WORKERS` pin.
+# contract and the `ZAATAR_WORKERS` pin; the wire-cost formula against
+# the encoded session messages, and the Fig. 3 cost model's tests.
 required_tests=(
     bad_quotient_prover_rejected
     non_linear_oracle_rejected
@@ -100,6 +104,17 @@ required_tests=(
     tests::items_holding_disjoint_mut_borrows_are_all_written
     tests::concurrent_panics_surface_exactly_one_payload
     zaatar_workers_env_pins_the_worker_count
+    network_model_counts_every_encoded_byte_on_f61_and_f128
+    cost::tests::derived_sizes_follow_section4
+    cost::tests::zaatar_prover_beats_ginger_prover
+    cost::tests::zaatar_breaks_even_much_earlier
+    cost::tests::break_even_none_when_processing_dominates
+    cost::tests::amortization_decreases_with_beta
+    cost::tests::degenerate_k2_flips_the_comparison
+    cost::tests::measured_micro_params_are_sane
+    cost::tests::paper_params_match_table
+    cost::tests::seeding_slashes_verifier_to_prover_bytes
+    cost::tests::prover_traffic_scales_with_batch
 )
 echo "==> required tests (${#required_tests[@]} names against the suite's --list)"
 listed="$(cargo test -q --workspace --locked --release -- --list)"
@@ -138,6 +153,13 @@ done
 # public-API change that breaks the benchmark fails here.
 echo "==> zbench smoke (out-of-workspace benchmark builds and runs)"
 bash zbench/run.sh --smoke
+
+# The evaluation binaries are built by step 1 but run by no test: run
+# the two that exercise `zaatar_bench::cost` and the domain rows once.
+echo "==> evaluation smoke (network, microbench at ZAATAR_SCALE=tiny)"
+for bin in network microbench; do
+    ZAATAR_SCALE=tiny cargo run -q --release --locked -p zaatar-bench --bin "$bin" >/dev/null
+done
 
 # The size ledger the ROADMAP's targets are read off (`core` `pub fn`
 # count; non-test `*.rs` lines per crate, i.e. `src/` up to the first
