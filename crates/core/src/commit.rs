@@ -2,9 +2,12 @@
 //!
 //! The verifier encrypts a random vector `r` and sends `Enc(r)`; the
 //! prover homomorphically evaluates its linear function on the
-//! ciphertexts and returns `e = Enc(π(r))` — this binds the prover to a
-//! fixed `π` *before* it sees any queries. At decommit time the verifier
-//! sends the PCP queries `q₁…q_µ` **plus** a consistency query
+//! ciphertexts and returns `e = Enc(π(r))`. In §2.2 this binds the
+//! prover to a fixed `π` *before* it sees any queries; the session does
+//! not keep that order yet. Its SETUP message carries `Enc(r)`, the query
+//! seed and `t` together, so the prover knows every query before it
+//! commits (ROADMAP item 1 restores the order). At decommit time the
+//! verifier sends the PCP queries `q₁…q_µ` **plus** a consistency query
 //! `t = r + α₁q₁ + … + α_µq_µ` with secret random `{αᵢ}`; a prover whose
 //! answers are inconsistent with the committed function passes the check
 //!
@@ -15,6 +18,8 @@
 //! only with small probability (\[53, Apdx A.2\]). Exponent arithmetic
 //! coincides with field arithmetic because the group order equals the
 //! field modulus (see `zaatar_crypto::group`).
+
+use std::ops::Range;
 
 use zaatar_crypto::{ChaChaPrg, Ciphertext, ElGamal, HasGroup, KeyPair};
 use zaatar_field::Field;
@@ -121,13 +126,36 @@ impl<F: HasGroup> CommitmentKey<F> {
 
     /// **Verifier side**: builds the consistency query
     /// `t = r + Σ αᵢ·qᵢ` for the given PCP queries, returning `(t, α)`
-    /// (the `α` stay secret with the verifier).
+    /// (the `α` stay secret with the verifier). `t` is computed across
+    /// the host's workers (`ZAATAR_WORKERS` honoured).
     pub fn consistency_query(&self, queries: &[&[F]], prg: &mut ChaChaPrg) -> (Vec<F>, Vec<F>) {
+        self.consistency_query_sharded(queries, prg, effective_workers(usize::MAX))
+    }
+
+    /// [`Self::consistency_query`] over `shards` column ranges: each
+    /// shard folds its stripe of every query into its stripe of `t`.
+    /// Columns are independent sums, so `t` is the same at every count.
+    fn consistency_query_sharded(
+        &self,
+        queries: &[&[F]],
+        prg: &mut ChaChaPrg,
+        shards: usize,
+    ) -> (Vec<F>, Vec<F>) {
         let _span = zaatar_obs::time("commit.consistency_query");
         let alphas: Vec<F> = prg.field_vec(queries.len());
         debug_assert!(queries.iter().all(|q| q.len() == self.r.len()), "query length mismatch");
         let mut t = self.r.clone();
-        F::add_scaled_rows(&mut t, &alphas, queries);
+        let mut stripes = Vec::new();
+        let mut rest = t.as_mut_slice();
+        for cols in shard_batch(self.r.len(), shards).into_iter().filter(|s| !s.is_empty()) {
+            let (stripe, tail) = rest.split_at_mut(cols.len());
+            rest = tail;
+            stripes.push((cols, stripe));
+        }
+        parallel_map(stripes, shards, |(cols, stripe): (Range<usize>, &mut [F])| {
+            let rows: Vec<&[F]> = queries.iter().map(|q| &q[cols.clone()]).collect();
+            F::add_scaled_rows(stripe, &alphas, &rows);
+        });
         (t, alphas)
     }
 
@@ -237,6 +265,26 @@ mod tests {
         let mut prg = ChaChaPrg::from_u64_seed(0x5a4d);
         let public = CommitmentKey::<F61>::generate(40, &mut prg);
         assert_eq!((public.r, prg.field_element::<F61>()), (serial.1, serial.2));
+    }
+
+    #[test]
+    fn consistency_query_is_identical_at_every_shard_count() {
+        // 37 columns, ragged against 2–4 shards: the same `t`, the same
+        // αs and the same next draw.
+        let (key, _, queries, prg) = setup(37, 9, 0xc0de);
+        let qrefs: Vec<&[F61]> = queries.iter().map(|q| q.as_slice()).collect();
+        let query = |shards: usize| {
+            let mut prg = prg.clone();
+            let (t, alphas) = key.consistency_query_sharded(&qrefs, &mut prg, shards);
+            (t, alphas, prg.field_element::<F61>())
+        };
+        let serial = query(1);
+        for shards in [2usize, 3, 4] {
+            assert_eq!(query(shards), serial, "shards={shards}");
+        }
+        let mut public = prg.clone();
+        let (t, alphas) = key.consistency_query(&qrefs, &mut public);
+        assert_eq!((t, alphas, public.field_element::<F61>()), serial);
     }
 
     #[test]

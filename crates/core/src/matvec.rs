@@ -37,24 +37,30 @@ pub struct QueryMatrix<F> {
 }
 
 impl<F: Field> QueryMatrix<F> {
-    /// An empty matrix of `cols`-long rows with room for `rows` of them.
-    pub(crate) fn with_capacity(rows: usize, cols: usize) -> Self {
-        QueryMatrix {
-            data: Vec::with_capacity(rows * cols),
-            rows: 0,
-            cols,
-        }
-    }
-
-    /// Appends one row.
+    /// The `rows × cols` matrix laid out row-major in `data`.
     ///
     /// # Panics
     ///
-    /// Panics if `row` does not yield exactly `cols` elements.
-    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = F>) {
-        self.data.extend(row);
-        self.rows += 1;
-        assert_eq!(self.data.len(), self.rows * self.cols, "query rows must have equal length");
+    /// Panics if `data` does not hold exactly `rows × cols` elements.
+    pub(crate) fn from_parts(data: Vec<F>, rows: usize, cols: usize) -> Self {
+        assert_eq!(data.len(), rows * cols, "query rows must have equal length");
+        QueryMatrix { data, rows, cols }
+    }
+
+    /// The matrix as consecutive blocks of `rows_per_block` rows each
+    /// (`rows_per_block` must divide the row count), for builders that
+    /// write disjoint blocks from different workers.
+    pub(crate) fn row_blocks_mut(&mut self, rows_per_block: usize) -> Vec<&mut [F]> {
+        debug_assert_eq!(self.rows % rows_per_block, 0, "blocks must tile the rows");
+        let block_len = rows_per_block * self.cols;
+        let mut rest = self.data.as_mut_slice();
+        (0..self.rows / rows_per_block)
+            .map(|_| {
+                let (block, tail) = std::mem::take(&mut rest).split_at_mut(block_len);
+                rest = tail;
+                block
+            })
+            .collect()
     }
 
     /// Packs `rows` (all of length `cols`) into a contiguous matrix.
@@ -64,11 +70,12 @@ impl<F: Field> QueryMatrix<F> {
     /// Panics if any row's length differs from the first row's.
     pub fn pack(rows: &[&[F]]) -> Self {
         let cols = rows.first().map_or(0, |r| r.len());
-        let mut m = Self::with_capacity(rows.len(), cols);
-        for row in rows {
-            m.push_row(row.iter().copied());
+        assert!(rows.iter().all(|r| r.len() == cols), "query rows must have equal length");
+        QueryMatrix {
+            data: rows.concat(),
+            rows: rows.len(),
+            cols,
         }
-        m
     }
 
     /// Number of queries (rows).

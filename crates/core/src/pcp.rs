@@ -18,6 +18,7 @@
 use zaatar_crypto::ChaChaPrg;
 use zaatar_field::{Field, PrimeField};
 use zaatar_poly::domain::EvalDomain;
+use zaatar_sched::{effective_workers, parallel_map};
 
 use crate::matvec::QueryMatrix;
 use crate::qap::{fold_bound, Qap, QapWitness};
@@ -234,48 +235,71 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
     }
 
     /// The verifier's query generation (Fig. 10), deriving all
-    /// randomness from `prg`.
+    /// randomness from `prg`; the repetitions' rows are built across
+    /// the host's workers (`ZAATAR_WORKERS` honoured).
     pub fn generate_queries(&self, prg: &mut ChaChaPrg) -> QuerySet<F> {
+        self.generate_queries_sharded(prg, effective_workers(usize::MAX))
+    }
+
+    /// [`Self::generate_queries`] with the correction queries spread
+    /// over `shards` workers. Every draw is made first, in transcript
+    /// order: per repetition, one [`ChaChaPrg::fill_field`] over its
+    /// linearity rows — `q₅, q₆` for z, then `q₈, q₉` for h, triple by
+    /// triple — which are appended with `q₇ = q₅ + q₆` and
+    /// `q₁₀ = q₈ + q₉`, then `τ`. Each worker then writes its
+    /// repetitions' `q₁…q₄` from `evals_at(τ)` into their own rows. So
+    /// the queries are the same at every count.
+    fn generate_queries_sharded(&self, prg: &mut ChaChaPrg, shards: usize) -> QuerySet<F> {
         let _span = zaatar_obs::time("pcp.generate_queries");
         let PcpParams { rho, rho_lin } = self.params;
         let n_prime = self.qap.var_map().num_unbound();
         let n_h = self.qap.degree() + 1;
-        let mut z = QueryMatrix::with_capacity(rho * (3 * rho_lin + 3), n_prime);
-        let mut h = QueryMatrix::with_capacity(rho * (3 * rho_lin + 1), n_h);
-        let mut reps = Vec::with_capacity(rho);
+        let (z_rows, h_rows) = (3 * rho_lin + 3, 3 * rho_lin + 1);
+        let mut z = Vec::with_capacity(rho * z_rows * n_prime);
+        let mut h = Vec::with_capacity(rho * h_rows * n_h);
+        // One repetition's draws at a time: holding every repetition's
+        // would page in a second copy of two thirds of the matrices.
+        let triple_draws = 2 * (n_prime + n_h);
+        let mut drawn = vec![F::ZERO; rho_lin * triple_draws];
+        let mut taus = Vec::with_capacity(rho);
         for _ in 0..rho {
-            // This repetition's `q₅` and `q₈`: the first rows it appends.
-            let (q5, q8) = (z.num_rows(), h.num_rows());
-            for _ in 0..rho_lin {
-                // Draw order is part of the transcript: `q₅, q₆` for z,
-                // then `q₈, q₉` for h, triple by triple.
-                for m in [&mut z, &mut h] {
-                    let (r, n) = (m.num_rows(), m.num_cols());
-                    m.push_row((0..n).map(|_| prg.field_element()));
-                    m.push_row((0..n).map(|_| prg.field_element()));
-                    m.push_row(add_vecs(m.row(r), m.row(r + 1)));
+            prg.fill_field(&mut drawn);
+            for triple in drawn.chunks_exact(triple_draws) {
+                let (dz, dh) = triple.split_at(2 * n_prime);
+                push_linearity_triple(&mut z, dz);
+                push_linearity_triple(&mut h, dh);
+            }
+            // Room for `q₁…q₃` and `q₄`, written below.
+            z.resize(z.len() + 3 * n_prime, F::ZERO);
+            h.resize(h.len() + n_h, F::ZERO);
+            taus.push(prg.field_element());
+        }
+        let mut z = QueryMatrix::from_parts(z, rho * z_rows, n_prime);
+        let mut h = QueryMatrix::from_parts(h, rho * h_rows, n_h);
+        let work: Vec<_> = taus.into_iter().zip(z.row_blocks_mut(z_rows)).zip(h.row_blocks_mut(h_rows)).collect();
+        let reps = parallel_map(work, shards, |((tau, zs), hs)| {
+            // `q₁…q₃ = q_{a,b,c} + q₅` and `q₄ = (1, τ, …, τ^{n_h − 1}) + q₈`.
+            let evals = self.qap.evals_at(tau);
+            let (linear, correction) = zs.split_at_mut(3 * rho_lin * n_prime);
+            let q5 = &linear[..n_prime];
+            for (i, q) in [&evals.qa, &evals.qb, &evals.qc].into_iter().enumerate() {
+                for ((slot, a), b) in correction[i * n_prime..(i + 1) * n_prime].iter_mut().zip(q).zip(q5) {
+                    *slot = *a + *b;
                 }
             }
-            // Divisibility correction queries.
-            let tau: F = prg.field_element();
-            let evals = self.qap.evals_at(tau);
-            for q in [&evals.qa, &evals.qb, &evals.qc] {
-                z.push_row(add_vecs(q, z.row(q5)));
+            let (linear, q4) = hs.split_at_mut(3 * rho_lin * n_h);
+            let mut power = F::ONE;
+            for (slot, q8) in q4.iter_mut().zip(&linear[..n_h]) {
+                *slot = power + *q8;
+                power *= tau;
             }
-            let mut qd = Vec::with_capacity(n_h);
-            let mut acc = F::ONE;
-            for _ in 0..n_h {
-                qd.push(acc);
-                acc *= tau;
-            }
-            h.push_row(add_vecs(&qd, h.row(q8)));
-            reps.push(Rep {
+            Rep {
                 d_tau: evals.d_tau,
                 a_bound: evals.a_bound,
                 b_bound: evals.b_bound,
                 c_bound: evals.c_bound,
-            });
-        }
+            }
+        });
         QuerySet { z, h, reps }
     }
 
@@ -346,9 +370,12 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
     }
 }
 
-fn add_vecs<F: Field>(a: &[F], b: &[F]) -> Vec<F> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| *x + *y).collect()
+/// Appends one linearity triple's rows `q₅, q₆, q₇ = q₅ + q₆` from its
+/// drawn `q₅ ‖ q₆`.
+fn push_linearity_triple<F: Field>(rows: &mut Vec<F>, drawn: &[F]) {
+    let (q5, q6) = drawn.split_at(drawn.len() / 2);
+    rows.extend_from_slice(drawn);
+    rows.extend(q5.iter().zip(q6).map(|(a, b)| *a + *b));
 }
 
 #[cfg(test)]
@@ -356,7 +383,7 @@ mod tests {
     use super::*;
     use crate::commit::decommit_packed_into;
     use zaatar_cc::{ginger_to_quad, Builder, QuadSystem};
-    use zaatar_field::F61;
+    use zaatar_field::{F128, F61};
     use zaatar_poly::{ArithDomain, Radix2Domain};
 
     fn f(x: i64) -> F61 {
@@ -364,8 +391,9 @@ mod tests {
     }
 
     /// y = min(a², b²) — exercises mul, comparison, mux.
-    fn build() -> (QuadSystem<F61>, zaatar_cc::builder::WitnessSolver<F61>, zaatar_cc::transform::QuadTransform<F61>) {
-        let mut b = Builder::<F61>::new();
+    #[allow(clippy::type_complexity)]
+    fn build<F: PrimeField>() -> (QuadSystem<F>, zaatar_cc::builder::WitnessSolver<F>, zaatar_cc::transform::QuadTransform<F>) {
+        let mut b = Builder::<F>::new();
         let a = b.alloc_input();
         let bb = b.alloc_input();
         let a2 = b.square(&a);
@@ -384,7 +412,7 @@ mod tests {
         QapWitness<F61>,
         Vec<F61>,
     ) {
-        let (sys, solver, t) = build();
+        let (sys, solver, t) = build::<F61>();
         let asg = solver.solve(inputs).unwrap();
         let ext = t.extend_assignment(&asg);
         assert!(sys.is_satisfied(&ext));
@@ -573,7 +601,7 @@ mod tests {
 
     #[test]
     fn works_on_arith_domain() {
-        let (sys, solver, t) = build();
+        let (sys, solver, t) = build::<F61>();
         let asg = solver.solve(&[f(4), f(6)]).unwrap();
         let ext = t.extend_assignment(&asg);
         let qap = Qap::with_domain(&sys, ArithDomain::<F61>::new(sys.constraints.len()));
@@ -595,6 +623,47 @@ mod tests {
         let mut bad = responses.clone();
         bad.z_answers[0] -= F61::ONE;
         assert!(!pcp.check(&queries, &bad, &io));
+    }
+
+    /// Every query of `q` and every verifier secret, for comparisons.
+    #[allow(clippy::type_complexity)]
+    fn contents<F: Field>(q: &QuerySet<F>) -> (Vec<&[F]>, Vec<&[F]>, Vec<(F, &[F], &[F], &[F])>) {
+        let reps = q.reps.iter().map(|r| (r.d_tau, &r.a_bound[..], &r.b_bound[..], &r.c_bound[..])).collect();
+        (q.z_queries(), q.h_queries(), reps)
+    }
+
+    /// One query set on F128 at `params`, and the PRG after drawing it.
+    fn f128_queries(params: PcpParams, shards: usize) -> (QuerySet<F128>, ChaChaPrg, usize, usize) {
+        let (sys, _, _) = build::<F128>();
+        let pcp: ZaatarPcp<F128, Radix2Domain<F128>> = ZaatarPcp::new(Qap::new(&sys), params);
+        let mut prg = ChaChaPrg::from_u64_seed(0xd7a3);
+        let queries = pcp.generate_queries_sharded(&mut prg, shards);
+        (queries, prg, pcp.qap().var_map().num_unbound(), pcp.qap().degree() + 1)
+    }
+
+    /// The query set draws `ρ·(2ρ_lin·(n′ + n_h) + 1)` field elements:
+    /// `q₁…q₄`, `q₇` and `q₁₀` are derived. On F128 a draw takes
+    /// `2·NUM_WORDS` keystream words and no candidate is rejected at
+    /// these sizes, so the PRG must sit exactly that many words in.
+    #[test]
+    fn query_generation_draws_rho_times_linearity_rows_plus_tau() {
+        let params = PcpParams::default();
+        let (_, mut prg, n_prime, n_h) = f128_queries(params, 2);
+        let draws = params.rho * (2 * params.rho_lin * (n_prime + n_h) + 1);
+        let mut expect = ChaChaPrg::from_u64_seed(0xd7a3);
+        for _ in 0..draws * 2 * F128::NUM_WORDS {
+            expect.next_u32();
+        }
+        assert_eq!(prg.next_u64(), expect.next_u64(), "{draws} draws expected");
+    }
+
+    #[test]
+    fn generate_queries_is_identical_at_every_shard_count() {
+        let params = PcpParams { rho: 3, rho_lin: 4 };
+        let (serial, mut serial_prg, _, _) = f128_queries(params, 1);
+        let (sharded, mut sharded_prg, _, _) = f128_queries(params, 4);
+        assert_eq!(contents(&sharded), contents(&serial));
+        assert_eq!(sharded_prg.next_u64(), serial_prg.next_u64());
     }
 
     #[test]

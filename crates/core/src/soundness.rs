@@ -11,7 +11,11 @@
 //! `6δ² − 3δ + 2/9 = 0`. The first term bounds the probability that a
 //! far-from-linear oracle survives all `ρ_lin` linearity tests; the
 //! second covers self-correction and the divisibility test's random-τ
-//! error. The paper picks `δ = 0.0294`, `ρ_lin = 20`, giving
+//! error. Its field term counts the points of the domain `τ` is tested
+//! against: the paper's domain has `|C|` points, ours is padded to the
+//! evaluation-domain size `n = Qap::degree()` (`|C| ≤ n < 2|C|`), so
+//! every function below takes `n`, not the constraint count.
+//! The paper picks `δ = 0.0294`, `ρ_lin = 20`, giving
 //! `κ = 0.177`, then `ρ = 8` repetitions for `κ^ρ < 9.6×10⁻⁷`; the full
 //! argument adds a commitment error of `9µ·|F|^(−1/3)`.
 
@@ -22,15 +26,16 @@ pub fn linearity_term(delta: f64, rho_lin: usize) -> f64 {
     (1.0 - 3.0 * delta + 6.0 * delta * delta).powi(rho_lin as i32)
 }
 
-/// The self-correction/divisibility term `6δ + 2·|C|/|F|`.
-pub fn correction_term(delta: f64, num_constraints: f64, field_bits: u32) -> f64 {
-    6.0 * delta + 2.0 * num_constraints / 2f64.powi(field_bits as i32)
+/// The self-correction/divisibility term `6δ + 2·n/|F|`, where `n` is
+/// the evaluation-domain size (`Qap::degree()`; App. A.2 writes `|C|`).
+pub fn correction_term(delta: f64, domain_size: f64, field_bits: u32) -> f64 {
+    6.0 * delta + 2.0 * domain_size / 2f64.powi(field_bits as i32)
 }
 
-/// Per-repetition soundness error bound `κ(δ)` for a given constraint
-/// count and field size.
-pub fn kappa(delta: f64, rho_lin: usize, num_constraints: f64, field_bits: u32) -> f64 {
-    linearity_term(delta, rho_lin).max(correction_term(delta, num_constraints, field_bits))
+/// Per-repetition soundness error bound `κ(δ)` for a given
+/// evaluation-domain size and field size.
+pub fn kappa(delta: f64, rho_lin: usize, domain_size: f64, field_bits: u32) -> f64 {
+    linearity_term(delta, rho_lin).max(correction_term(delta, domain_size, field_bits))
 }
 
 /// `δ*`: the lesser root of `6δ² − 3δ + 2/9 = 0` (≈ 0.0904); the
@@ -44,13 +49,13 @@ pub fn delta_star() -> f64 {
 /// Minimizes `κ(δ)` over `δ ∈ (0, δ*)` by ternary search (the optimum
 /// balances the decreasing linearity term against the increasing
 /// correction term — "we choose δ to minimize break-even batch sizes").
-pub fn optimize_delta(rho_lin: usize, num_constraints: f64, field_bits: u32) -> (f64, f64) {
+pub fn optimize_delta(rho_lin: usize, domain_size: f64, field_bits: u32) -> (f64, f64) {
     let (mut lo, mut hi) = (1e-6, delta_star() - 1e-9);
     for _ in 0..200 {
         let m1 = lo + (hi - lo) / 3.0;
         let m2 = hi - (hi - lo) / 3.0;
-        if kappa(m1, rho_lin, num_constraints, field_bits)
-            < kappa(m2, rho_lin, num_constraints, field_bits)
+        if kappa(m1, rho_lin, domain_size, field_bits)
+            < kappa(m2, rho_lin, domain_size, field_bits)
         {
             hi = m2;
         } else {
@@ -58,12 +63,12 @@ pub fn optimize_delta(rho_lin: usize, num_constraints: f64, field_bits: u32) -> 
         }
     }
     let delta = (lo + hi) / 2.0;
-    (delta, kappa(delta, rho_lin, num_constraints, field_bits))
+    (delta, kappa(delta, rho_lin, domain_size, field_bits))
 }
 
 /// The PCP soundness error `κ^ρ` for the given parameters.
-pub fn pcp_error(params: PcpParams, num_constraints: f64, field_bits: u32) -> f64 {
-    let (_, k) = optimize_delta(params.rho_lin, num_constraints, field_bits);
+pub fn pcp_error(params: PcpParams, domain_size: f64, field_bits: u32) -> f64 {
+    let (_, k) = optimize_delta(params.rho_lin, domain_size, field_bits);
     k.powi(params.rho as i32)
 }
 
@@ -74,8 +79,8 @@ pub fn commitment_error(num_queries: usize, field_bits: u32) -> f64 {
 }
 
 /// Total argument soundness error: `κ^ρ + 9µ·|F|^(−1/3)`.
-pub fn argument_error(params: PcpParams, num_constraints: f64, field_bits: u32) -> f64 {
-    pcp_error(params, num_constraints, field_bits)
+pub fn argument_error(params: PcpParams, domain_size: f64, field_bits: u32) -> f64 {
+    pcp_error(params, domain_size, field_bits)
         + commitment_error(params.total_queries(), field_bits)
 }
 
@@ -89,8 +94,8 @@ pub fn argument_error(params: PcpParams, num_constraints: f64, field_bits: u32) 
 /// it exercises every protocol path (including rejection of malicious
 /// provers, which fail checks with overwhelming probability regardless
 /// of `κ`) but offers no production-grade soundness.
-pub fn light_profile_error(num_constraints: f64, field_bits: u32) -> f64 {
-    pcp_error(PcpParams::light(), num_constraints, field_bits)
+pub fn light_profile_error(domain_size: f64, field_bits: u32) -> f64 {
+    pcp_error(PcpParams::light(), domain_size, field_bits)
 }
 
 #[cfg(test)]

@@ -108,7 +108,7 @@ fn main() {
         result.accepted[0],
         soundness::argument_error(
             params,
-            zstats.num_constraints as f64,
+            pcp.qap().degree() as f64,
             F128::NUM_BITS,
         )
     );

@@ -6,8 +6,9 @@
 //! A policy changes where and when work happens (threads, chunks),
 //! never the field/group values that reach the wire.
 
-use zaatar::apps::GadgetApp;
-use zaatar::cc::ginger_to_quad;
+use zaatar::apps::pam::Pam;
+use zaatar::apps::{GadgetApp, Suite};
+use zaatar::cc::{ginger_to_quad, GingerSystem};
 use zaatar::core::pcp::{PcpParams, ZaatarPcp, ZaatarProof};
 use zaatar::core::qap::Qap;
 use zaatar::core::runtime::{prove_batch_with_policy, prove_instance_policied};
@@ -15,7 +16,7 @@ use zaatar::core::session::{SessionProver, SessionVerifier};
 use zaatar::core::testutil::mul_fixture;
 use zaatar::core::workspace::ProverWorkspace;
 use zaatar::crypto::{ChaChaPrg, HasGroup};
-use zaatar::field::{PrimeField, F128};
+use zaatar::field::{PrimeField, F128, F220};
 use zaatar::mem::MemBudget;
 use zaatar::poly::domain::EvalDomain;
 use zaatar::poly::Radix2Domain;
@@ -302,6 +303,34 @@ fn golden_transcripts_match_the_recorded_digests() {
             "F128 transcript moved under {policy:?}"
         );
     }
+}
+
+/// The golden set-up messages at the paper's parameters
+/// (`PcpParams::default()`): FNV-1a of `SessionVerifier::setup_message()`
+/// for `single_f220`'s circuit (PAM m=4, d=3) on F220 and for the
+/// hash-chain gadget on F128. Keygen's `r` and `k`, every query row and
+/// the αs reach these bytes through `t`, at sizes past the PRG's
+/// sharding threshold, so a sharded draw that lands one word off moves
+/// them. The constants were recorded in a scratch clone of `f236d23`,
+/// the parent of the change that shards the PRG and query generation,
+/// before any code changed (release and dev, `ZAATAR_WORKERS` unset / 1
+/// / 4, all equal).
+#[test]
+fn golden_setup_messages_match_the_recorded_digests() {
+    const GOLDEN_F220_PAM_SETUP: u64 = 3085312780646069345;
+    const GOLDEN_F128_HASH_CHAIN_SETUP: u64 = 4003578537301162547;
+    fn setup_digest<F: HasGroup + PrimeField>(sys: &GingerSystem<F>) -> u64 {
+        let transform = ginger_to_quad(sys);
+        let pcp: ZaatarPcp<F, Radix2Domain<F>> =
+            ZaatarPcp::new(Qap::new(&transform.system), PcpParams::default());
+        let mut prg = ChaChaPrg::from_u64_seed(20130415);
+        let setup = SessionVerifier::new(&pcp, &mut prg).setup_message().expect("setup");
+        setup.iter().fold(0xcbf2_9ce4_8422_2325u64, |d, &b| (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+    let pam = zaatar::apps::build::<F220>(&Suite::Pam(Pam { m: 4, d: 3 }));
+    assert_eq!(setup_digest(&pam.compiled.ginger), GOLDEN_F220_PAM_SETUP, "F220 PAM set-up moved");
+    let (hash_chain, _) = GadgetApp::HashChain.build::<F128>();
+    assert_eq!(setup_digest(&hash_chain), GOLDEN_F128_HASH_CHAIN_SETUP, "F128 hash-chain set-up moved");
 }
 
 /// A two-worker instance runs its two ciphertext components on two

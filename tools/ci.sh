@@ -53,8 +53,12 @@ cargo clippy --workspace --all-targets --locked -- -D warnings
 # `zbench` proves — LCS m=8 back over 4096 fails by name); byte-identical
 # transcripts against isolated sessions, across chunk lengths and across
 # policies, the 16x leak guard and the golden digests; `parallel_map`'s
-# contract and the `ZAATAR_WORKERS` pin; the wire-cost formula against
-# the encoded session messages, and the Fig. 3 cost model's tests.
+# contract and the `ZAATAR_WORKERS` pin; the sharded set-up (the PRG's
+# seek-and-redraw sampler against sequential draws, query generation and
+# the consistency query at every shard count, the per-batch draw count,
+# and the SETUP digests at the paper's parameters); the wire-cost
+# formula against the encoded session messages, and the Fig. 3 cost
+# model's tests.
 required_tests=(
     bad_quotient_prover_rejected
     non_linear_oracle_rejected
@@ -104,6 +108,12 @@ required_tests=(
     tests::items_holding_disjoint_mut_borrows_are_all_written
     tests::concurrent_panics_surface_exactly_one_payload
     zaatar_workers_env_pins_the_worker_count
+    chacha::tests::sharded_fill_matches_sequential_draws
+    chacha::tests::sharded_fill_redraws_after_rejections
+    pcp::tests::generate_queries_is_identical_at_every_shard_count
+    pcp::tests::query_generation_draws_rho_times_linearity_rows_plus_tau
+    commit::tests::consistency_query_is_identical_at_every_shard_count
+    golden_setup_messages_match_the_recorded_digests
     network_model_counts_every_encoded_byte_on_f61_and_f128
     cost::tests::derived_sizes_follow_section4
     cost::tests::zaatar_prover_beats_ginger_prover
