@@ -1,12 +1,13 @@
 //! The end-to-end batched argument system (Fig. 2, with Zaatar's PCP in
 //! place of the classical one), run in one process.
 //!
-//! There is one implementation of the argument: [`crate::session`]. The
+//! There is one implementation of the argument: the served session. The
 //! in-process driver here runs exactly that — the verifier's batch
-//! set-up travels as an encoded setup message, each instance's
-//! commitments and answers travel back as an encoded prover message —
-//! so a quickstart run exercises the seed-derived queries (App. A.3),
-//! the wire codec and the Answer stage a served session does. The
+//! set-up travels as an `HSETUP` frame into the prover's
+//! [`ProverMachine`], each instance's commitments and answers travel
+//! back as an `INSTANCE_RESP` frame — so a quickstart run exercises the
+//! seed-derived queries (App. A.3), the wire codec, the response cache
+//! and the Answer stage a served session does. The
 //! Ginger baseline has no session form; its driver spells the same
 //! commitment protocol over Ginger's `(z, z⊗z)` oracles.
 //!
@@ -19,11 +20,13 @@ use std::time::{Duration, Instant};
 use zaatar_crypto::{ChaChaPrg, Ciphertext, HasGroup};
 use zaatar_field::PrimeField;
 use zaatar_poly::domain::EvalDomain;
+use zaatar_transport::Frame;
 
 use crate::commit::{decommit, CommitmentKey, Decommitment};
 use crate::ginger::{GingerPcp, GingerProof, GingerResponses};
 use crate::pcp::{ZaatarPcp, ZaatarProof};
-use crate::session::{SessionProver, SessionVerifier};
+use crate::runtime::{msg, ProverMachine, ProverStep};
+use crate::session::HeteroSessionVerifier;
 use crate::workspace::ProverWorkspace;
 
 /// Result of a batched run.
@@ -44,7 +47,9 @@ pub struct BatchResult {
 
 /// Convenience driver: runs the whole batched argument for pre-built
 /// proofs (honest or adversarial) and per-instance io vectors as one
-/// [`crate::session`] over in-memory byte messages.
+/// served session in memory — a one-circuit [`HeteroSessionVerifier`]
+/// whose `HSETUP` and `INSTANCE_REQ` frames are stepped through a
+/// [`ProverMachine`], response cache included.
 pub fn run_batched_argument<F: HasGroup + PrimeField, D: EvalDomain<F>>(
     pcp: &ZaatarPcp<F, D>,
     proofs: &[ZaatarProof<F>],
@@ -52,35 +57,35 @@ pub fn run_batched_argument<F: HasGroup + PrimeField, D: EvalDomain<F>>(
     seed: u64,
 ) -> BatchResult {
     assert_eq!(proofs.len(), ios.len(), "one io vector per proof");
-    let mut prg = ChaChaPrg::from_u64_seed(seed);
+    let (pcps, circuit_ids) = ([pcp], vec![0; proofs.len()]);
     let start = Instant::now();
-    let mut verifier = SessionVerifier::new(pcp, &mut prg);
+    let mut verifier =
+        HeteroSessionVerifier::new(&pcps, &circuit_ids, &ChaChaPrg::from_u64_seed(seed));
     let setup = verifier
         .setup_message()
         .expect("computation fits the wire format");
     let verifier_setup = start.elapsed();
 
-    let mut prover = SessionProver::new(pcp);
-    prover
-        .receive_setup(&setup)
-        .expect("setup for the same computation validates");
+    let mut prover = ProverMachine::new(&pcps, &circuit_ids, proofs);
     let mut ws = ProverWorkspace::new();
+    let mut step = |frame: Frame| match prover.step(&frame, &mut ws) {
+        ProverStep::Reply(reply) => reply,
+        other => panic!("an unlimited workspace answers every frame: {other:?}"),
+    };
+    let ack = step(Frame::new(msg::HSETUP, 0, setup));
+    assert_eq!(ack.msg_type, msg::SETUP_ACK, "setup for the same computation validates");
     let start = Instant::now();
-    let messages: Vec<Vec<u8>> = proofs
-        .iter()
-        .map(|p| {
-            prover
-                .instance_message_policied(p, &mut ws)
-                .expect("unlimited budget never refuses a lease")
-        })
+    let responses: Vec<Frame> = (0..proofs.len() as u32)
+        .map(|i| step(Frame::new(msg::INSTANCE_REQ, i + 1, i.to_le_bytes().to_vec())))
         .collect();
     let prover_total = start.elapsed();
 
     let start = Instant::now();
-    let accepted = messages
+    let accepted = responses
         .iter()
         .zip(ios)
-        .map(|(m, io)| verifier.verify_instance(m, io).unwrap_or(false))
+        .enumerate()
+        .map(|(i, (r, io))| verifier.verify_instance(i, &r.payload, io).unwrap_or(false))
         .collect();
     BatchResult {
         accepted,

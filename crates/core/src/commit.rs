@@ -4,9 +4,9 @@
 //! prover homomorphically evaluates its linear function on the
 //! ciphertexts and returns `e = Enc(π(r))`. In §2.2 this binds the
 //! prover to a fixed `π` *before* it sees any queries; the session does
-//! not keep that order yet. Its SETUP message carries `Enc(r)`, the query
-//! seed and `t` together, so the prover knows every query before it
-//! commits (ROADMAP item 1 restores the order). At decommit time the
+//! not keep that order yet. Its one setup frame, `HSETUP`, carries each
+//! circuit's `Enc(r)`, query seed and `t` together, so the prover knows
+//! every query before it commits (ROADMAP item 1 restores the order). At decommit time the
 //! verifier sends the PCP queries `q₁…q_µ` **plus** a consistency query
 //! `t = r + α₁q₁ + … + α_µq_µ` with secret random `{αᵢ}`; a prover whose
 //! answers are inconsistent with the committed function passes the check

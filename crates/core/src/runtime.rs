@@ -5,17 +5,19 @@
 //! The message sequence mirrors [`crate::session`]:
 //!
 //! ```text
-//! V → P   SETUP (seq 0)        commitment keys, query seed, t-vectors
+//! V → P   HSETUP (seq 0)       per circuit: commitment keys, query seed,
+//!                              t-vectors; then the instance→circuit map
 //! P → V   SETUP_ACK (seq 0)    or ERROR if the setup failed validation
 //! V → P   INSTANCE_REQ (seq i+1, payload = LE32 instance index)
 //! P → V   INSTANCE_RESP        commitments + decommitments
 //! V → P   DONE                 best-effort session close
 //! ```
 //!
-//! Each side of that sequence is written once: [`ProverMachine`] is the
-//! prover's transport-free state machine (pumped by the blocking loops
-//! here and by the `zaatar-server` poll loop), and one private driver
-//! sits behind both `run_*_session_verifier` entries.
+//! A single-circuit session is the one-circuit case of that sequence.
+//! Each side is written once: [`ProverMachine`] is the prover's
+//! transport-free state machine (pumped by the blocking loop here, by
+//! the `zaatar-server` poll loop and by the in-process argument), and
+//! [`run_hetero_session_verifier`] is the verifier's driver.
 //!
 //! Every exchange is idempotent — the setup is deterministic state, and
 //! each instance response is computed once and cached — so the retry
@@ -37,15 +39,15 @@ use zaatar_transport::{exchange, Frame, RetryPolicy, Transport, TransportError};
 
 use crate::pcp::{ZaatarPcp, ZaatarProof};
 use crate::qap::QapWitness;
-use crate::session::{
-    HeteroSessionProver, HeteroSessionVerifier, SessionError, SessionVerifier,
-};
+use crate::session::{HeteroSessionProver, HeteroSessionVerifier, SessionError};
 use crate::wire::WireError;
 use crate::workspace::ProverWorkspace;
 
 /// Frame `msg_type` values of the session protocol.
 pub mod msg {
-    /// V → P: the batch setup message.
+    /// Retired: the single-circuit setup frame. A prover answers it
+    /// `ERROR(MALFORMED)`; a one-circuit session sends a C = 1
+    /// [`HSETUP`].
     pub const SETUP: u8 = 1;
     /// P → V: setup received and validated.
     pub const SETUP_ACK: u8 = 2;
@@ -57,8 +59,8 @@ pub mod msg {
     pub const ERROR: u8 = 5;
     /// V → P: the session is over (best effort).
     pub const DONE: u8 = 6;
-    /// V → P: the heterogeneous batch setup (several circuits in one
-    /// session; see `crate::session::HeteroSessionVerifier`).
+    /// V → P: the batch setup, for one or several circuits (see
+    /// `crate::session::HeteroSessionVerifier`).
     pub const HSETUP: u8 = 7;
 }
 
@@ -185,28 +187,73 @@ impl SessionReport {
     }
 }
 
-/// The verifier's message sequence, shared by both session families:
-/// one fatal exchange of the `setup` frame ([`msg::SETUP`] or
-/// [`msg::HSETUP`], seq 0), then one `INSTANCE_REQ` exchange per claimed
-/// io, each response judged by `verify(i, payload, io)`, then a
-/// best-effort `DONE`.
-///
-/// Setup failure (the one message the whole batch depends on) is the
-/// only fatal path. After setup, per-instance failures degrade to their
-/// [`VerifyOutcome`] and the loop continues — except a closed channel,
-/// which times out the current and all remaining instances.
-fn drive_verifier<F, T: Transport>(
+/// Runs the verifier's side of a batched argument session over
+/// `transport`, claiming the io vectors in `ios`: the one-circuit case
+/// of [`run_hetero_session_verifier`].
+pub fn run_session_verifier<F, D, T>(
     transport: &mut T,
-    setup: Frame,
+    pcp: &ZaatarPcp<F, D>,
     ios: &[Vec<F>],
     policy: &RetryPolicy,
-    retry_prg: &mut ChaChaPrg,
-    started: Instant,
-    mut verify: impl FnMut(usize, &[u8], &[F]) -> Result<bool, WireError>,
-) -> Result<SessionReport, SessionError> {
+    prg: &mut ChaChaPrg,
+) -> Result<SessionReport, SessionError>
+where
+    F: HasGroup + PrimeField,
+    D: EvalDomain<F>,
+    T: Transport,
+{
+    run_hetero_session_verifier(transport, &[pcp], &vec![0; ios.len()], ios, policy, prg)
+}
+
+/// Runs the verifier's side of a batched session: `pcps` are the
+/// circuits, `circuit_ids[i]` names the circuit of instance `i`, and
+/// `ios[i]` is that instance's claimed io in its circuit's QAP order.
+///
+/// The session draws a 32-byte seed from `prg` and derives all its
+/// secrets from a PRG of its own on that seed (per-circuit secrets
+/// through [`HeteroSessionVerifier::new`], retry jitter from stream 1),
+/// so successive sessions run from one `prg` never share a key, `r`,
+/// query seed or `α`.
+///
+/// The sequence is the module's: one fatal [`msg::HSETUP`] exchange
+/// (seq 0), one `INSTANCE_REQ` exchange per claimed io, then a
+/// best-effort `DONE`. Setup failure (the one message the whole batch
+/// depends on) is the only fatal path. After setup, per-instance
+/// failures degrade to their [`VerifyOutcome`] and the loop continues —
+/// except a closed channel, which times out the current and all
+/// remaining instances. Instance indexes travel as LE32 and frame seqs
+/// reserve 0 for the setup, so a batch the u32 space cannot address is
+/// refused up front instead of silently aliasing instances.
+pub fn run_hetero_session_verifier<F, D, T>(
+    transport: &mut T,
+    pcps: &[&ZaatarPcp<F, D>],
+    circuit_ids: &[u32],
+    ios: &[Vec<F>],
+    policy: &RetryPolicy,
+    prg: &mut ChaChaPrg,
+) -> Result<SessionReport, SessionError>
+where
+    F: HasGroup + PrimeField,
+    D: EvalDomain<F>,
+    T: Transport,
+{
+    if ios.len() >= u32::MAX as usize {
+        return Err(SessionError::Wire(WireError::TooLong { len: ios.len() }));
+    }
+    if ios.len() != circuit_ids.len() {
+        return Err(SessionError::Protocol("one circuit id per claimed io"));
+    }
+    let _span = zaatar_obs::time("runtime.session");
+    let started = Instant::now();
+    let mut seed = [0u8; 32];
+    prg.fill_bytes(&mut seed);
+    let session_prg = ChaChaPrg::from_seed(seed);
+    let mut verifier = HeteroSessionVerifier::new(pcps, circuit_ids, &session_prg);
+    let mut retry_prg = session_prg.fork(1);
+    let setup = Frame::new(msg::HSETUP, 0, verifier.setup_message()?);
     let mut retransmits = 0u64;
 
-    let ack = exchange(transport, &setup, &[msg::SETUP_ACK, msg::ERROR], policy, retry_prg)?;
+    let ack = exchange(transport, &setup, &[msg::SETUP_ACK, msg::ERROR], policy, &mut retry_prg)?;
     retransmits += ack.retransmits as u64;
     if ack.response.msg_type == msg::ERROR {
         return Err(SessionError::Peer(
@@ -231,14 +278,14 @@ fn drive_verifier<F, T: Transport>(
             &req,
             &[msg::INSTANCE_RESP, msg::ERROR],
             policy,
-            retry_prg,
+            &mut retry_prg,
         ) {
             Ok(out) => {
                 retransmits += out.retransmits as u64;
                 if out.response.msg_type == msg::ERROR {
                     VerifyOutcome::Malformed(WireError::Invalid)
                 } else {
-                    match verify(i, &out.response.payload, io) {
+                    match verifier.verify_instance(i, &out.response.payload, io) {
                         Ok(true) => VerifyOutcome::Accepted,
                         Ok(false) => VerifyOutcome::Rejected,
                         Err(e) => VerifyOutcome::Malformed(e),
@@ -275,88 +322,6 @@ fn drive_verifier<F, T: Transport>(
     })
 }
 
-/// Instance indexes travel as LE32 and frame seqs reserve 0 for the
-/// setup, so a batch the u32 space cannot address is refused up front
-/// instead of silently aliasing instances.
-fn check_batch_addressable(batch: usize) -> Result<(), SessionError> {
-    if batch >= u32::MAX as usize {
-        return Err(SessionError::Wire(WireError::TooLong { len: batch }));
-    }
-    Ok(())
-}
-
-/// Runs the verifier's side of a batched argument session over
-/// `transport`, claiming the io vectors in `ios`: a [`SessionVerifier`]
-/// behind [`msg::SETUP`]. Failure handling and per-instance degradation
-/// are the shared driver's — setup failure is the only fatal path.
-pub fn run_session_verifier<F, D, T>(
-    transport: &mut T,
-    pcp: &ZaatarPcp<F, D>,
-    ios: &[Vec<F>],
-    policy: &RetryPolicy,
-    prg: &mut ChaChaPrg,
-) -> Result<SessionReport, SessionError>
-where
-    F: HasGroup + PrimeField,
-    D: EvalDomain<F>,
-    T: Transport,
-{
-    check_batch_addressable(ios.len())?;
-    let _span = zaatar_obs::time("runtime.session");
-    let started = Instant::now();
-    let mut verifier = SessionVerifier::new(pcp, prg);
-    let mut retry_prg = prg.fork(1);
-    let setup = Frame::new(msg::SETUP, 0, verifier.setup_message()?);
-    drive_verifier(
-        transport,
-        setup,
-        ios,
-        policy,
-        &mut retry_prg,
-        started,
-        |_, payload, io| verifier.verify_instance(payload, io),
-    )
-}
-
-/// Runs the verifier's side of a *heterogeneous* batched session:
-/// `pcps` are the circuits, `circuit_ids[i]` names the circuit of
-/// instance `i`, and `ios[i]` is that instance's claimed io in its
-/// circuit's QAP order. The message sequence is the legacy one with
-/// [`msg::HSETUP`] in place of [`msg::SETUP`]; failure handling and
-/// per-instance degradation are identical to [`run_session_verifier`].
-pub fn run_hetero_session_verifier<F, D, T>(
-    transport: &mut T,
-    pcps: &[&ZaatarPcp<F, D>],
-    circuit_ids: &[u32],
-    ios: &[Vec<F>],
-    policy: &RetryPolicy,
-    prg: &mut ChaChaPrg,
-) -> Result<SessionReport, SessionError>
-where
-    F: HasGroup + PrimeField,
-    D: EvalDomain<F>,
-    T: Transport,
-{
-    check_batch_addressable(ios.len())?;
-    if ios.len() != circuit_ids.len() {
-        return Err(SessionError::Protocol("one circuit id per claimed io"));
-    }
-    let _span = zaatar_obs::time("runtime.session.hetero");
-    let started = Instant::now();
-    let mut verifier = HeteroSessionVerifier::new(pcps, circuit_ids, prg);
-    let mut retry_prg = prg.fork(1);
-    let setup = Frame::new(msg::HSETUP, 0, verifier.setup_message()?);
-    drive_verifier(
-        transport,
-        setup,
-        ios,
-        policy,
-        &mut retry_prg,
-        started,
-        |i, payload, io| verifier.verify_instance(i, payload, io),
-    )
-}
-
 /// Counters from one prover serving session.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProverStats {
@@ -384,15 +349,17 @@ pub enum ProverStep {
 /// The prover's side of the session protocol as a transport-free state
 /// machine: frame in, [`ProverStep`] out. It owns everything the
 /// protocol itself needs — the [`HeteroSessionProver`] endpoint (a
-/// homogeneous session is the one-circuit case, for which the legacy
-/// [`msg::SETUP`] blob is still accepted), the per-instance response
-/// cache that makes every reply idempotent under retransmission, and
-/// the serving counters — and nothing a driver decides: the blocking
-/// [`run_hetero_session_prover`] loop and the `zaatar-server` poll loop
-/// both pump it, adding only their own receive/deadline policy.
+/// homogeneous session is the one-circuit case), the per-instance
+/// response cache that makes every reply idempotent under
+/// retransmission, and the serving counters — and nothing a driver
+/// decides: the blocking [`run_hetero_session_prover`] loop, the
+/// `zaatar-server` poll loop and the in-process
+/// [`crate::argument::run_batched_argument`] all pump it, adding only
+/// their own receive/deadline policy.
 ///
-/// The machine never panics on channel input: malformed setups and
-/// out-of-range instance requests are answered with typed ERROR frames.
+/// The machine never panics on channel input: malformed setups, the
+/// retired [`msg::SETUP`] frame and out-of-range instance requests are
+/// answered with typed ERROR frames.
 pub struct ProverMachine<'p, F: HasGroup, D> {
     prover: HeteroSessionProver<'p, F, D>,
     proofs: &'p [ZaatarProof<F>],
@@ -442,12 +409,8 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> ProverMachine<'p, F, D> {
     pub fn step(&mut self, frame: &Frame, ws: &mut ProverWorkspace<F>) -> ProverStep {
         // Ok((msg_type, payload)) or Err(errcode).
         let reply = match frame.msg_type {
-            msg::SETUP | msg::HSETUP => {
-                let received = if frame.msg_type == msg::HSETUP {
-                    self.prover.receive_setup(&frame.payload)
-                } else {
-                    self.prover.receive_legacy_setup(&frame.payload)
-                };
+            msg::HSETUP => {
+                let received = self.prover.receive_setup(&frame.payload);
                 // Cached responses are valid only under the setup they
                 // were computed for: an accepted (possibly
                 // retransmitted) setup supersedes it, and a refused one
@@ -461,6 +424,8 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> ProverMachine<'p, F, D> {
                     Err(_) => Err(errcode::MALFORMED),
                 }
             }
+            // Retired: refused without touching the setup or the cache.
+            msg::SETUP => Err(errcode::MALFORMED),
             msg::INSTANCE_REQ => match parse_instance_index(&frame.payload, self.proofs.len()) {
                 Err(code) => Err(code),
                 Ok(idx) => {
@@ -498,8 +463,7 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> ProverMachine<'p, F, D> {
 
 /// Serves proofs for one circuit over `transport` until the verifier
 /// sends DONE, the channel closes, or `idle_timeout` passes without any
-/// valid frame: [`run_hetero_session_prover`] with a single circuit,
-/// so the legacy [`msg::SETUP`] blob is accepted.
+/// valid frame: [`run_hetero_session_prover`] with a single circuit.
 pub fn run_session_prover<F, D, T>(
     transport: &mut T,
     pcp: &ZaatarPcp<F, D>,
@@ -523,9 +487,8 @@ where
 /// the scheduler would give this batch
 /// (`effective_workers(proofs.len())`) and each response spends it
 /// inside the instance. `proofs[i]` belongs to
-/// circuit `circuit_ids[i]`. Accepts [`msg::HSETUP`]; a legacy
-/// [`msg::SETUP`] is accepted only when the batch carries exactly one
-/// circuit.
+/// circuit `circuit_ids[i]`. The setup is [`msg::HSETUP`]; the retired
+/// [`msg::SETUP`] is answered `ERROR(MALFORMED)`.
 pub fn run_hetero_session_prover<F, D, T>(
     transport: &mut T,
     pcps: &[&ZaatarPcp<F, D>],
@@ -579,6 +542,7 @@ pub fn parse_instance_index(payload: &[u8], batch: usize) -> Result<usize, u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionVerifier;
     use crate::testutil::{mul_eq_fixture, mul_fixture, CircuitFixture};
     use zaatar_field::testutil::SplitMix64;
     use zaatar_field::{Field, F61};
@@ -629,62 +593,120 @@ mod tests {
 
     /// The whole prover protocol as a frame script against the machine
     /// directly — no threads, no transport — asserting the exact reply
-    /// to every frame.
+    /// to every frame, the retired SETUP frame included.
     #[test]
-    fn machine_replies_exactly_to_a_frame_script() {
+    fn machine_replies_exactly_to_an_hsetup_frame_script() {
         let fx = mul_fixture(&[[2, 3], [4, 5]]);
-        let mut prg = ChaChaPrg::from_u64_seed(0xA11D1);
-        let mut verifier = SessionVerifier::new(&fx.pcp, &mut prg);
+        let pcps = [&fx.pcp];
+        let prg = ChaChaPrg::from_u64_seed(0xA11D1);
+        let mut verifier = HeteroSessionVerifier::new(&pcps, &[0, 0], &prg);
         let setup = verifier.setup_message().unwrap();
         // The bytes an isolated endpoint emits under the same setup.
-        let mut reference = HeteroSessionProver::new(&[&fx.pcp], &[0, 0]);
-        reference.receive_legacy_setup(&setup).unwrap();
+        let mut reference = HeteroSessionProver::new(&pcps, &[0, 0]);
+        reference.receive_setup(&setup).unwrap();
         let mut ws = ProverWorkspace::new();
         let want: Vec<Vec<u8>> = (0..2)
             .map(|i| reference.instance_message_policied(i, &fx.proofs[i], &mut ws).unwrap())
             .collect();
-        assert!(verifier.verify_instance(&want[0], &fx.ios[0]).unwrap());
+        assert!(verifier.verify_instance(0, &want[0], &fx.ios[0]).unwrap());
         let resp = |seq, i: usize| ProverStep::Reply(Frame::new(msg::INSTANCE_RESP, seq, want[i].clone()));
         let ack = |seq| ProverStep::Reply(Frame::new(msg::SETUP_ACK, seq, Vec::new()));
+        let hsetup = |seq, payload: &[u8]| Frame::new(msg::HSETUP, seq, payload.to_vec());
+        let legacy = |seq| Frame::new(msg::SETUP, seq, setup.clone());
 
         let script = [
             // A request before any setup.
             (req(9, 0), error(9, errcode::NO_SETUP)),
-            (Frame::new(msg::SETUP, 0, setup.clone()), ack(0)),
+            // The retired single-circuit frame sets nothing up.
+            (legacy(0), error(0, errcode::MALFORMED)),
+            (req(10, 0), error(10, errcode::NO_SETUP)),
+            (hsetup(0, &setup), ack(0)),
             // A retransmitted setup is acknowledged again.
-            (Frame::new(msg::SETUP, 0, setup.clone()), ack(0)),
+            (hsetup(0, &setup), ack(0)),
             (req(1, 0), resp(1, 0)),
             (req(2, 7), error(2, errcode::BAD_INDEX)),
             (Frame::new(msg::INSTANCE_REQ, 3, vec![1, 2, 3]), error(3, errcode::MALFORMED)),
             (Frame::new(msg::INSTANCE_REQ, 4, vec![0; 5]), error(4, errcode::MALFORMED)),
-            (Frame::new(msg::SETUP, 5, setup[..setup.len() - 3].to_vec()), error(5, errcode::MALFORMED)),
-            // A refused legacy setup leaves the accepted one in force.
-            (req(6, 1), resp(6, 1)),
-            (Frame::new(0x7f, 7, vec![0xde, 0xad]), ProverStep::Ignore),
+            (hsetup(5, &setup[..setup.len() - 3]), error(5, errcode::MALFORMED)),
+            (legacy(6), error(6, errcode::MALFORMED)),
+            // Neither refusal unseated the accepted setup.
+            (req(7, 1), resp(7, 1)),
+            (Frame::new(0x7f, 8, vec![0xde, 0xad]), ProverStep::Ignore),
             (Frame::new(msg::SETUP_ACK, 8, Vec::new()), ProverStep::Ignore),
             (Frame::new(msg::DONE, u32::MAX, Vec::new()), ProverStep::Done),
         ];
-        let mut machine = ProverMachine::new(&[&fx.pcp], &[0, 0], &fx.proofs);
+        let mut machine = ProverMachine::new(&pcps, &[0, 0], &fx.proofs);
         assert!(!machine.is_ready());
         for (i, (frame, expected)) in script.iter().enumerate() {
             assert_eq!(&machine.step(frame, &mut ws), expected, "script step {i}");
         }
         assert!(machine.is_ready());
         assert_eq!(machine.stats().responses_served, 2);
-        assert_eq!(machine.stats().errors_reported, 5);
+        assert_eq!(machine.stats().errors_reported, 8);
 
         // A retransmitted request is served from the cache, not
         // recomputed: a workspace that can lease nothing still answers
-        // it, while an index never served before hits the budget.
+        // it — after a SETUP frame too, which leaves the cache alone —
+        // while an index never served before hits the budget.
         let mut starved = ProverWorkspace::with_budget(MemBudget::bytes(1));
-        let mut machine = ProverMachine::new(&[&fx.pcp], &[0, 0], &fx.proofs);
-        assert_eq!(machine.step(&Frame::new(msg::SETUP, 0, setup), &mut ws), ack(0));
+        let mut machine = ProverMachine::new(&pcps, &[0, 0], &fx.proofs);
+        assert_eq!(machine.step(&hsetup(0, &setup), &mut ws), ack(0));
         assert_eq!(machine.step(&req(1, 0), &mut ws), resp(1, 0));
         assert_eq!(machine.step(&req(1, 0), &mut starved), resp(1, 0));
+        assert_eq!(machine.step(&legacy(2), &mut ws), error(2, errcode::MALFORMED));
+        assert_eq!(machine.step(&req(1, 0), &mut starved), resp(1, 0));
         assert!(matches!(
-            machine.step(&req(2, 1), &mut starved),
+            machine.step(&req(3, 1), &mut starved),
             ProverStep::Fatal(SessionError::BudgetExceeded { .. })
         ));
+    }
+
+    /// A peer that records the first frame it is sent and refuses it.
+    #[derive(Default)]
+    struct RefusingPeer {
+        first: Option<Frame>,
+    }
+
+    impl Transport for RefusingPeer {
+        fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
+            self.first.get_or_insert_with(|| frame.clone());
+            Ok(())
+        }
+
+        fn recv(&mut self, _deadline: Instant) -> Result<Frame, TransportError> {
+            Ok(Frame::new(msg::ERROR, 0, vec![errcode::BUSY]))
+        }
+
+        fn stats(&self) -> zaatar_transport::TransportStats {
+            Default::default()
+        }
+    }
+
+    /// Two sessions run from one PRG send different setups: each
+    /// session's keys, `r`, query seed and `α`s are its own.
+    #[test]
+    fn run_session_verifier_draws_fresh_secrets_per_session() {
+        fn two_setups(
+            run: impl Fn(&mut RefusingPeer, &mut ChaChaPrg) -> Result<SessionReport, SessionError>,
+        ) -> [Vec<u8>; 2] {
+            let mut prg = ChaChaPrg::from_u64_seed(0xF2E5);
+            [(); 2].map(|_| {
+                let mut peer = RefusingPeer::default();
+                assert_eq!(run(&mut peer, &mut prg).unwrap_err(), SessionError::Peer(errcode::BUSY));
+                let setup = peer.first.expect("setup sent");
+                assert_eq!(setup.msg_type, msg::HSETUP);
+                setup.payload
+            })
+        }
+        let (a, b, circuit_ids, _) = hetero_fixture();
+        let pcps = [&a.pcp, &b.pcp];
+        let ios = [a.ios[0].clone(), b.ios[0].clone(), a.ios[1].clone()];
+        let policy = RetryPolicy::fast();
+        let [first, second] =
+            two_setups(|t, prg| run_hetero_session_verifier(t, &pcps, &circuit_ids, &ios, &policy, prg));
+        assert!(first != second, "hetero sessions reused their secrets");
+        let [first, second] = two_setups(|t, prg| run_session_verifier(t, &a.pcp, &a.ios, &policy, prg));
+        assert!(first != second, "single-circuit sessions reused their secrets");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! [`SessionVerifier`], and the prover's witnesses never leave
 //! [`SessionProver`]. PCP queries travel as a 32-byte seed
 //! (\[53, Apdx A.3\]); `Enc(r)` and the consistency queries are explicit.
+//! A session runs [`HeteroSessionVerifier`] and [`HeteroSessionProver`]
+//! (one circuit or several); those wrap one per-circuit endpoint each.
 
 use zaatar_crypto::{ChaChaPrg, Ciphertext, HasGroup};
 use zaatar_field::PrimeField;
@@ -132,10 +134,6 @@ pub struct SessionVerifier<'p, F: HasGroup, D> {
     t_h: Vec<F>,
     alphas_z: Vec<F>,
     alphas_h: Vec<F>,
-    /// Total bytes sent by the verifier.
-    pub bytes_sent: u64,
-    /// Total bytes received by the verifier.
-    pub bytes_received: u64,
 }
 
 /// The prover endpoint of a session. The seed-derived queries are
@@ -171,8 +169,6 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionVerifier<'p, F, D> {
             t_h,
             alphas_z,
             alphas_h,
-            bytes_sent: 0,
-            bytes_received: 0,
         }
     }
 
@@ -194,15 +190,12 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionVerifier<'p, F, D> {
         w.put_bytes(&self.query_seed);
         w.put_field_vec(&self.t_z)?;
         w.put_field_vec(&self.t_h)?;
-        let bytes = w.finish();
-        self.bytes_sent += bytes.len() as u64;
-        Ok(bytes)
+        Ok(w.finish())
     }
 
     /// Verifies one instance's message 2 (P → V). `io` is inputs then
     /// outputs in QAP order.
     pub fn verify_instance(&mut self, message: &[u8], io: &[F]) -> Result<bool, WireError> {
-        self.bytes_received += message.len() as u64;
         let ((cz, ch), dz, dh) = crate::wire::decode_prover_message::<F>(message)?;
         let ok = self
             .key_z
@@ -360,28 +353,25 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
 /// PRG stream offset for per-circuit secrets in a heterogeneous
 /// session: circuit `c` draws from `prg.fork(HETERO_PRG_STREAM_BASE + c)`.
 ///
-/// Streams 0 and 1 stay reserved for the legacy single-circuit path
-/// (main draw and retry jitter). Pinning the convention here makes a
-/// heterogeneous session *transcript-compatible* with isolated
-/// per-circuit sessions: an isolated [`SessionVerifier`] seeded from
-/// the same fork produces byte-identical setup blobs and therefore
-/// byte-identical instance responses.
+/// `prg` is the session's own PRG: `run_hetero_session_verifier` seeds
+/// it from a 32-byte draw and takes its retry jitter from stream 1;
+/// stream 0 is unused. Pinning the convention here makes a session
+/// *transcript-compatible* with isolated per-circuit sessions: an
+/// isolated [`SessionVerifier`] seeded from the same fork produces
+/// byte-identical setup blobs and therefore byte-identical instance
+/// responses.
 pub const HETERO_PRG_STREAM_BASE: u64 = 2;
 
-/// The verifier endpoint of a *heterogeneous* session: one session,
-/// several circuits, each batch instance tagged with the circuit it
-/// belongs to. Wraps one [`SessionVerifier`] per circuit; all secrets
-/// for circuit `c` come from `prg.fork(HETERO_PRG_STREAM_BASE + c)`.
+/// The verifier endpoint of a session: one or several circuits, each
+/// batch instance tagged with the circuit it belongs to. Wraps one
+/// [`SessionVerifier`] per circuit; all secrets for circuit `c` come
+/// from `prg.fork(HETERO_PRG_STREAM_BASE + c)`.
 pub struct HeteroSessionVerifier<'p, F: HasGroup, D> {
     verifiers: Vec<SessionVerifier<'p, F, D>>,
     circuit_ids: Vec<u32>,
-    /// Total bytes sent by the verifier.
-    pub bytes_sent: u64,
-    /// Total bytes received by the verifier.
-    pub bytes_received: u64,
 }
 
-/// The prover endpoint of a heterogeneous session: one
+/// The prover endpoint of a session: one
 /// [`SessionProver`] per circuit, so each circuit's seed-derived
 /// queries are packed once ([`BatchQuerySet`]) and every instance of
 /// that circuit is answered off the same matrices (grouped answering).
@@ -419,16 +409,14 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> HeteroSessionVerifier<'p, F
         HeteroSessionVerifier {
             verifiers,
             circuit_ids: circuit_ids.to_vec(),
-            bytes_sent: 0,
-            bytes_received: 0,
         }
     }
 
-    /// Message 1 (V → P): the heterogeneous setup. Layout:
+    /// Message 1 (V → P): the session setup. Layout:
     ///
     /// ```text
     /// u32 C                      circuit count
-    /// C × { u32 len ‖ bytes }    each circuit's legacy setup message
+    /// C × { u32 len ‖ bytes }    each circuit's setup message
     /// u32 B                      batch size
     /// B × u32                    per-instance circuit id
     /// ```
@@ -447,9 +435,7 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> HeteroSessionVerifier<'p, F
         for &c in &self.circuit_ids {
             w.put_u32(c);
         }
-        let bytes = w.finish();
-        self.bytes_sent += bytes.len() as u64;
-        Ok(bytes)
+        Ok(w.finish())
     }
 
     /// Verifies instance `i`'s message 2 against the circuit it was
@@ -461,7 +447,6 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> HeteroSessionVerifier<'p, F
         message: &[u8],
         io: &[F],
     ) -> Result<bool, WireError> {
-        self.bytes_received += message.len() as u64;
         let c = self.circuit_ids[i] as usize;
         self.verifiers[c].verify_instance(message, io)
     }
@@ -530,17 +515,6 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> HeteroSessionProver<'p, F, 
             }
         }
         Ok(())
-    }
-
-    /// Processes a *legacy* single-circuit setup message. Only valid
-    /// when this endpoint carries exactly one circuit; keeps the wire
-    /// bytes of the single-circuit protocol unchanged so a legacy
-    /// verifier can talk to a hetero-capable server.
-    pub(crate) fn receive_legacy_setup(&mut self, message: &[u8]) -> Result<(), WireError> {
-        if self.provers.len() != 1 {
-            return Err(WireError::Invalid);
-        }
-        self.provers[0].receive_setup(message)
     }
 
     /// True once every circuit has a valid setup.
@@ -651,12 +625,12 @@ mod tests {
         // Everything crosses the boundary as bytes.
         let setup = verifier.setup_message().unwrap();
         prover.receive_setup(&setup).unwrap();
+        assert!(!setup.is_empty());
         for (proof, io) in proofs.iter().zip(&ios) {
             let msg = prover.instance_message_policied(proof, &mut ws).unwrap();
+            assert!(!msg.is_empty());
             assert!(verifier.verify_instance(&msg, io).unwrap());
         }
-        assert!(verifier.bytes_sent > 0);
-        assert!(verifier.bytes_received > 0);
         // One packed query generation served all three instances.
         assert!(zaatar_obs::counter("pcp.batch.query_reuse").get() >= reuses_before + 3);
     }
@@ -869,23 +843,6 @@ mod tests {
         // The correct layout still works afterwards.
         prover.receive_setup(&setup).unwrap();
         assert!(prover.is_ready());
-    }
-
-    #[test]
-    fn legacy_setup_only_fits_single_circuit_endpoints() {
-        let (pcp_a, _, _) = fixture(&[[1, 2]]);
-        let (pcp_b, _, _) = fixture_b(&[[3, 4]]);
-        let mut prg = ChaChaPrg::from_u64_seed(0x4e80);
-        let mut legacy_v = SessionVerifier::new(&pcp_a, &mut prg);
-        let legacy_setup = legacy_v.setup_message().unwrap();
-        // Single-circuit hetero endpoint accepts the legacy bytes.
-        let mut single = HeteroSessionProver::new(&[&pcp_a], &[0, 0]);
-        single.receive_legacy_setup(&legacy_setup).unwrap();
-        assert!(single.is_ready());
-        // Multi-circuit endpoint refuses them.
-        let mut multi = HeteroSessionProver::new(&[&pcp_a, &pcp_b], &[0, 1]);
-        assert!(multi.receive_legacy_setup(&legacy_setup).is_err());
-        assert!(!multi.is_ready());
     }
 
     #[test]

@@ -264,19 +264,19 @@ where
     F: PrimeField + HasGroup,
     D: EvalDomain<F>,
 {
-    /// A server for one proof batch over a single circuit. Every
-    /// admitted verifier session negotiates its own setup and is
-    /// answered from `proofs`. Wire behaviour (legacy `SETUP` frames
-    /// included) is unchanged from before heterogeneous batches.
+    /// A server for one proof batch over a single circuit: the
+    /// one-circuit case of [`SessionServer::new_hetero`]. Every
+    /// admitted verifier session negotiates its own C = 1 `HSETUP` and
+    /// is answered from `proofs`.
     pub fn new(pcp: &'p ZaatarPcp<F, D>, proofs: &'p [ZaatarProof<F>], config: ServerConfig) -> Self {
         Self::new_hetero(&[pcp], &vec![0; proofs.len()], proofs, config)
     }
 
     /// A server for a *heterogeneous* proof batch: `proofs[i]` belongs
-    /// to circuit `circuit_ids[i]` of `pcps`. Admitted sessions accept
-    /// `HSETUP` frames (and legacy `SETUP` when only one circuit is
-    /// configured), answering each instance through its own circuit's
-    /// packed query set.
+    /// to circuit `circuit_ids[i]` of `pcps`. Admitted sessions set up
+    /// with `HSETUP` (the retired `SETUP` frame is answered
+    /// `ERROR(MALFORMED)`), answering each instance through its own
+    /// circuit's packed query set.
     ///
     /// # Panics
     ///
@@ -332,8 +332,7 @@ where
         self.tenant_policy
     }
 
-    /// Circuits this server carries (1 for a legacy single-circuit
-    /// server).
+    /// Circuits this server carries (1 for a single-circuit server).
     pub fn num_circuits(&self) -> usize {
         self.pcps.len()
     }

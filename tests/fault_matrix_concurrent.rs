@@ -35,6 +35,16 @@ fn fixture() -> CircuitFixture {
     mul_fixture(&[[3, 7], [5, 11]])
 }
 
+/// A single-circuit setup blob in the C = 1 `HSETUP` envelope a session
+/// sends: `u32 1 ‖ u32 len ‖ blob ‖ u32 β ‖ β × u32 0`.
+fn hsetup_envelope(blob: &[u8], batch: usize) -> Vec<u8> {
+    let mut out = [1, blob.len() as u32].map(u32::to_le_bytes).concat();
+    out.extend_from_slice(blob);
+    out.extend((batch as u32).to_le_bytes());
+    out.resize(out.len() + 4 * batch, 0);
+    out
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Scenario {
     seed: u64,
@@ -326,7 +336,11 @@ fn concurrent_responses_are_byte_identical_to_isolated_reference() {
                     let setup_bytes = verifier.setup_message().expect("setup serializes");
                     let mut retry_prg = prg.fork(1);
                     let p = policy();
-                    let setup = Frame::new(msg::SETUP, 0, setup_bytes.clone());
+                    let setup = Frame::new(
+                        msg::HSETUP,
+                        0,
+                        hsetup_envelope(&setup_bytes, fx.proofs.len()),
+                    );
                     let ack = exchange(
                         &mut vt,
                         &setup,

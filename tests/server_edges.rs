@@ -21,6 +21,16 @@ fn fixture() -> CircuitFixture {
     mul_fixture(&[[3, 7], [5, 11]])
 }
 
+/// A single-circuit setup blob in the C = 1 `HSETUP` envelope a session
+/// sends: `u32 1 ‖ u32 len ‖ blob ‖ u32 β ‖ β × u32 0`.
+fn hsetup_envelope(blob: &[u8], batch: usize) -> Vec<u8> {
+    let mut out = [1, blob.len() as u32].map(u32::to_le_bytes).concat();
+    out.extend_from_slice(blob);
+    out.extend((batch as u32).to_le_bytes());
+    out.resize(out.len() + 4 * batch, 0);
+    out
+}
+
 fn config() -> ServerConfig {
     ServerConfig {
         max_sessions: 4,
@@ -62,7 +72,8 @@ fn run_full_session(
     };
     let mut prg = ChaChaPrg::from_u64_seed(seed);
     let mut verifier = SessionVerifier::new(&fx.pcp, &mut prg);
-    let ack = ask(&mut client, server, &Frame::new(msg::SETUP, 0, verifier.setup_message().unwrap()));
+    let setup = hsetup_envelope(&verifier.setup_message().unwrap(), fx.proofs.len());
+    let ack = ask(&mut client, server, &Frame::new(msg::HSETUP, 0, setup));
     assert_eq!(ack.msg_type, msg::SETUP_ACK);
     for idx in 0..fx.proofs.len() {
         let req = Frame::new(msg::INSTANCE_REQ, (idx + 1) as u32, (idx as u32).to_le_bytes().to_vec());
@@ -105,7 +116,8 @@ fn expired_session_releases_workspace_and_notifies() {
     // the expiry lands mid-commit with leased buffers in play.
     let mut prg = ChaChaPrg::from_u64_seed(0xE0);
     let mut verifier = SessionVerifier::new(&fx.pcp, &mut prg);
-    let ack = ask(&mut client, &mut server, &Frame::new(msg::SETUP, 0, verifier.setup_message().unwrap()));
+    let setup = hsetup_envelope(&verifier.setup_message().unwrap(), fx.proofs.len());
+    let ack = ask(&mut client, &mut server, &Frame::new(msg::HSETUP, 0, setup));
     assert_eq!(ack.msg_type, msg::SETUP_ACK);
     let resp = ask(
         &mut client,

@@ -13,7 +13,8 @@
 #    warnings promoted to errors;
 # 5. the required-test guard: the tests whose loss must fail CI by
 #    name, checked once against the suite's `--list` (step 3 already ran
-#    them under the release profile);
+#    them under the release profile), and the session-family guards
+#    (one setup path, no per-circuit endpoint in product code);
 # 6. the ZAATAR_WORKERS matrix (transcript differentials, the crypto
 #    proptests and the golden transcript digests at one worker and at
 #    four — a different process environment, so not a re-run) and the
@@ -58,7 +59,9 @@ cargo clippy --workspace --all-targets --locked -- -D warnings
 # the consistency query at every shard count, the per-batch draw count,
 # and the SETUP digests at the paper's parameters); the wire-cost
 # formula against the encoded session messages, and the Fig. 3 cost
-# model's tests.
+# model's tests; the prover machine's exact replies to a frame script
+# (the retired SETUP frame included) and the per-session secrets of the
+# verifier driver.
 required_tests=(
     bad_quotient_prover_rejected
     non_linear_oracle_rejected
@@ -125,6 +128,8 @@ required_tests=(
     cost::tests::paper_params_match_table
     cost::tests::seeding_slashes_verifier_to_prover_bytes
     cost::tests::prover_traffic_scales_with_batch
+    runtime::tests::machine_replies_exactly_to_an_hsetup_frame_script
+    runtime::tests::run_session_verifier_draws_fresh_secrets_per_session
 )
 echo "==> required tests (${#required_tests[@]} names against the suite's --list)"
 listed="$(cargo test -q --workspace --locked --release -- --list)"
@@ -134,6 +139,25 @@ for name in "${required_tests[@]}"; do
 done
 if (( ${#missing[@]} )); then
     printf 'error: required test missing from the suite: %s\n' "${missing[@]}" >&2
+    exit 1
+fi
+
+# One session family on the product path: the retired single-circuit
+# setup method stays deleted, and the session drivers, the in-process
+# argument and the server build sessions from the `Hetero*` endpoints
+# only — `SessionVerifier` / `SessionProver` are the per-circuit parts
+# those wrap. Each file is read up to its first `#[cfg(test)]`.
+echo "==> session-family guards"
+if grep -rn receive_legacy_setup crates/; then
+    echo "error: receive_legacy_setup is back under crates/" >&2
+    exit 1
+fi
+named="$(for f in crates/core/src/runtime.rs crates/core/src/argument.rs crates/server/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit }
+        /(^|[^A-Za-z_])Session(Verifier|Prover)([^A-Za-z_]|$)/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)"
+if [[ -n "$named" ]]; then
+    printf 'error: product code names a per-circuit session endpoint:\n%s\n' "$named" >&2
     exit 1
 fi
 
